@@ -182,27 +182,6 @@ class TestFunction:
     def __call__(self, t: ArrayLike) -> ArrayLike:
         return self.expr.eval(t)
 
-    # combinators used by the inequality checks; all stay on the same domain
-    def plus(self, other: "TestFunction") -> "TestFunction":
-        return TestFunction(Sum(((1.0, self.expr), (1.0, other.expr))), self.domain)
-
-    def minus_scaled(self, c: float, other: "TestFunction") -> "TestFunction":
-        return TestFunction(Sum(((1.0, self.expr), (-c, other.expr))), self.domain)
-
-    def times(self, other: "TestFunction") -> "TestFunction":
-        return TestFunction(Product((self.expr, other.expr)), self.domain)
-
-    def powered(self, p: float) -> "TestFunction":
-        if p == 1.0:
-            return self
-        return TestFunction(Power(self.expr, p), self.domain)
-
-    def max_with(self, other: "TestFunction") -> "TestFunction":
-        return TestFunction(PMax(self.expr, other.expr), self.domain)
-
-    def scaled(self, c: float) -> "TestFunction":
-        return TestFunction(Sum(((c, self.expr),)), self.domain)
-
 
 def eval_fn(f: TestFunction, t: float) -> float:
     """Evaluate at a point, rejecting points outside the domain."""

@@ -18,7 +18,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from .errors import ConvergenceError, DomainError
 from .functions import (
     PairKind,
     PositivePair,
-    Sum,
-    TestFunction,
     generate_box_pair,
     generate_ratio_pair,
 )
@@ -73,8 +71,6 @@ class TheoremId(Enum):
     T14 = "T14"
     T15 = "T15"
     FORWARD_MINKOWSKI = "ForwardMinkowski"
-    YOUNG = "Young"
-    POWER_MEAN = "PowerMean"
 
 
 # ---------------------------------------------------------------------------
@@ -170,50 +166,74 @@ class _Val:
         return _Val(self.value + other.value, self.err + other.err)
 
 
-class _Inconclusive(Exception):
-    pass
-
-
-def _apply_op(
-    op, fn: TestFunction, x: float, quad: QuadratureConfig, breakpoints: tuple = ()
-) -> _Val:
+def _apply_op(op, integrand, x: float, quad: QuadratureConfig, breakpoints: tuple = ()):
+    """Operator values of every row of ``integrand``; None when one is untrusted."""
     try:
         if isinstance(op, HadamardOp):
             res = evaluate_classical(
-                ClassicalKind.HADAMARD, op.alpha, fn, (op.lower,), x, quad
+                ClassicalKind.HADAMARD, op.alpha, integrand, (op.lower,), x, quad
             )
         else:
-            res = evaluate(op, fn, x, quad, breakpoints)
-    except ConvergenceError as exc:
-        raise _Inconclusive(str(exc)) from exc
-    if not math.isfinite(res.value) or res.value < 0.0:
-        raise _Inconclusive("operator value %r unusable" % (res.value,))
-    return _Val(res.value, res.error_estimate)
+            res = evaluate(op, integrand, x, quad, breakpoints)
+    except ConvergenceError:
+        return None
+    if not np.all(np.isfinite(res.value) & (res.value >= 0.0)):
+        return None
+    return [_Val(float(v), float(e)) for v, e in zip(res.value, res.error_estimate)]
 
 
-def _sign_crossings(fa: TestFunction, fb: TestFunction, lo: float, hi: float,
-                    n: int = 512) -> tuple:
-    """Interior points where fa - fb changes sign (kinks of max(fa, fb))."""
+_BISECT_LEVELS = 80  # bisection steps per grid cell of the kink finder
+_BISECT_DEPTH = 7  # of which one call of the difference resolves this many
+
+
+def _sign_crossings(diff, lo: float, hi: float, n: int = 512) -> tuple:
+    """Interior points where ``diff`` changes sign (kinks of a pointwise max).
+
+    ``diff`` is sampled on an n-point grid.  Each grid cell whose left end
+    is nonzero and whose ends do not share a sign is bisected until its
+    ends are adjacent doubles (at most _BISECT_LEVELS steps, rounded up to
+    whole k-sections), and the root is their midpoint; a bisection point
+    where ``diff`` is exactly zero is the root itself.
+
+    The bisection runs on all cells at once, as a k-section with
+    k = 2^_BISECT_DEPTH: one call of ``diff`` evaluates every midpoint the
+    next _BISECT_DEPTH bisection steps could visit, k-1 per cell, and the
+    bisection's path through them is then replayed.  Each midpoint is
+    computed from its two parents as 0.5 * (left + right), exactly as a
+    scalar bisection computes it, so the roots are the ones it finds.
+    """
     t = np.linspace(lo, hi, n)
-    d = np.asarray(fa(t)) - np.asarray(fb(t))
-    roots = []
-    for i in range(n - 1):
-        if d[i] == 0.0 or d[i] * d[i + 1] > 0.0:
-            continue
-        a, b = t[i], t[i + 1]
-        fa_v = d[i]
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            fm = float(fa(m)) - float(fb(m))
-            if fm == 0.0:
-                a = b = m
-                break
-            if (fm > 0.0) == (fa_v > 0.0):
-                a, fa_v = m, fm
+    d = np.asarray(diff(t), dtype=float)
+    cells = np.flatnonzero((d[:-1] != 0.0) & (d[:-1] * d[1:] <= 0.0))
+    ends = np.stack([t[cells], t[cells + 1]], axis=1)  # one bracket per row
+    positive = (d[cells] > 0.0).tolist()
+    k = 2 ** _BISECT_DEPTH
+    for _ in range(-(-_BISECT_LEVELS // _BISECT_DEPTH)):
+        live = np.flatnonzero(np.nextafter(ends[:, 0], np.inf) < ends[:, 1])
+        if not live.size:
+            break
+        # column i holds the dyadic point a + (b - a) * i / k, built from its parents
+        pts = np.empty((live.size, k + 1))
+        pts[:, 0], pts[:, k] = ends[live, 0], ends[live, 1]
+        h = k // 2
+        while h:
+            pts[:, h::2 * h] = 0.5 * (pts[:, 0:k:2 * h] + pts[:, 2 * h::2 * h])
+            h //= 2
+        vals = np.asarray(diff(pts[:, 1:k].ravel()), dtype=float)
+        for row, (cell, v) in enumerate(zip(live.tolist(), vals.reshape(live.size, -1).tolist())):
+            # replay the bisection; v[i - 1] is the value at column i
+            pos, h = 0, k // 2
+            while h:
+                dm = v[pos + h - 1]
+                if dm == 0.0:
+                    ends[cell] = pts[row, pos + h]
+                    break
+                if (dm > 0.0) == positive[cell]:
+                    pos += h
+                h //= 2
             else:
-                b = m
-        roots.append(0.5 * (a + b))
-    return tuple(roots)
+                ends[cell] = pts[row, pos:pos + 2]
+    return tuple(float(r) for r in 0.5 * (ends[:, 0] + ends[:, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +250,6 @@ class CheckConfig:
     slack_factor: float = 2.0
     statement_constants: bool = False
     quad: QuadratureConfig = DEFAULT_CONFIG
-    trials: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         _require(self.p >= 1.0, "require p >= 1")
@@ -270,7 +288,7 @@ class InequalityCheck:
         return min(self.mid - self.lhs, self.rhs - self.mid) / scale
 
 
-def _inconclusive_check(theorem: TheoremId, constant: float = math.nan) -> InequalityCheck:
+def _inconclusive_check(theorem: TheoremId, constant: float) -> InequalityCheck:
     return InequalityCheck(
         theorem_id=theorem,
         lhs=math.nan,
@@ -321,42 +339,98 @@ def _sandwich(theorem, lower: _Val, middle: _Val, upper: _Val, constant, slack_f
 
 # ---------------------------------------------------------------------------
 # theorem checks
+#
+# Each check is data: the integrands as functions of the pair's values
+# (f(t), g(t)) at the quadrature nodes, one row each, and a rule combining
+# their operator values into the compared sides.  _run_check integrates all
+# rows of a check on one node set, calling f and g once per node set.
 # ---------------------------------------------------------------------------
 
 
-def _ratio_bounds(pair: PositivePair) -> tuple:
-    return pair.m, pair.M
+@dataclass(frozen=True)
+class _Sides:
+    lhs: _Val
+    rhs: _Val
+    mid: Optional[_Val] = None  # sandwich checks: lhs <= mid <= rhs
+    aux: Optional[dict] = None
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One inequality: ``rows(fv, gv)`` gives the integrands, ``combine`` maps
+    their operator values, in row order, to ``_Sides``.  ``kinks(fv, gv)``,
+    when set, is a function whose sign changes are the kinks of the rows."""
+
+    theorem: TheoremId
+    constant: float
+    rows: Callable
+    combine: Callable
+    kinks: Optional[Callable] = None
+
+
+def _run_check(check: _Check, pair: PositivePair, params, x: float,
+               cfg: CheckConfig) -> InequalityCheck:
+    """Integrate every row of ``check`` in one call and judge the inequality.
+
+    Quadrature non-convergence, or an unusable value in any row, makes the
+    trial inconclusive.
+    """
+
+    def on_pair(fn):
+        return lambda t: fn(pair.f(t), pair.g(t))
+
+    breakpoints = ()
+    if check.kinks is not None and not isinstance(params, HadamardOp):
+        lo, hi = pair.f.domain
+        breakpoints = _sign_crossings(
+            on_pair(check.kinks), max(lo, params.lower), min(hi, x)
+        )
+    rows = on_pair(lambda fv, gv: np.array(check.rows(fv, gv)))
+    vals = _apply_op(params, rows, x, cfg.quad, breakpoints)
+    if vals is None:
+        return _inconclusive_check(check.theorem, check.constant)
+    sides = check.combine(*vals)
+    if sides.mid is None:
+        return _one_sided(check.theorem, sides.lhs, sides.rhs, check.constant,
+                          cfg.slack_factor, sides.aux)
+    return _sandwich(check.theorem, sides.lhs, sides.mid, sides.rhs, check.constant,
+                     cfg.slack_factor)
+
+
+def _root_sum(fp: _Val, gp: _Val, p: float) -> _Val:
+    return fp.powered(1.0 / p).plus(gp.powered(1.0 / p))
+
+
+def _sum_powers(theorem: TheoremId, const: float, p: float, forward: bool = False) -> _Check:
+    """Rows f^p, g^p, (f+g)^p: the reverse bound puts the sum of p-th roots
+    below const times the p-th root of the sum; ``forward`` flips it."""
+
+    def combine(fp, gp, spp):
+        root = spp.powered(1.0 / p)
+        if forward:
+            return _Sides(root, _root_sum(fp, gp, p))
+        return _Sides(_root_sum(fp, gp, p), root.scaled(const))
+
+    return _Check(theorem, const, lambda f, g: (f ** p, g ** p, (f + g) ** p), combine)
 
 
 def check_t8(pair: PositivePair, params, x: float, cfg: CheckConfig) -> InequalityCheck:
     """Sum of p-th roots bounded by c1 times the p-th root of the sum."""
-    m, M = _ratio_bounds(pair)
-    const = c1(m, M)
-    p = cfg.p
-    try:
-        fp = _apply_op(params, pair.f.powered(p), x, cfg.quad)
-        gp = _apply_op(params, pair.g.powered(p), x, cfg.quad)
-        spp = _apply_op(params, pair.f.plus(pair.g).powered(p), x, cfg.quad)
-    except _Inconclusive:
-        return _inconclusive_check(TheoremId.T8, const)
-    lhs = fp.powered(1.0 / p).plus(gp.powered(1.0 / p))
-    rhs = spp.powered(1.0 / p).scaled(const)
-    return _one_sided(TheoremId.T8, lhs, rhs, const, cfg.slack_factor)
+    check = _sum_powers(TheoremId.T8, c1(pair.m, pair.M), cfg.p)
+    return _run_check(check, pair, params, x, cfg)
 
 
 def check_t9(pair: PositivePair, params, x: float, cfg: CheckConfig) -> InequalityCheck:
     """c2 times the product of p-th roots bounded by the sum of squared roots."""
-    m, M = _ratio_bounds(pair)
-    const = c2(m, M)
+    const = c2(pair.m, pair.M)
     p = cfg.p
-    try:
-        fp = _apply_op(params, pair.f.powered(p), x, cfg.quad)
-        gp = _apply_op(params, pair.g.powered(p), x, cfg.quad)
-    except _Inconclusive:
-        return _inconclusive_check(TheoremId.T9, const)
-    lhs = fp.powered(1.0 / p).times(gp.powered(1.0 / p)).scaled(const)
-    rhs = fp.powered(2.0 / p).plus(gp.powered(2.0 / p))
-    return _one_sided(TheoremId.T9, lhs, rhs, const, cfg.slack_factor)
+
+    def combine(fp, gp):
+        lhs = fp.powered(1.0 / p).times(gp.powered(1.0 / p)).scaled(const)
+        return _Sides(lhs, fp.powered(2.0 / p).plus(gp.powered(2.0 / p)))
+
+    check = _Check(TheoremId.T9, const, lambda f, g: (f ** p, g ** p), combine)
+    return _run_check(check, pair, params, x, cfg)
 
 
 def check_t10(pair: PositivePair, params, x: float, cfg: CheckConfig) -> InequalityCheck:
@@ -367,61 +441,33 @@ def check_t10(pair: PositivePair, params, x: float, cfg: CheckConfig) -> Inequal
     which sum to one); the variant with a spurious outer 1/p that appears
     in one display is recorded in ``aux`` for comparison but not asserted.
     """
-    m, M = _ratio_bounds(pair)
     _require(cfg.p > 1.0, "T10 requires p > 1")
     p, q = cfg.p, cfg.q
-    const = (M / m) ** (1.0 / (p * q))
-    try:
-        fi = _apply_op(params, pair.f, x, cfg.quad)
-        gi = _apply_op(params, pair.g, x, cfg.quad)
-        mixed = _apply_op(
-            params,
-            pair.f.powered(1.0 / p).times(pair.g.powered(1.0 / q)),
-            x,
-            cfg.quad,
-        )
-    except _Inconclusive:
-        return _inconclusive_check(TheoremId.T10, const)
-    lhs = fi.powered(1.0 / p).times(gi.powered(1.0 / q))
-    rhs = mixed.scaled(const)
-    aux = {"outer_exponent_rhs": const * mixed.value ** (1.0 / p)}
-    return _one_sided(TheoremId.T10, lhs, rhs, const, cfg.slack_factor, aux=aux)
+    const = (pair.M / pair.m) ** (1.0 / (p * q))
+
+    def combine(fi, gi, mixed):
+        return _Sides(fi.powered(1.0 / p).times(gi.powered(1.0 / q)), mixed.scaled(const),
+                      aux={"outer_exponent_rhs": const * mixed.value ** (1.0 / p)})
+
+    check = _Check(TheoremId.T10, const,
+                   lambda f, g: (f, g, f ** (1.0 / p) * g ** (1.0 / q)), combine)
+    return _run_check(check, pair, params, x, cfg)
 
 
 def check_t11(pair: PositivePair, params, x: float, cfg: CheckConfig) -> InequalityCheck:
     """Product integral bounded by c3, c4 combinations of power sums."""
-    m, M = _ratio_bounds(pair)
     _require(cfg.p > 1.0, "T11 requires p > 1")
     p, q = cfg.p, cfg.q
-    const3 = c3(p, M)
-    const4 = c4(q, m, cfg.statement_constants)
-    try:
-        prod = _apply_op(params, pair.f.times(pair.g), x, cfg.quad)
-        psum = _apply_op(
-            params,
-            TestFunction(
-                Sum(((1.0, pair.f.powered(p).expr), (1.0, pair.g.powered(p).expr))),
-                pair.f.domain,
-            ),
-            x,
-            cfg.quad,
-        )
-        qsum = _apply_op(
-            params,
-            TestFunction(
-                Sum(((1.0, pair.f.powered(q).expr), (1.0, pair.g.powered(q).expr))),
-                pair.f.domain,
-            ),
-            x,
-            cfg.quad,
-        )
-    except _Inconclusive:
-        return _inconclusive_check(TheoremId.T11, const3)
-    lhs = prod
-    rhs = psum.scaled(const3).plus(qsum.scaled(const4))
-    return _one_sided(
-        TheoremId.T11, lhs, rhs, const3, cfg.slack_factor, aux={"c4": const4}
-    )
+    const3 = c3(p, pair.M)
+    const4 = c4(q, pair.m, cfg.statement_constants)
+
+    def combine(prod, psum, qsum):
+        return _Sides(prod, psum.scaled(const3).plus(qsum.scaled(const4)),
+                      aux={"c4": const4})
+
+    check = _Check(TheoremId.T11, const3,
+                   lambda f, g: (f * g, f ** p + g ** p, f ** q + g ** q), combine)
+    return _run_check(check, pair, params, x, cfg)
 
 
 def check_t12(pair: PositivePair, params, x: float, cfg: CheckConfig) -> InequalityCheck:
@@ -430,98 +476,70 @@ def check_t12(pair: PositivePair, params, x: float, cfg: CheckConfig) -> Inequal
     Implements the derivation's form with the p-th power inside the
     operator; the bracketed middle quantity is the sum of p-th roots.
     """
-    m, M = _ratio_bounds(pair)
+    m, M = pair.m, pair.M
     c = cfg.c
     _require(c is not None and 0.0 < c < m, "require 0 < c < m")
     p = cfg.p
-    diff = pair.f.minus_scaled(c, pair.g)
-    try:
-        dp = _apply_op(params, diff.powered(p), x, cfg.quad)
-        fp = _apply_op(params, pair.f.powered(p), x, cfg.quad)
-        gp = _apply_op(params, pair.g.powered(p), x, cfg.quad)
-    except _Inconclusive:
-        return _inconclusive_check(TheoremId.T12)
-    root = dp.powered(1.0 / p)
-    lower = root.scaled((M + 1.0) / (M - c))
-    upper = root.scaled((m + 1.0) / (m - c))
-    middle = fp.powered(1.0 / p).plus(gp.powered(1.0 / p))
-    return _sandwich(TheoremId.T12, lower, middle, upper, c, cfg.slack_factor)
+
+    def combine(dp, fp, gp):
+        root = dp.powered(1.0 / p)
+        return _Sides(root.scaled((M + 1.0) / (M - c)), root.scaled((m + 1.0) / (m - c)),
+                      mid=_root_sum(fp, gp, p))
+
+    check = _Check(TheoremId.T12, c,
+                   lambda f, g: ((f - c * g) ** p, f ** p, g ** p), combine)
+    return _run_check(check, pair, params, x, cfg)
 
 
 def check_t13(pair: PositivePair, params, x: float, cfg: CheckConfig) -> InequalityCheck:
     """Box-bounded version of the reverse sum bound with constant c5."""
     _require(pair.kind is PairKind.BOX_BOUNDED and pair.box is not None,
              "T13 requires a box-bounded pair")
-    a_lo, A_hi, b_lo, B_hi = pair.box
-    const = c5(a_lo, A_hi, b_lo, B_hi)
-    p = cfg.p
-    try:
-        fp = _apply_op(params, pair.f.powered(p), x, cfg.quad)
-        gp = _apply_op(params, pair.g.powered(p), x, cfg.quad)
-        spp = _apply_op(params, pair.f.plus(pair.g).powered(p), x, cfg.quad)
-    except _Inconclusive:
-        return _inconclusive_check(TheoremId.T13, const)
-    lhs = fp.powered(1.0 / p).plus(gp.powered(1.0 / p))
-    rhs = spp.powered(1.0 / p).scaled(const)
-    return _one_sided(TheoremId.T13, lhs, rhs, const, cfg.slack_factor)
+    check = _sum_powers(TheoremId.T13, c5(*pair.box), cfg.p)
+    return _run_check(check, pair, params, x, cfg)
 
 
 def check_t14(pair: PositivePair, params, x: float, cfg: CheckConfig) -> InequalityCheck:
     """Sandwich of c6 times the squared-sum integral between scaled product integrals."""
-    m, M = _ratio_bounds(pair)
+    m, M = pair.m, pair.M
     const = c6(m, M)
-    try:
-        prod = _apply_op(params, pair.f.times(pair.g), x, cfg.quad)
-        sq = _apply_op(params, pair.f.plus(pair.g).powered(2.0), x, cfg.quad)
-    except _Inconclusive:
-        return _inconclusive_check(TheoremId.T14, const)
-    lower = prod.scaled(1.0 / M)
-    middle = sq.scaled(const)
-    upper = prod.scaled(1.0 / m)
-    return _sandwich(TheoremId.T14, lower, middle, upper, const, cfg.slack_factor)
+
+    def combine(prod, sq):
+        return _Sides(prod.scaled(1.0 / M), prod.scaled(1.0 / m), mid=sq.scaled(const))
+
+    check = _Check(TheoremId.T14, const, lambda f, g: (f * g, (f + g) ** 2.0), combine)
+    return _run_check(check, pair, params, x, cfg)
 
 
 def check_t15(pair: PositivePair, params, x: float, cfg: CheckConfig) -> InequalityCheck:
     """Sum of p-th roots bounded by twice the root of the max-function integral."""
-    m, M = _ratio_bounds(pair)
+    m, M = pair.m, pair.M
     p = cfg.p
+
     # h = max(M*((M/m + 1) f - M g), ((m + M) g - f)/m), evaluated pointwise
-    arg1 = TestFunction(
-        Sum(((M * (M / m + 1.0), pair.f.expr), (-M * M, pair.g.expr))), pair.f.domain
-    )
-    arg2 = TestFunction(
-        Sum((((m + M) / m, pair.g.expr), (-1.0 / m, pair.f.expr))), pair.f.domain
-    )
-    h = arg1.max_with(arg2)
-    lo, hi = pair.f.domain
-    kinks = () if isinstance(params, HadamardOp) else _sign_crossings(
-        arg1, arg2, max(lo, params.lower), min(hi, x)
-    )
-    try:
-        fp = _apply_op(params, pair.f.powered(p), x, cfg.quad)
-        gp = _apply_op(params, pair.g.powered(p), x, cfg.quad)
-        hp = _apply_op(params, h.powered(p), x, cfg.quad, breakpoints=kinks)
-    except _Inconclusive:
-        return _inconclusive_check(TheoremId.T15, 2.0)
-    lhs = fp.powered(1.0 / p).plus(gp.powered(1.0 / p))
-    rhs = hp.powered(1.0 / p).scaled(2.0)
-    return _one_sided(TheoremId.T15, lhs, rhs, 2.0, cfg.slack_factor)
+    def arms(f, g):
+        return (M * (M / m + 1.0) * f + (-M * M) * g,
+                (m + M) / m * g + (-1.0 / m) * f)
+
+    def rows(f, g):
+        return f ** p, g ** p, np.maximum(*arms(f, g)) ** p
+
+    def kinks(f, g):
+        left, right = arms(f, g)
+        return left - right
+
+    def combine(fp, gp, hp):
+        return _Sides(_root_sum(fp, gp, p), hp.powered(1.0 / p).scaled(2.0))
+
+    return _run_check(_Check(TheoremId.T15, 2.0, rows, combine, kinks), pair, params, x, cfg)
 
 
 def check_forward_minkowski(
     pair: PositivePair, params, x: float, cfg: CheckConfig
 ) -> InequalityCheck:
     """Ordinary triangle-inequality direction, used as a proof-step sanity check."""
-    p = cfg.p
-    try:
-        fp = _apply_op(params, pair.f.powered(p), x, cfg.quad)
-        gp = _apply_op(params, pair.g.powered(p), x, cfg.quad)
-        spp = _apply_op(params, pair.f.plus(pair.g).powered(p), x, cfg.quad)
-    except _Inconclusive:
-        return _inconclusive_check(TheoremId.FORWARD_MINKOWSKI, 1.0)
-    lhs = spp.powered(1.0 / p)
-    rhs = fp.powered(1.0 / p).plus(gp.powered(1.0 / p))
-    return _one_sided(TheoremId.FORWARD_MINKOWSKI, lhs, rhs, 1.0, cfg.slack_factor)
+    check = _sum_powers(TheoremId.FORWARD_MINKOWSKI, 1.0, cfg.p, forward=True)
+    return _run_check(check, pair, params, x, cfg)
 
 
 def check_scalar_lemmas(r: float, a: float, b: float) -> bool:
@@ -782,7 +800,6 @@ def _run_trial(cfg: SuiteConfig, theorem: TheoremId, index: int) -> TrialRecord:
         slack_factor=cfg.slack_factor,
         statement_constants=cfg.statement_constants,
         quad=cfg.quad,
-        seed=seed,
     )
     check = _OPERATOR_CHECKS[theorem](pair, op, cfg.x, check_cfg)
     return TrialRecord(

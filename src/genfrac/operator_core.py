@@ -27,6 +27,7 @@ from .quadrature import (
     IntegralResult,
     QuadratureConfig,
     integrate_kernel,
+    scaled_integral,
     weighted_unit_integral,
 )
 from .special_functions import log_gamma
@@ -145,10 +146,6 @@ def reduce_to_classical(
 # ---------------------------------------------------------------------------
 
 
-def _scaled(res: IntegralResult, factor: float) -> IntegralResult:
-    return IntegralResult(factor * res.value, abs(factor) * res.error_estimate, res.evaluations)
-
-
 def evaluate(
     params: OperatorParams,
     f,
@@ -160,13 +157,20 @@ def evaluate(
 
     ``breakpoints`` marks interior non-smooth points of f (see
     integrate_kernel); it applies to the finite left-sided form only.
+
+    ``f`` may return one row per integrand for an array of points (see
+    weighted_unit_integral); value and error estimate then have one entry
+    per row.  A ConvergenceError carries the best estimate of the operator
+    value, in the same units as a result.
     """
     validate(params)
     if params.side is Side.RIGHT:
         return _evaluate_right(params, f, x, cfg)
     if math.isinf(params.lower):
-        res = _truncated_power_kernel(params.alpha, f, x, cfg)
-        return _scaled(res, math.exp(-log_gamma(params.alpha)))
+        return scaled_integral(
+            math.exp(-log_gamma(params.alpha)),
+            _truncated_power_kernel, params.alpha, f, x, cfg,
+        )
     if not x > params.lower:
         raise DomainError("evaluation point must exceed the lower bound")
     log_pref = (
@@ -174,8 +178,9 @@ def evaluate(
         + params.kappa * math.log(x)
         - log_gamma(params.alpha)
     )
-    res = integrate_kernel(f, params, x, cfg, breakpoints)
-    return _scaled(res, math.exp(log_pref))
+    return scaled_integral(
+        math.exp(log_pref), integrate_kernel, f, params, x, cfg, breakpoints
+    )
 
 
 def _evaluate_right(params, f, x, cfg) -> IntegralResult:
@@ -196,7 +201,6 @@ def _evaluate_right(params, f, x, cfg) -> IntegralResult:
         w = tau ** kappa if kappa != 0.0 else 1.0
         return w * np.asarray(f(tau), dtype=float)
 
-    res = weighted_unit_integral(g, 0.0, alpha - 1.0, cfg)
     log_pref = (
         (1.0 - params.beta) * math.log(rho)
         + rho * params.eta * math.log(x)
@@ -204,7 +208,9 @@ def _evaluate_right(params, f, x, cfg) -> IntegralResult:
         + alpha * math.log(d)
         - math.log(rho)
     )
-    return _scaled(res, math.exp(log_pref))
+    return scaled_integral(
+        math.exp(log_pref), weighted_unit_integral, g, 0.0, alpha - 1.0, cfg
+    )
 
 
 def _truncated_power_kernel(
@@ -219,7 +225,13 @@ def _truncated_power_kernel(
     Segments [x - 2^(k+1) T, x - 2^k T] are added until their contribution
     falls below tolerance; that requires f to decay and is intended for the
     built-in decaying test functions.  The last segment (doubled) is folded
-    into the error estimate as the tail bound.
+    into the error estimate as the tail bound.  For an f with several rows
+    every row must meet the tolerance, and the divergence test follows the
+    largest row.
+
+    When a segment does not converge, or f does not decay, the
+    ConvergenceError carries the sum so far with an infinite error
+    estimate: the tail beyond it was never bounded.
     """
     t0 = start_width
     total = 0.0
@@ -232,35 +244,45 @@ def _truncated_power_kernel(
             def g(u):
                 t = lo + width * u
                 return np.asarray(f(t), dtype=float)
-            res = weighted_unit_integral(g, alpha - 1.0, 0.0, cfg)
-            return IntegralResult(width ** alpha * res.value,
-                                  width ** alpha * res.error_estimate,
-                                  res.evaluations)
+            return scaled_integral(
+                width ** alpha, weighted_unit_integral, g, alpha - 1.0, 0.0, cfg
+            )
         def g(u):
             t = lo + width * u
             return (x - t) ** (alpha - 1.0) * np.asarray(f(t), dtype=float)
-        res = weighted_unit_integral(g, 0.0, 0.0, cfg)
-        return _scaled(res, width)
+        return scaled_integral(width, weighted_unit_integral, g, 0.0, 0.0, cfg)
 
-    first = segment(x - t0, x, True)
-    total += first.value
-    err += first.error_estimate
-    evals += first.evaluations
-    history = []
-    for k in range(48):
-        lo, hi = x - 2.0 ** (k + 1) * t0, x - 2.0 ** k * t0
-        seg = segment(lo, hi, False)
+    def add(lo, hi, singular_hi):
+        nonlocal total, err, evals
+        try:
+            seg = segment(lo, hi, singular_hi)
+        except ConvergenceError as exc:
+            best = exc.result
+            # adding the failed segment's estimate keeps the shape of the rows
+            exc.result = IntegralResult(
+                total + best.value,
+                err + best.error_estimate + math.inf,
+                evals + best.evaluations,
+            )
+            raise
         total += seg.value
         err += seg.error_estimate
         evals += seg.evaluations
-        history.append(abs(seg.value))
-        if abs(seg.value) <= 0.25 * max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-            err += 2.0 * abs(seg.value)  # tail bound
+        return seg
+
+    add(x - t0, x, True)
+    history = []
+    for k in range(48):
+        seg = add(x - 2.0 ** (k + 1) * t0, x - 2.0 ** k * t0, False)
+        size = np.abs(seg.value)
+        history.append(float(np.max(size)))
+        if np.all(size <= 0.25 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))):
+            err += 2.0 * size  # tail bound
             return IntegralResult(total, err, evals)
         if k >= 6 and history[-1] > history[-3]:
             raise ConvergenceError(
                 "integrand does not decay; truncated evaluation diverges",
-                result=IntegralResult(total, math.inf, evals),
+                result=IntegralResult(total, err + math.inf, evals),
             )
     raise ConvergenceError(
         "truncated evaluation did not reach tolerance within 48 doublings",
@@ -295,6 +317,15 @@ def evaluate_classical(
         raise DomainError("use evaluate() for the generalized operator")
     a = interval[0]
 
+    if kind in (ClassicalKind.WEYL, ClassicalKind.LIOUVILLE):
+        # same printed form, truncated lower limit
+        return scaled_integral(
+            math.exp(-log_gamma(alpha)),
+            _truncated_power_kernel, alpha, f, x, cfg, truncation_start,
+        )
+
+    # each kind below integrates g against (1-u)^a_pow u^u_pow, times factor
+    a_pow, u_pow = alpha - 1.0, 0.0
     if kind is ClassicalKind.RIEMANN_LIOUVILLE:
         if not x > a:
             raise DomainError("evaluation point must exceed the lower bound")
@@ -303,10 +334,9 @@ def evaluate_classical(
         def g(u):
             return np.asarray(f(a + width * u), dtype=float)
 
-        res = weighted_unit_integral(g, alpha - 1.0, 0.0, cfg)
-        return _scaled(res, width ** alpha * math.exp(-log_gamma(alpha)))
+        factor = width ** alpha * math.exp(-log_gamma(alpha))
 
-    if kind is ClassicalKind.HADAMARD:
+    elif kind is ClassicalKind.HADAMARD:
         if not 0.0 < a < x:
             raise DomainError("logarithmic kernel requires 0 < a < x")
         big_w = math.log(x / a)
@@ -314,10 +344,10 @@ def evaluate_classical(
         def g(u):
             return np.asarray(f(x * np.exp(-big_w * u)), dtype=float)
 
-        res = weighted_unit_integral(g, 0.0, alpha - 1.0, cfg)
-        return _scaled(res, big_w ** alpha * math.exp(-log_gamma(alpha)))
+        a_pow, u_pow = 0.0, alpha - 1.0
+        factor = big_w ** alpha * math.exp(-log_gamma(alpha))
 
-    if kind is ClassicalKind.KATUGAMPOLA:
+    elif kind is ClassicalKind.KATUGAMPOLA:
         if not x > a >= 0.0:
             raise DomainError("requires 0 <= a < x")
         if not rho > 0.0:
@@ -337,10 +367,9 @@ def evaluate_classical(
             def g(u):
                 return np.asarray(f(a * np.exp(inv_rho * np.log1p(u * ratio))), dtype=float)
 
-        res = weighted_unit_integral(g, alpha - 1.0, 0.0, cfg)
-        return _scaled(res, rho ** (-alpha) * d ** alpha * math.exp(-log_gamma(alpha)))
+        factor = rho ** (-alpha) * d ** alpha * math.exp(-log_gamma(alpha))
 
-    if kind is ClassicalKind.ERDELYI_KOBER:
+    else:  # ERDELYI_KOBER
         if not x > a >= 0.0:
             raise DomainError("requires 0 <= a < x")
         if not sigma > 0.0:
@@ -354,26 +383,23 @@ def evaluate_classical(
             def g(u):
                 return np.asarray(f(x * u ** inv_sigma), dtype=float)
 
-            res = weighted_unit_integral(g, alpha - 1.0, eta, cfg)
-            return _scaled(res, math.exp(-log_gamma(alpha)))
-        a_sig = a ** sigma
-        d = a_sig * math.expm1(sigma * math.log(x / a))
-        ratio = d / a_sig
-        log_a_sig = sigma * math.log(a)
-        inv_sigma = 1.0 / sigma
+            u_pow = eta
+            factor = math.exp(-log_gamma(alpha))
+        else:
+            a_sig = a ** sigma
+            d = a_sig * math.expm1(sigma * math.log(x / a))
+            ratio = d / a_sig
+            log_a_sig = sigma * math.log(a)
+            inv_sigma = 1.0 / sigma
 
-        def g(u):
-            z = np.log1p(u * ratio)
-            t = a * np.exp(inv_sigma * z)
-            w = np.exp(eta * (log_a_sig + z)) if eta != 0.0 else 1.0
-            return w * np.asarray(f(t), dtype=float)
+            def g(u):
+                z = np.log1p(u * ratio)
+                t = a * np.exp(inv_sigma * z)
+                w = np.exp(eta * (log_a_sig + z)) if eta != 0.0 else 1.0
+                return w * np.asarray(f(t), dtype=float)
 
-        res = weighted_unit_integral(g, alpha - 1.0, 0.0, cfg)
-        factor = math.exp(
-            -sigma * (alpha + eta) * math.log(x) + alpha * math.log(d) - log_gamma(alpha)
-        )
-        return _scaled(res, factor)
+            factor = math.exp(
+                -sigma * (alpha + eta) * math.log(x) + alpha * math.log(d) - log_gamma(alpha)
+            )
 
-    # WEYL and LIOUVILLE: same printed form, truncated lower limit
-    res = _truncated_power_kernel(alpha, f, x, cfg, start_width=truncation_start)
-    return _scaled(res, math.exp(-log_gamma(alpha)))
+    return scaled_integral(factor, weighted_unit_integral, g, a_pow, u_pow, cfg)

@@ -28,6 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "QuadratureConfig",
     "IntegralResult",
+    "scaled_integral",
     "weighted_unit_integral",
     "integrate_kernel",
     "closed_form_monomial",
@@ -56,9 +57,37 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @dataclass(frozen=True)
 class IntegralResult:
+    """Value, error estimate and node count of one integral.
+
+    For an integrand that returns one row per integrand, ``value`` and
+    ``error_estimate`` are arrays with one entry per row, and
+    ``evaluations`` counts nodes, not nodes times rows.
+    """
+
     value: float
     error_estimate: float
     evaluations: int
+
+    def scaled(self, factor: float) -> "IntegralResult":
+        return IntegralResult(
+            factor * self.value, abs(factor) * self.error_estimate, self.evaluations
+        )
+
+
+def scaled_integral(factor: float, integral: Callable, *args) -> IntegralResult:
+    """``factor`` times ``integral(*args)``.
+
+    A ConvergenceError raised by ``integral`` is re-raised with its best
+    estimate scaled alike, so a failure reports its value in the same
+    units as a success.
+    """
+    try:
+        res = integral(*args)
+    except ConvergenceError as exc:
+        if exc.result is not None:
+            exc.result = exc.result.scaled(factor)
+        raise
+    return res.scaled(factor)
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +99,7 @@ class IntegralResult:
 # ---------------------------------------------------------------------------
 
 _MAX_LEVEL = 12
+_ROUNDOFF = 16.0 * np.finfo(float).eps
 _T_MAX_CAP = 8.5
 _node_cache: dict[tuple[float, int], tuple] = {}
 
@@ -115,6 +145,20 @@ def _pick_t_max(one_minus_u_pow: float, u_pow: float) -> float:
     return math.ceil(t_max * 2.0) / 2.0
 
 
+def _out_of_budget(cfg: QuadratureConfig, best: IntegralResult) -> ConvergenceError:
+    return ConvergenceError(
+        "quadrature did not converge within %d evaluations" % cfg.max_subdivisions,
+        result=best,
+    )
+
+
+def _out_of_levels(best: IntegralResult) -> ConvergenceError:
+    return ConvergenceError(
+        "quadrature did not converge within refinement level %d" % _MAX_LEVEL,
+        result=best,
+    )
+
+
 def weighted_unit_integral(
     g: Callable[[np.ndarray], np.ndarray],
     one_minus_u_pow: float,
@@ -123,13 +167,20 @@ def weighted_unit_integral(
 ) -> IntegralResult:
     """Integrate (1-u)^a * u^b * g(u) over (0, 1).
 
-    ``g`` must accept a numpy array of nodes strictly inside (0, 1) and
-    evaluate pointwise.  Both weight exponents must exceed -1, otherwise
-    the integral does not exist.
+    ``g`` must accept a numpy array of n nodes strictly inside (0, 1) and
+    evaluate pointwise.  It returns either n values, or a (k, n) array
+    holding k integrands, one row each.  Both weight exponents must exceed
+    -1, otherwise the integral does not exist.
 
     Refinement halves the tanh-sinh step until the last two passes agree
     within tolerance; the reported error estimate is that last difference,
     which in practice overestimates the true error of the final pass.
+
+    The tanh-sinh nodes and weights depend only on the weight, not on the
+    integrand, so k rows share them: each level computes the weights once
+    and takes one matrix-vector product.  Refinement then stops only when
+    every row meets the tolerance, and ``value`` and ``error_estimate``
+    come back with one entry per row.
     """
     if one_minus_u_pow <= -1.0 or u_pow <= -1.0:
         raise DomainError(
@@ -140,6 +191,8 @@ def weighted_unit_integral(
     a1 = one_minus_u_pow + 1.0
     b1 = u_pow + 1.0
 
+    # one integrand: plain float arithmetic, which costs less per level
+    # than the same steps on numpy scalars
     evals = 0
     total = 0.0
     value = 0.0
@@ -148,28 +201,48 @@ def weighted_unit_integral(
     for level in range(_MAX_LEVEL + 1):
         u, log_u, log_1mu, log_jac = _level_nodes(t_max, level)
         if level > 2 and evals + u.size > cfg.max_subdivisions:
-            best = IntegralResult(value, estimate, max(evals, 1))
-            raise ConvergenceError(
-                "quadrature did not converge within %d evaluations"
-                % cfg.max_subdivisions,
-                result=best,
-            )
+            raise _out_of_budget(cfg, IntegralResult(value, estimate, max(evals, 1)))
         w = np.exp(log_jac + b1 * log_u + a1 * log_1mu)
-        total += float(np.dot(w, g(u)))
+        vals = g(u)
+        if not level and np.ndim(vals) > 1:
+            return _rows_integral(g, np.dot(vals, w), t_max, a1, b1, cfg)
+        total += float(np.dot(w, vals))
         evals += u.size
         value = 2.0 ** (-level) * total
         if prev is not None:
             estimate = abs(value - prev)
             if level >= 2 and estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
                 # floor at the roundoff level of the node summation
-                estimate = max(estimate, 16.0 * np.finfo(float).eps * abs(value))
+                estimate = max(estimate, _ROUNDOFF * abs(value))
                 return IntegralResult(value, estimate, evals)
         prev = value
-    best = IntegralResult(value, estimate, max(evals, 1))
-    raise ConvergenceError(
-        "quadrature did not converge within refinement level %d" % _MAX_LEVEL,
-        result=best,
-    )
+    raise _out_of_levels(IntegralResult(value, estimate, max(evals, 1)))
+
+
+def _rows_integral(g, total, t_max, a1, b1, cfg) -> IntegralResult:
+    """weighted_unit_integral from level 1 on, for a g returning k rows.
+
+    ``total`` holds the k level-0 sums.  The steps are those of the
+    one-integrand loop, in array arithmetic over the rows.
+    """
+    evals = _level_nodes(t_max, 0)[0].size
+    value = total
+    estimate = np.full(total.shape, math.inf)
+    for level in range(1, _MAX_LEVEL + 1):
+        u, log_u, log_1mu, log_jac = _level_nodes(t_max, level)
+        if level > 2 and evals + u.size > cfg.max_subdivisions:
+            raise _out_of_budget(cfg, IntegralResult(value, estimate, evals))
+        w = np.exp(log_jac + b1 * log_u + a1 * log_1mu)
+        total = total + np.dot(g(u), w)
+        evals += u.size
+        prev, value = value, 2.0 ** (-level) * total
+        estimate = np.abs(value - prev)
+        if level >= 2 and np.all(
+            estimate <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
+        ):
+            estimate = np.maximum(estimate, _ROUNDOFF * np.abs(value))
+            return IntegralResult(value, estimate, evals)
+    raise _out_of_levels(IntegralResult(value, estimate, evals))
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +317,7 @@ def _kernel_segment(
             vals = vals * (e_gap + d * (1.0 - u)) ** (alpha - 1.0)
             return vals if extra is None else extra(u) * vals
 
-    res = weighted_unit_integral(g, a_pow, u_pow, cfg)
-    scale = math.exp(log_scale)
-    return IntegralResult(scale * res.value, scale * res.error_estimate, res.evaluations)
+    return scaled_integral(math.exp(log_scale), weighted_unit_integral, g, a_pow, u_pow, cfg)
 
 
 def integrate_kernel(
@@ -267,6 +338,11 @@ def integrate_kernel(
     ``breakpoints`` lists interior points where f is continuous but not
     smooth (pointwise maxima); the integral is split there so each piece
     converges at the double-exponential rate.
+
+    ``f`` may return one row per integrand (see weighted_unit_integral);
+    every segment then integrates all rows.  When a segment does not
+    converge, the remaining ones are still integrated and the
+    ConvergenceError carries the sum over all segments.
     """
     a = params.lower
     if not x > a:
@@ -278,12 +354,21 @@ def integrate_kernel(
     value = 0.0
     err = 0.0
     evals = 0
+    failure = None
     for lo, hi in zip(edges[:-1], edges[1:]):
-        seg = _kernel_segment(f, params, x, lo, hi, cfg)
+        try:
+            seg = _kernel_segment(f, params, x, lo, hi, cfg)
+        except ConvergenceError as exc:
+            # keep going, so the best estimate covers every segment
+            failure, seg = exc, exc.result
         value += seg.value
         err += seg.error_estimate
         evals += seg.evaluations
-    return IntegralResult(value, err, evals)
+    res = IntegralResult(value, err, evals)
+    if failure is not None:
+        failure.result = res
+        raise failure
+    return res
 
 
 def closed_form_monomial(params: "OperatorParams", sigma: float, x: float) -> float:

@@ -10,9 +10,13 @@ from genfrac.functions import (
     Const,
     ExpPoly,
     Monomial,
+    PMax,
     PairKind,
     Polynomial,
+    Power,
+    Product,
     SinPos,
+    Sum,
     TestFunction,
     eval_fn,
     generate_box_pair,
@@ -138,13 +142,14 @@ def test_box_pair_rejects_zero_lower_bound():
 def test_composition_closure():
     pair = generate_ratio_pair(11, 0.5, 2.0, DOMAIN)
     t = np.linspace(0.0, 1.0, 501)
-    for fn in (
-        pair.f.plus(pair.g),
-        pair.f.times(pair.g),
-        pair.f.powered(2.5),
-        pair.f.max_with(pair.g),
+    f, g = pair.f.expr, pair.g.expr
+    for expr in (
+        Sum(((1.0, f), (1.0, g))),
+        Product((f, g)),
+        Power(f, 2.5),
+        PMax(f, g),
     ):
-        v = np.asarray(fn(t))
+        v = np.asarray(TestFunction(expr, DOMAIN)(t))
         assert np.all(np.isfinite(v))
         assert np.all(v > 0.0)
 

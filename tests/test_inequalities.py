@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from genfrac.functions import (
     Const,
     PairKind,
     PositivePair,
+    Sum,
     TestFunction,
     generate_box_pair,
     generate_ratio_pair,
@@ -40,6 +42,7 @@ from genfrac.inequalities import (
     check_t15,
     run_suite,
 )
+from genfrac.inequalities import _sign_crossings
 from genfrac.operator_core import OperatorParams
 from genfrac.quadrature import QuadratureConfig
 
@@ -408,13 +411,15 @@ def test_suite_thread_determinism():
 def test_suite_records_allow_exact_replay():
     cfg = SuiteConfig(trials=6, seed=11)
     report = run_suite(cfg, timestamp="fixed")
-    record = next(r for r in report.records if r.theorem is TheoremId.T8)
-    pair = generate_ratio_pair(record.pair_seed, record.m, record.M,
-                               (record.params.lower, record.x), cfg.complexity)
-    chk = check_t8(pair, record.params, record.x,
-                   CheckConfig(p=record.p, slack_factor=cfg.slack_factor))
-    assert chk.lhs == record.check.lhs
-    assert chk.rhs == record.check.rhs
+    for theorem, check in ((TheoremId.T8, check_t8), (TheoremId.T11, check_t11),
+                           (TheoremId.T15, check_t15)):
+        for record in (r for r in report.records if r.theorem is theorem):
+            pair = generate_ratio_pair(record.pair_seed, record.m, record.M,
+                                       (record.params.lower, record.x), cfg.complexity)
+            chk = check(pair, record.params, record.x,
+                        CheckConfig(p=record.p, slack_factor=cfg.slack_factor))
+            assert chk.lhs == record.check.lhs
+            assert chk.rhs == record.check.rhs
 
 
 def test_suite_csv_shape():
@@ -425,3 +430,73 @@ def test_suite_csv_shape():
     assert rows[0][0] == "theorem"
     payload = report.to_json_dict()
     assert set(payload) == {"metadata", "grid", "theorems", "failures"}
+
+
+# ---------------------------------------------------------------------------
+# kink finder
+# ---------------------------------------------------------------------------
+
+
+def _bisection_roots(diff, lo, hi, n=512):
+    """Reference: 80 scalar bisection steps per sign-changing grid cell."""
+    t = np.linspace(lo, hi, n)
+    d = diff(t)
+    roots = []
+    for i in range(n - 1):
+        if d[i] == 0.0 or d[i] * d[i + 1] > 0.0:
+            continue
+        a, b, da = t[i], t[i + 1], d[i]
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            dm = float(diff(mid))
+            if dm == 0.0:
+                a = b = mid
+                break
+            if (dm > 0.0) == (da > 0.0):
+                a, da = mid, dm
+            else:
+                b = mid
+        roots.append(0.5 * (a + b))
+    return roots
+
+
+def _t15_arms_difference(pair):
+    # the two arms of the T15 maximum, built as expression trees
+    m, M = pair.m, pair.M
+    arm1 = TestFunction(Sum(((M * (M / m + 1.0), pair.f.expr), (-M * M, pair.g.expr))),
+                        pair.f.domain)
+    arm2 = TestFunction(Sum((((m + M) / m, pair.g.expr), (-1.0 / m, pair.f.expr))),
+                        pair.f.domain)
+    return lambda t: np.asarray(arm1(t)) - np.asarray(arm2(t))
+
+
+def test_kink_finder_matches_scalar_bisection_on_t15_pairs():
+    found = 0
+    for seed in range(40):
+        m, M = ((0.5, 2.0), (0.9, 1.1))[seed % 2]
+        diff = _t15_arms_difference(generate_ratio_pair(seed, m, M, DOMAIN))
+        roots = _sign_crossings(diff, *DOMAIN)
+        reference = _bisection_roots(diff, *DOMAIN)
+        assert len(roots) == len(reference)
+        for r, ref in zip(roots, reference):
+            assert abs(r - ref) <= 4.0 * np.spacing(ref)
+        found += len(roots)
+    assert found >= 10
+
+
+def test_kink_finder_several_brackets():
+    roots = _sign_crossings(lambda t: np.sin(20.0 * t), 0.05, 1.0)
+    exact = np.arange(1, 7) * np.pi / 20.0
+    assert len(roots) == 6
+    assert np.allclose(roots, exact, rtol=0.0, atol=1e-15)
+    reference = _bisection_roots(lambda t: np.sin(20.0 * t), 0.05, 1.0)
+    assert np.all(np.abs(np.subtract(roots, reference)) <= 4.0 * np.spacing(reference))
+
+
+def test_kink_finder_exact_zero_on_grid_node():
+    node = np.linspace(0.0, 1.0, 512)[100]
+    assert _sign_crossings(lambda t: t - node, 0.0, 1.0) == (node,)
+
+
+def test_kink_finder_no_crossing():
+    assert _sign_crossings(lambda t: 1.0 + t, 0.0, 1.0) == ()

@@ -6,8 +6,23 @@ import numpy as np
 import pytest
 
 from genfrac.errors import ConvergenceError, DomainError
-from genfrac.functions import Const, ExpPoly, Monomial, SinPos, Sum, TestFunction
-from genfrac.operator_core import OperatorParams, evaluate
+from genfrac.functions import (
+    Const,
+    ExpPoly,
+    Monomial,
+    PMax,
+    Polynomial,
+    SinPos,
+    Sum,
+    TestFunction,
+)
+from genfrac.operator_core import (
+    ClassicalKind,
+    OperatorParams,
+    Side,
+    evaluate,
+    evaluate_classical,
+)
 from genfrac.quadrature import (
     QuadratureConfig,
     closed_form_monomial,
@@ -174,3 +189,133 @@ def test_weighted_unit_integral_rejects_bad_exponents():
         weighted_unit_integral(lambda u: u, -1.0, 0.0)
     with pytest.raises(DomainError):
         weighted_unit_integral(lambda u: u, 0.0, -1.5)
+
+
+# ---------------------------------------------------------------------------
+# several integrands per call: one row each, one node set
+# ---------------------------------------------------------------------------
+
+SMOOTH = _fn(ExpPoly((0.1, 0.3, -0.2)))
+FAST = _fn(SinPos(40.0, 0.3, 0.5, 1.5))
+
+
+def _stacked(*fns):
+    return lambda t: np.array([np.asarray(f(t), dtype=float) for f in fns])
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        OperatorParams(alpha=0.7, beta=0.4, rho=1.3, eta=0.2, kappa=0.6),
+        OperatorParams(alpha=0.3, beta=0.0, rho=0.5, eta=1.0, kappa=1.0, lower=0.2),
+        OperatorParams(alpha=1.5, beta=0.5, rho=2.0, eta=0.0, kappa=0.0,
+                       upper=2.0, side=Side.RIGHT),
+    ],
+)
+def test_rows_match_separate_scalar_calls(params):
+    fns = (SMOOTH, FAST, TSQ)
+    rows = evaluate(params, _stacked(*fns), 1.2, breakpoints=(0.7,))
+    assert rows.value.shape == rows.error_estimate.shape == (3,)
+    for i, f in enumerate(fns):
+        one = evaluate(params, f, 1.2, breakpoints=(0.7,))
+        assert abs(rows.value[i] - one.value) <= rows.error_estimate[i] + one.error_estimate
+
+
+def test_rows_refine_until_the_slowest_row_converges():
+    smooth = weighted_unit_integral(SMOOTH, -0.5, 0.0)
+    fast = weighted_unit_integral(FAST, -0.5, 0.0)
+    both = weighted_unit_integral(_stacked(SMOOTH, FAST), -0.5, 0.0)
+    assert smooth.evaluations < fast.evaluations
+    assert both.evaluations == fast.evaluations
+    assert both.value[1] == pytest.approx(fast.value, rel=1e-13)
+
+
+def test_monomial_rows_match_closed_form_with_honest_estimates():
+    sigmas = (0.0, 0.5, 1.0, 2.0, 3.0)
+    monomials = [_fn(Monomial(s), hi=1.5) for s in sigmas]
+    for alpha, rho, eta in [(0.3, 0.5, 1.0), (1.0, 1.0, 0.0), (2.5, 2.0, 0.5)]:
+        params = OperatorParams(alpha=alpha, beta=0.3, rho=rho, eta=eta, kappa=1.0)
+        rows = evaluate(params, _stacked(*monomials), 1.5)
+        for sigma, value, err in zip(sigmas, rows.value, rows.error_estimate):
+            exact = closed_form_monomial(params, sigma, 1.5)
+            assert abs(value - exact) / exact <= 1e-8
+            assert abs(value - exact) <= 10.0 * err
+
+
+def test_row_nonconvergence_carries_per_row_arrays():
+    params = OperatorParams(alpha=0.35, beta=0.0, rho=1.0, eta=0.0, kappa=0.0)
+    fast = _fn(SinPos(90.0, 0.2, 0.5, 1.5))
+    cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=60)
+    with pytest.raises(ConvergenceError) as exc_info:
+        evaluate(params, _stacked(ONE, fast), 1.0, cfg)
+    best = exc_info.value.result
+    assert best.value.shape == best.error_estimate.shape == (2,)
+    assert np.all(np.isfinite(best.value))
+    # the constant row is the exact operator value of 1, in operator units
+    assert best.value[0] == pytest.approx(1.0 / math.gamma(1.35), rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# a failed integral reports its best estimate of the operator value
+# ---------------------------------------------------------------------------
+
+KINKED = _fn(PMax(Polynomial((1.0, -1.0)), Polynomial((0.2, 1.0))), hi=1.0)
+KINK_PARAMS = OperatorParams(alpha=0.5, beta=0.5, rho=1.0, eta=0.0, kappa=0.0)
+KINK_VALUE = 1.0753573846107687  # split at the kink t = 0.4
+
+
+def test_kinked_reference_converges_with_its_breakpoint():
+    res = evaluate(KINK_PARAMS, KINKED, 1.0, breakpoints=(0.4,))
+    assert res.value == pytest.approx(KINK_VALUE, rel=1e-13)
+
+
+@pytest.mark.parametrize("breakpoints", [(), (0.3,), (0.6,)])
+def test_nonconvergence_best_estimate_is_in_operator_units(breakpoints):
+    # without the breakpoint at the kink the default budget runs out; the
+    # best estimate must be the operator value, not the raw unit integral
+    with pytest.raises(ConvergenceError) as exc_info:
+        evaluate(KINK_PARAMS, KINKED, 1.0, breakpoints=breakpoints)
+    best = exc_info.value.result
+    assert abs(best.value - KINK_VALUE) <= 1e-5
+    assert abs(best.value - KINK_VALUE) <= 10.0 * best.error_estimate
+
+
+def test_nonconvergence_best_estimate_scales_prefactor_and_rows():
+    params = OperatorParams(alpha=0.5, beta=0.2, rho=1.0, eta=0.0, kappa=1.5)
+    x = 2.0  # rho^(1-beta) x^kappa / Gamma(alpha) and the substitution scale
+    kinked = TestFunction(PMax(Polynomial((2.0, -1.0)), Polynomial((0.4, 1.0))), (0.0, x))
+    reference = evaluate(params, kinked, x, breakpoints=(0.8,)).value
+    with pytest.raises(ConvergenceError) as exc_info:
+        evaluate(params, _stacked(kinked, TestFunction(Const(1.0), (0.0, x))), x)
+    best = exc_info.value.result
+    assert best.value[0] == pytest.approx(reference, rel=1e-5)
+    assert best.value[1] == pytest.approx(evaluate(params, ONE, x).value, rel=1e-12)
+
+
+def test_classical_nonconvergence_best_estimate_is_in_operator_units():
+    with pytest.raises(ConvergenceError) as exc_info:
+        evaluate_classical(ClassicalKind.RIEMANN_LIOUVILLE, 0.5, KINKED, (0.0,), 1.0)
+    assert abs(exc_info.value.result.value - KINK_VALUE) <= 1e-5
+
+
+def test_truncated_form_rows_and_divergence():
+    # Weyl integral of e^(c t) from -inf is c^(-alpha) e^(c x)
+    params = OperatorParams(alpha=0.6, beta=0.6, rho=1.0, eta=0.0, kappa=0.0,
+                            lower=-math.inf)
+    rows = evaluate(params, _stacked(_fn(ExpPoly((0.0, 1.0))), _fn(ExpPoly((0.0, 2.0)))), 0.5)
+    for c, value, err in zip((1.0, 2.0), rows.value, rows.error_estimate):
+        exact = c ** -0.6 * math.exp(0.5 * c)
+        assert abs(value - exact) <= max(1e-8 * exact, 10.0 * err)
+    # a row that does not decay stops the whole call; the estimate is unbounded
+    with pytest.raises(ConvergenceError) as exc_info:
+        evaluate(params, _stacked(_fn(ExpPoly((0.0, 1.0))), ONE), 0.5)
+    best = exc_info.value.result
+    assert best.value.shape == (2,)
+    assert np.all(np.isinf(best.error_estimate))
+    # so is one whose first, singular segment does not converge
+    with pytest.raises(ConvergenceError) as exc_info:
+        evaluate(params, _stacked(_fn(ExpPoly((0.0, 1.0))), ONE), 0.5,
+                 QuadratureConfig(max_subdivisions=1))
+    best = exc_info.value.result
+    assert best.error_estimate.shape == best.value.shape == (2,)
+    assert np.all(np.isinf(best.error_estimate))
