@@ -148,9 +148,12 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg = QuadratureConfig(rel_tol=args.rel_tol)
     try:
+        cfg = QuadratureConfig(rel_tol=args.rel_tol)
         worst, results = sweep(x=args.x, cfg=cfg)
+    except (ParameterError, DomainError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
     except ConvergenceError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -187,6 +190,8 @@ def _theorem_selection(text: str):
 def cmd_verify(args) -> int:
     try:
         theorems = _theorem_selection(args.theorem)
+        if args.trials < 1:
+            raise DomainError("trials must be >= 1")
         if not 0.0 < args.m <= args.M:
             raise DomainError("require 0 < m <= M")
         c_fraction = 0.5

@@ -47,13 +47,27 @@ ArrayLike = Union[float, np.ndarray]
 
 
 class Expr:
-    """Base class for expression-tree nodes."""
+    """Base class for expression-tree nodes.
 
-    def eval(self, t: ArrayLike) -> ArrayLike:
+    ``eval`` maps a float array (0-d included) to an array of its shape;
+    calling a node also accepts a scalar and then returns a Python float.
+    """
+
+    def eval(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def __call__(self, t: ArrayLike) -> ArrayLike:
-        return self.eval(t)
+        t = np.asarray(t, dtype=float)
+        out = self.eval(t)
+        return out if t.ndim else float(out)
+
+
+def _horner(coeffs: tuple, t: np.ndarray) -> np.ndarray:
+    # c0 + c1 t + c2 t^2 + ...
+    acc = np.zeros_like(t)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -61,8 +75,7 @@ class Const(Expr):
     value: float
 
     def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.full_like(t, self.value) if t.ndim else float(self.value)
+        return np.full_like(t, self.value)
 
 
 @dataclass(frozen=True)
@@ -70,7 +83,7 @@ class Monomial(Expr):
     sigma: float
 
     def eval(self, t):
-        return np.asarray(t, dtype=float) ** self.sigma if self.sigma != 0.0 else Const(1.0).eval(t)
+        return t ** self.sigma if self.sigma != 0.0 else np.ones_like(t)
 
 
 @dataclass(frozen=True)
@@ -78,11 +91,7 @@ class Polynomial(Expr):
     coeffs: tuple  # c0 + c1 t + c2 t^2 + ...
 
     def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        acc = np.zeros_like(t)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc if t.ndim else float(acc)
+        return _horner(self.coeffs, t)
 
 
 @dataclass(frozen=True)
@@ -92,7 +101,7 @@ class ExpPoly(Expr):
     coeffs: tuple
 
     def eval(self, t):
-        return np.exp(Polynomial(self.coeffs).eval(t))
+        return np.exp(_horner(self.coeffs, t))
 
 
 @dataclass(frozen=True)
@@ -110,13 +119,10 @@ class SinPos(Expr):
     shift: Optional[tuple] = None
 
     def eval(self, t):
-        t = np.asarray(t, dtype=float)
         arg = self.w * t + self.phi
         if self.shift is not None:
-            p = Polynomial(self.shift).eval(t)
-            arg = arg + 1.0 / (1.0 + np.exp(-p))
-        out = self.lo + (self.hi - self.lo) * 0.5 * (1.0 + np.sin(arg))
-        return out if t.ndim else float(out)
+            arg = arg + 1.0 / (1.0 + np.exp(-_horner(self.shift, t)))
+        return self.lo + (self.hi - self.lo) * 0.5 * (1.0 + np.sin(arg))
 
 
 @dataclass(frozen=True)
@@ -124,11 +130,10 @@ class Sum(Expr):
     terms: tuple  # of (coefficient, Expr)
 
     def eval(self, t):
-        t = np.asarray(t, dtype=float)
         acc = np.zeros_like(t)
         for c, e in self.terms:
-            acc = acc + c * np.asarray(e.eval(t))
-        return acc if t.ndim else float(acc)
+            acc = acc + c * e.eval(t)
+        return acc
 
 
 @dataclass(frozen=True)
@@ -136,11 +141,10 @@ class Product(Expr):
     factors: tuple
 
     def eval(self, t):
-        t = np.asarray(t, dtype=float)
         acc = np.ones_like(t)
         for e in self.factors:
-            acc = acc * np.asarray(e.eval(t))
-        return acc if t.ndim else float(acc)
+            acc = acc * e.eval(t)
+        return acc
 
 
 @dataclass(frozen=True)
@@ -149,9 +153,7 @@ class Power(Expr):
     exponent: float
 
     def eval(self, t):
-        v = np.asarray(self.base.eval(np.asarray(t, dtype=float)))
-        out = v ** self.exponent
-        return out if np.asarray(t).ndim else float(out)
+        return self.base.eval(t) ** self.exponent
 
 
 @dataclass(frozen=True)
@@ -160,9 +162,7 @@ class PMax(Expr):
     right: Expr
 
     def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.maximum(np.asarray(self.left.eval(t)), np.asarray(self.right.eval(t)))
-        return out if t.ndim else float(out)
+        return np.maximum(self.left.eval(t), self.right.eval(t))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ class TestFunction:
     domain: tuple  # (lo, hi)
 
     def __call__(self, t: ArrayLike) -> ArrayLike:
-        return self.expr.eval(t)
+        return self.expr(t)
 
 
 def eval_fn(f: TestFunction, t: float) -> float:
@@ -235,7 +235,7 @@ def _bounded_exp_poly(rng: np.random.Generator, domain: tuple, complexity: int) 
     degree = int(rng.integers(0, min(3, max(1, complexity)) + 1))
     coeffs = rng.uniform(-1.0, 1.0, size=degree + 1)
     grid = np.linspace(domain[0], domain[1], 256)
-    peak = float(np.max(np.abs(Polynomial(tuple(coeffs)).eval(grid))))
+    peak = float(np.max(np.abs(_horner(coeffs, grid))))
     if peak > 1.5:
         coeffs = coeffs * (1.5 / peak)
     return ExpPoly(tuple(float(c) for c in coeffs))

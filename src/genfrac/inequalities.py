@@ -302,41 +302,6 @@ def _inconclusive_check(theorem: TheoremId, constant: float) -> InequalityCheck:
     )
 
 
-def _one_sided(theorem, lhs: _Val, rhs: _Val, constant, slack_factor, aux=None):
-    slack = slack_factor * (lhs.err + rhs.err)
-    return InequalityCheck(
-        theorem_id=theorem,
-        lhs=lhs.value,
-        rhs=rhs.value,
-        constant=constant,
-        slack=slack,
-        satisfied=lhs.value <= rhs.value + slack,
-        lhs_err=lhs.err,
-        rhs_err=rhs.err,
-        aux=aux,
-    )
-
-
-def _sandwich(theorem, lower: _Val, middle: _Val, upper: _Val, constant, slack_factor):
-    slack_lo = slack_factor * (lower.err + middle.err)
-    slack_hi = slack_factor * (middle.err + upper.err)
-    ok = (lower.value <= middle.value + slack_lo) and (
-        middle.value <= upper.value + slack_hi
-    )
-    return InequalityCheck(
-        theorem_id=theorem,
-        lhs=lower.value,
-        rhs=upper.value,
-        constant=constant,
-        slack=slack_lo + slack_hi,
-        satisfied=ok,
-        lhs_err=lower.err,
-        rhs_err=upper.err,
-        mid=middle.value,
-        mid_err=middle.err,
-    )
-
-
 # ---------------------------------------------------------------------------
 # theorem checks
 #
@@ -390,11 +355,31 @@ def _run_check(check: _Check, pair: PositivePair, params, x: float,
     if vals is None:
         return _inconclusive_check(check.theorem, check.constant)
     sides = check.combine(*vals)
-    if sides.mid is None:
-        return _one_sided(check.theorem, sides.lhs, sides.rhs, check.constant,
-                          cfg.slack_factor, sides.aux)
-    return _sandwich(check.theorem, sides.lhs, sides.mid, sides.rhs, check.constant,
-                     cfg.slack_factor)
+    lhs, rhs, mid = sides.lhs, sides.rhs, sides.mid
+    # the slack on each compared pair is slack_factor times its summed errors
+    if mid is None:
+        slack = cfg.slack_factor * (lhs.err + rhs.err)
+        satisfied = lhs.value <= rhs.value + slack
+    else:
+        slack_lo = cfg.slack_factor * (lhs.err + mid.err)
+        slack_hi = cfg.slack_factor * (mid.err + rhs.err)
+        satisfied = (lhs.value <= mid.value + slack_lo) and (
+            mid.value <= rhs.value + slack_hi
+        )
+        slack = slack_lo + slack_hi
+    return InequalityCheck(
+        theorem_id=check.theorem,
+        lhs=lhs.value,
+        rhs=rhs.value,
+        constant=check.constant,
+        slack=slack,
+        satisfied=satisfied,
+        lhs_err=lhs.err,
+        rhs_err=rhs.err,
+        mid=None if mid is None else mid.value,
+        mid_err=0.0 if mid is None else mid.err,
+        aux=sides.aux,
+    )
 
 
 def _root_sum(fp: _Val, gp: _Val, p: float) -> _Val:
@@ -656,6 +641,26 @@ class TrialRecord:
         return "pass" if self.check.satisfied else "fail"
 
 
+_RECORD_FIELDS = (
+    "theorem", "trial", "pair_seed", "kind", "alpha", "beta", "rho",
+    "eta", "kappa", "lower", "x", "m", "M", "p", "c",
+    "lhs", "mid", "rhs", "constant", "slack", "margin", "status",
+)
+
+
+def _record_values(r: TrialRecord) -> tuple:
+    """One trial's values in _RECORD_FIELDS order; None where a field does
+    not apply (JSON writes null, CSV an empty cell)."""
+    return (
+        r.theorem.value, r.index, r.pair_seed, r.kind.value,
+        r.params.alpha, r.params.beta, r.params.rho, r.params.eta,
+        r.params.kappa, r.params.lower, r.x, r.m, r.M, r.p, r.c,
+        r.check.lhs, r.check.mid, r.check.rhs, r.check.constant, r.check.slack,
+        None if r.status == "inconclusive" else r.check.margin,
+        r.status,
+    )
+
+
 @dataclass
 class SuiteReport:
     config: SuiteConfig
@@ -693,33 +698,11 @@ class SuiteReport:
         return total > 0 and self.total_inconclusive > fraction * total
 
     def to_json_dict(self) -> dict:
-        def record_dict(r: TrialRecord) -> dict:
-            return {
-                "theorem": r.theorem.value,
-                "trial": r.index,
-                "pair_seed": r.pair_seed,
-                "kind": r.kind.value,
-                "alpha": r.params.alpha,
-                "beta": r.params.beta,
-                "rho": r.params.rho,
-                "eta": r.params.eta,
-                "kappa": r.params.kappa,
-                "lower": r.params.lower,
-                "x": r.x,
-                "m": r.m,
-                "M": r.M,
-                "p": r.p,
-                "c": r.c,
-                "lhs": r.check.lhs,
-                "mid": r.check.mid,
-                "rhs": r.check.rhs,
-                "constant": r.check.constant,
-                "slack": r.check.slack,
-                "margin": None if r.status == "inconclusive" else r.check.margin,
-                "status": r.status,
-            }
-
-        failures = [record_dict(r) for r in self.records if r.status == "fail"]
+        failures = [
+            dict(zip(_RECORD_FIELDS, _record_values(r)))
+            for r in self.records
+            if r.status == "fail"
+        ]
         return {
             "metadata": {
                 "version": self.version,
@@ -750,24 +733,9 @@ class SuiteReport:
         }
 
     def csv_rows(self) -> list:
-        header = [
-            "theorem", "trial", "pair_seed", "kind", "alpha", "beta", "rho",
-            "eta", "kappa", "lower", "x", "m", "M", "p", "c",
-            "lhs", "mid", "rhs", "constant", "slack", "margin", "status",
-        ]
-        rows = [header]
+        rows = [list(_RECORD_FIELDS)]
         for r in self.records:
-            rows.append([
-                r.theorem.value, r.index, r.pair_seed, r.kind.value,
-                r.params.alpha, r.params.beta, r.params.rho, r.params.eta,
-                r.params.kappa, r.params.lower, r.x, r.m, r.M, r.p,
-                "" if r.c is None else r.c,
-                r.check.lhs,
-                "" if r.check.mid is None else r.check.mid,
-                r.check.rhs, r.check.constant, r.check.slack,
-                "" if r.status == "inconclusive" else r.check.margin,
-                r.status,
-            ])
+            rows.append(["" if v is None else v for v in _record_values(r)])
         return rows
 
 

@@ -26,6 +26,7 @@ from .quadrature import (
     DEFAULT_CONFIG,
     IntegralResult,
     QuadratureConfig,
+    _kernel_segment,
     integrate_kernel,
     scaled_integral,
     weighted_unit_integral,
@@ -187,29 +188,15 @@ def _evaluate_right(params, f, x, cfg) -> IntegralResult:
     b = params.upper
     if not (0.0 < x < b):
         raise DomainError("right-sided evaluation requires 0 < x < upper")
-    alpha = params.alpha
-    rho = params.rho
-    kappa = params.kappa
-    x_rho = x ** rho
-    d = x_rho * math.expm1(rho * math.log(b / x))
-    ratio = d / x_rho
-    inv_rho = 1.0 / rho
-
-    def g(u):
-        z = np.log1p(u * ratio)
-        tau = x * np.exp(inv_rho * z)
-        w = tau ** kappa if kappa != 0.0 else 1.0
-        return w * np.asarray(f(tau), dtype=float)
-
+    # kernel t^(kappa+rho-1) (t^rho - x^rho)^(alpha-1) on [x, b]
     log_pref = (
-        (1.0 - params.beta) * math.log(rho)
-        + rho * params.eta * math.log(x)
-        - log_gamma(alpha)
-        + alpha * math.log(d)
-        - math.log(rho)
+        (1.0 - params.beta) * math.log(params.rho)
+        + params.rho * params.eta * math.log(x)
+        - log_gamma(params.alpha)
     )
     return scaled_integral(
-        math.exp(log_pref), weighted_unit_integral, g, 0.0, alpha - 1.0, cfg
+        math.exp(log_pref), _kernel_segment, f, x, b, x, params.rho,
+        params.kappa / params.rho, params.alpha, cfg,
     )
 
 
@@ -238,24 +225,13 @@ def _truncated_power_kernel(
     err = 0.0
     evals = 0
 
-    def segment(lo, hi, singular_hi):
-        width = hi - lo
-        if singular_hi:
-            def g(u):
-                t = lo + width * u
-                return np.asarray(f(t), dtype=float)
-            return scaled_integral(
-                width ** alpha, weighted_unit_integral, g, alpha - 1.0, 0.0, cfg
-            )
-        def g(u):
-            t = lo + width * u
-            return (x - t) ** (alpha - 1.0) * np.asarray(f(t), dtype=float)
-        return scaled_integral(width, weighted_unit_integral, g, 0.0, 0.0, cfg)
-
-    def add(lo, hi, singular_hi):
+    def add(lo, hi):
         nonlocal total, err, evals
         try:
-            seg = segment(lo, hi, singular_hi)
+            # (x - t)^(alpha-1) is the rho = 1 kernel, shifted to start at 0
+            seg = _kernel_segment(
+                lambda s: f(lo + s), 0.0, hi - lo, x - lo, 1.0, 0.0, alpha, cfg
+            )
         except ConvergenceError as exc:
             best = exc.result
             # adding the failed segment's estimate keeps the shape of the rows
@@ -270,10 +246,10 @@ def _truncated_power_kernel(
         evals += seg.evaluations
         return seg
 
-    add(x - t0, x, True)
+    add(x - t0, x)
     history = []
     for k in range(48):
-        seg = add(x - 2.0 ** (k + 1) * t0, x - 2.0 ** k * t0, False)
+        seg = add(x - 2.0 ** (k + 1) * t0, x - 2.0 ** k * t0)
         size = np.abs(seg.value)
         history.append(float(np.max(size)))
         if np.all(size <= 0.25 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))):

@@ -1,8 +1,9 @@
 """Error-controlled integration of the weakly singular operator kernel.
 
 Every kernel integral is normalized to the unit interval first, so the
-endpoint singularity always appears as an explicit (1-u)^(alpha-1) (and,
-with a zero lower bound, u^eta) weight.  A double-exponential (tanh-sinh)
+endpoint singularity always appears as an explicit (1-u)^(alpha-1) weight
+(u^(alpha-1) for the right-sided kernel, and with a zero lower bound the
+t-power as u^eta).  A double-exponential (tanh-sinh)
 rule then integrates weight times smooth remainder: node weights are
 assembled in log space, so the algebraic blow-up at either endpoint is
 cancelled analytically instead of being sampled.
@@ -246,42 +247,39 @@ def _rows_integral(g, total, t_max, a1, b1, cfg) -> IntegralResult:
 
 
 # ---------------------------------------------------------------------------
-# kernel-factor integral of the left-sided operator
+# the substituted kernel integral shared by every generalized form
 # ---------------------------------------------------------------------------
 
 
 def _kernel_segment(
     f,
-    params: "OperatorParams",
-    x: float,
     lo: float,
     hi: float,
+    x: float,
+    rho: float,
+    power: float,
+    alpha: float,
     cfg: QuadratureConfig,
 ) -> IntegralResult:
-    """Kernel-factor integral over one subinterval [lo, hi] of [a, x].
+    """int_lo^hi t^(rho-1) (t^rho)^power |x^rho - t^rho|^(alpha-1) f(t) dt.
 
-    The substitution u = (t^rho - lo^rho)/(hi^rho - lo^rho) turns the
-    kernel's t-power weight into an exact u^eta factor when lo = 0 and,
-    when hi = x, the singular factor into an exact (1-u)^(alpha-1) weight.
-    Interior segments (hi < x) carry the then-smooth singular factor
-    inside the integrand.
+    ``x`` is ``hi`` (the left-sided kernel), ``lo`` (the right-sided
+    kernel) or above ``hi`` (an interior segment).  The substitution
+    u = (t^rho - lo^rho)/(hi^rho - lo^rho) turns (t^rho)^power into an
+    exact u^power weight when lo = 0, and the singular factor into an
+    exact (1-u)^(alpha-1) weight when x = hi or u^(alpha-1) when x = lo.
+    For x above hi the then-smooth singular factor stays in the integrand.
     """
-    alpha = params.alpha
-    rho = params.rho
-    eta = params.eta
-    singular_top = hi == x
     inv_rho = 1.0 / rho
 
     if lo == 0.0:
-        # t = hi * u^(1/rho); t-power weight becomes u^eta exactly
-        log_scale = rho * (eta + 1.0) * math.log(hi) - math.log(rho)
+        # t = hi * u^(1/rho); (t^rho)^power becomes u^power exactly
+        log_scale = rho * (power + 1.0) * math.log(hi) - math.log(rho)
         d = hi ** rho
-        u_pow = eta
+        u_pow = power
 
-        def t_of_u(u):
-            return hi * u ** inv_rho
-
-        extra = None
+        def subst(u):
+            return hi * u ** inv_rho, None
     else:
         log_lo_rho = rho * math.log(lo)
         lo_rho = math.exp(log_lo_rho)
@@ -290,32 +288,31 @@ def _kernel_segment(
         ratio = d / lo_rho
         u_pow = 0.0
 
-        def t_of_u(u):
-            # t = lo * (1 + u*D/lo^rho)^(1/rho), stable for rho -> 0+
-            return lo * np.exp(inv_rho * np.log1p(u * ratio))
+        def subst(u):
+            # t = lo * (1 + u*D/lo^rho)^(1/rho), stable for rho -> 0+,
+            # and the weight (t^rho)^power
+            z = np.log1p(u * ratio)
+            t = lo * np.exp(inv_rho * z)
+            return t, (np.exp(power * (log_lo_rho + z)) if power != 0.0 else None)
 
-        if eta != 0.0:
-            def extra(u):
-                return np.exp(eta * (log_lo_rho + np.log1p(u * ratio)))
-        else:
-            extra = None
-
-    if singular_top:
+    a_pow = 0.0
+    e_gap = None
+    if x == hi:
         log_scale += (alpha - 1.0) * math.log(d)
         a_pow = alpha - 1.0
-
-        def g(u):
-            vals = np.asarray(f(t_of_u(u)), dtype=float)
-            return vals if extra is None else extra(u) * vals
+    elif x == lo:
+        log_scale += (alpha - 1.0) * math.log(d)
+        u_pow += alpha - 1.0
     else:
         # remaining gap x^rho - hi^rho > 0 keeps the factor smooth
         e_gap = hi ** rho * math.expm1(rho * math.log(x / hi))
-        a_pow = 0.0
 
-        def g(u):
-            vals = np.asarray(f(t_of_u(u)), dtype=float)
+    def g(u):
+        t, weight = subst(u)
+        vals = np.asarray(f(t), dtype=float)
+        if e_gap is not None:
             vals = vals * (e_gap + d * (1.0 - u)) ** (alpha - 1.0)
-            return vals if extra is None else extra(u) * vals
+        return vals if weight is None else weight * vals
 
     return scaled_integral(math.exp(log_scale), weighted_unit_integral, g, a_pow, u_pow, cfg)
 
@@ -357,7 +354,9 @@ def integrate_kernel(
     failure = None
     for lo, hi in zip(edges[:-1], edges[1:]):
         try:
-            seg = _kernel_segment(f, params, x, lo, hi, cfg)
+            seg = _kernel_segment(
+                f, lo, hi, x, params.rho, params.eta, params.alpha, cfg
+            )
         except ConvergenceError as exc:
             # keep going, so the best estimate covers every segment
             failure, seg = exc, exc.result

@@ -123,7 +123,13 @@ def test_verify_rejects_bad_inputs(capsys):
     # T10 needs p > 1
     assert run_cli(["verify", "--theorem", "10", "--trials", "1", "--seed", "1",
                     "--p", "1", "--m", "0.5", "--M", "2"]) == 2
-    capsys.readouterr()
+    # running no trial must not print OK
+    for trials in ("0", "-3"):
+        assert run_cli(["verify", "--theorem", "8", "--trials", trials, "--seed", "1",
+                        "--p", "2", "--m", "1", "--M", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "OK" not in captured.out
+        assert "trials must be >= 1" in captured.err
 
 
 def _strip_timestamp(payload: dict) -> dict:
@@ -157,3 +163,13 @@ def test_oracle_smoke(capsys):
     assert code == 0
     assert "points = 540" in out
     assert "max_rel_error" in out
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--rel-tol", "0"], "rel_tol must be positive"),
+     (["--x", "-1"], "evaluation point must exceed the lower bound")],
+)
+def test_oracle_bad_inputs_exit_2(capsys, flags, message):
+    assert run_cli(["oracle", *flags]) == 2
+    assert "error: %s" % message in capsys.readouterr().err

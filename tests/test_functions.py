@@ -45,6 +45,27 @@ def test_vectorized_evaluation():
     np.testing.assert_allclose(f(t), 1.0 + 2.0 * t + 3.0 * t * t)
 
 
+def test_scalar_input_gives_python_float():
+    exprs = [
+        Const(2.0), Monomial(0.0), Monomial(1.5), Polynomial((1.0, 2.0)),
+        ExpPoly((0.1, -0.3)), SinPos(2.0, 0.3, 0.5, 1.5, shift=(0.1, 0.2)),
+        Sum(((2.0, Monomial(1.0)), (-0.5, Const(1.0)))),
+        Product((Monomial(2.0), ExpPoly((0.2,)))),
+        Power(Polynomial((1.0, 1.0)), 1.5),
+        PMax(Polynomial((1.0, -1.0)), Polynomial((0.2, 1.0))),
+    ]
+    t = np.array([0.25, 0.7])
+    for expr in exprs:
+        f = TestFunction(expr, DOMAIN)
+        values = f(t)
+        assert isinstance(values, np.ndarray) and values.shape == t.shape
+        for i, ti in enumerate(t.tolist()):
+            for point in (ti, np.asarray(ti)):
+                v = f(point)
+                assert type(v) is float
+                assert v == values[i]
+
+
 def test_sinpos_stays_in_band():
     f = SinPos(7.3, 0.4, 0.25, 1.75, shift=(0.1, -0.3, 0.2))
     t = np.linspace(-5.0, 5.0, 4001)
