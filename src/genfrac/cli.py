@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -113,6 +114,12 @@ def _params_from_args(args, side=Side.LEFT, upper=None) -> OperatorParams:
     )
 
 
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError("%s must be finite, got %r" % (name, value))
+
+
 def cmd_eval(args) -> int:
     side = Side.RIGHT if args.side == "right" else Side.LEFT
     try:
@@ -149,6 +156,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_oracle(args) -> int:
     try:
+        _require_finite(x=args.x)
         cfg = QuadratureConfig(rel_tol=args.rel_tol)
         worst, results = sweep(x=args.x, cfg=cfg)
     except (ParameterError, DomainError) as exc:
@@ -190,6 +198,7 @@ def _theorem_selection(text: str):
 def cmd_verify(args) -> int:
     try:
         theorems = _theorem_selection(args.theorem)
+        _require_finite(x=args.x, p=args.p)
         if args.trials < 1:
             raise DomainError("trials must be >= 1")
         if not 0.0 < args.m <= args.M:

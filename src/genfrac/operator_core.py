@@ -165,6 +165,7 @@ def evaluate(
     value, in the same units as a result.
     """
     validate(params)
+    _require_finite_point(x)
     if params.side is Side.RIGHT:
         return _evaluate_right(params, f, x, cfg)
     if math.isinf(params.lower):
@@ -182,6 +183,11 @@ def evaluate(
     return scaled_integral(
         math.exp(log_pref), integrate_kernel, f, params, x, cfg, breakpoints
     )
+
+
+def _require_finite_point(x: float) -> None:
+    if not math.isfinite(x):
+        raise DomainError("evaluation point must be finite, got %r" % (x,))
 
 
 def _evaluate_right(params, f, x, cfg) -> IntegralResult:
@@ -291,6 +297,7 @@ def evaluate_classical(
         raise ParameterError("alpha must be positive")
     if kind is ClassicalKind.GENERALIZED:
         raise DomainError("use evaluate() for the generalized operator")
+    _require_finite_point(x)
     a = interval[0]
 
     if kind in (ClassicalKind.WEYL, ClassicalKind.LIOUVILLE):

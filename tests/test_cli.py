@@ -36,6 +36,18 @@ def test_eval_half_order(capsys):
     assert "1.1283791670955" in out
 
 
+@pytest.mark.parametrize("x", ["inf", "nan"])
+def test_eval_non_finite_x_exits_2(capsys, x):
+    code = run_cli([
+        "eval", "--alpha", "0.5", "--beta", "0.5", "--rho", "1", "--eta", "0",
+        "--kappa", "0", "--a", "0", "--x", x, "--fn", "const:1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: evaluation point must be finite" in captured.err
+    assert "value" not in captured.out
+
+
 def test_eval_invalid_alpha_exits_2(capsys):
     code = run_cli([
         "eval", "--alpha", "-1", "--beta", "1", "--rho", "1", "--eta", "0",
@@ -123,6 +135,14 @@ def test_verify_rejects_bad_inputs(capsys):
     # T10 needs p > 1
     assert run_cli(["verify", "--theorem", "10", "--trials", "1", "--seed", "1",
                     "--p", "1", "--m", "0.5", "--M", "2"]) == 2
+    # non-finite inputs are invalid parameters, not non-convergence
+    for flags, message in ((["--p", "inf"], "p must be finite"),
+                           (["--p", "2", "--x", "inf"], "x must be finite")):
+        assert run_cli(["verify", "--theorem", "8", "--trials", "2", "--seed", "1",
+                        "--m", "1", "--M", "2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert "error: %s" % message in captured.err
+        assert "T8:" not in captured.out
     # running no trial must not print OK
     for trials in ("0", "-3"):
         assert run_cli(["verify", "--theorem", "8", "--trials", trials, "--seed", "1",
@@ -168,7 +188,9 @@ def test_oracle_smoke(capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [(["--rel-tol", "0"], "rel_tol must be positive"),
-     (["--x", "-1"], "evaluation point must exceed the lower bound")],
+     (["--x", "-1"], "evaluation point must exceed the lower bound"),
+     (["--x", "inf"], "x must be finite"),
+     (["--x", "nan"], "x must be finite")],
 )
 def test_oracle_bad_inputs_exit_2(capsys, flags, message):
     assert run_cli(["oracle", *flags]) == 2

@@ -135,6 +135,23 @@ def test_evaluate_requires_x_above_lower():
         evaluate(p, ONE, 1.5)
 
 
+@pytest.mark.parametrize("x", [math.inf, math.nan])
+def test_non_finite_evaluation_point_is_rejected(x):
+    # every side and every classical kind; inf used to give value = nan
+    for p in (
+        OperatorParams(alpha=0.5, beta=0.5, rho=1.0, eta=0.0, kappa=0.0),
+        OperatorParams(alpha=0.5, beta=0.5, rho=1.0, eta=0.0, kappa=0.0, lower=NEG_INF),
+        OperatorParams(alpha=0.5, beta=0.5, rho=1.0, eta=0.0, kappa=0.0,
+                       upper=2.0, side=Side.RIGHT),
+    ):
+        with pytest.raises(DomainError, match="evaluation point must be finite"):
+            evaluate(p, ONE, x)
+    for kind in ClassicalKind:
+        if kind is not ClassicalKind.GENERALIZED:
+            with pytest.raises(DomainError, match="evaluation point must be finite"):
+                evaluate_classical(kind, 0.5, ONE, (0.5,), x)
+
+
 def test_beta_invariance_at_rho_one():
     x = 1.7
     f = _fn(SinPos(2.0, 0.4, 0.5, 1.5))

@@ -23,6 +23,7 @@ from genfrac.operator_core import (
     evaluate,
     evaluate_classical,
 )
+from genfrac import quadrature
 from genfrac.quadrature import (
     QuadratureConfig,
     closed_form_monomial,
@@ -319,3 +320,115 @@ def test_truncated_form_rows_and_divergence():
     best = exc_info.value.result
     assert best.error_estimate.shape == best.value.shape == (2,)
     assert np.all(np.isinf(best.error_estimate))
+
+
+# ---------------------------------------------------------------------------
+# levels 0-3 sampled in one integrand call
+# ---------------------------------------------------------------------------
+
+
+def _level_sizes(one_minus_u_pow, u_pow):
+    t_max = quadrature._pick_t_max(one_minus_u_pow, u_pow)
+    return [quadrature._compute_level_nodes(t_max, level)[0].size
+            for level in range(quadrature._MAX_LEVEL + 1)]
+
+
+def _per_level_reference(g, one_minus_u_pow, u_pow, cfg):
+    """The refinement loop with one integrand call per level.
+
+    Returns (outcome, value, error estimate, evaluations); the outcome names
+    the ConvergenceError that weighted_unit_integral raises, if any.
+    """
+    t_max = quadrature._pick_t_max(one_minus_u_pow, u_pow)
+    evals, total, value, prev, estimate = 0, 0.0, 0.0, None, math.inf
+    for level in range(quadrature._MAX_LEVEL + 1):
+        u, log_u, log_1mu, log_jac = quadrature._compute_level_nodes(t_max, level)
+        if level > 2 and evals + u.size > cfg.max_subdivisions:
+            return "budget", value, estimate, evals
+        w = np.exp(log_jac + (u_pow + 1.0) * log_u + (one_minus_u_pow + 1.0) * log_1mu)
+        total = total + np.dot(g(u), w)
+        evals += u.size
+        value = 2.0 ** (-level) * total
+        if prev is not None:
+            estimate = np.abs(value - prev)
+            if level >= 2 and np.all(
+                estimate <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
+            ):
+                floor = quadrature._ROUNDOFF * np.abs(value)
+                return "ok", value, np.maximum(estimate, floor), evals
+        prev = value
+    return "levels", value, estimate, evals
+
+
+def _outcome(g, one_minus_u_pow, u_pow, cfg):
+    try:
+        res = weighted_unit_integral(g, one_minus_u_pow, u_pow, cfg)
+        outcome = "ok"
+    except ConvergenceError as exc:
+        res = exc.result
+        outcome = "budget" if "evaluations" in str(exc) else "levels"
+    return outcome, res.value, res.error_estimate, res.evaluations
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+WEIGHTS = [(-0.5, 0.0), (0.0, 0.0), (1.5, -0.7), (-0.95, 0.2)]  # t_max 4.5, 4, 5, 7
+
+
+@pytest.mark.parametrize("one_minus_u_pow, u_pow", WEIGHTS)
+def test_first_call_samples_the_block_then_one_level_per_call(one_minus_u_pow, u_pow):
+    sizes = _level_sizes(one_minus_u_pow, u_pow)
+    calls = []
+
+    def g(u):
+        calls.append(u.size)
+        return FAST(u)
+
+    res = weighted_unit_integral(g, one_minus_u_pow, u_pow)
+    deepest = len(calls) + 2
+    assert deepest > 4  # FAST needs levels past the block
+    assert calls == [sum(sizes[:4])] + sizes[4:deepest + 1]
+    assert res.evaluations == sum(sizes[:deepest + 1])
+
+
+@pytest.mark.parametrize("one_minus_u_pow, u_pow", WEIGHTS)
+@pytest.mark.parametrize(
+    "cfg",
+    [QuadratureConfig(),
+     QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=300),
+     QuadratureConfig(max_subdivisions=100000)],
+)
+def test_block_pass_matches_per_level_loop_bit_for_bit(one_minus_u_pow, u_pow, cfg):
+    integrands = [SMOOTH, FAST, KINKED, _stacked(SMOOTH, FAST), _stacked(ONE, KINKED)]
+    for g in integrands:
+        got = _outcome(g, one_minus_u_pow, u_pow, cfg)
+        want = _per_level_reference(g, one_minus_u_pow, u_pow, cfg)
+        assert got[0] == want[0]
+        assert _bits(got[1]) == _bits(want[1])
+        assert _bits(got[2]) == _bits(want[2])
+        assert got[3] == want[3]
+        assert type(got[1]) is (float if np.ndim(want[1]) == 0 else np.ndarray)
+
+
+@pytest.mark.parametrize("g", [FAST, _stacked(SMOOTH, FAST)])
+def test_budget_below_the_block_reports_the_level_2_estimate(g):
+    sizes = _level_sizes(-0.5, 0.0)
+    cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=sum(sizes[:4]) - 1)
+    calls = []
+
+    def recorded(u):
+        calls.append(u.size)
+        return g(u)
+
+    with pytest.raises(ConvergenceError, match="within %d evaluations" % cfg.max_subdivisions) as exc_info:
+        weighted_unit_integral(recorded, -0.5, 0.0, cfg)
+    best = exc_info.value.result
+    # the level-3 nodes were sampled with the block but are not counted
+    assert calls == [sum(sizes[:4])]
+    assert best.evaluations == sum(sizes[:3]) == 37
+    want = _per_level_reference(g, -0.5, 0.0, cfg)
+    assert want[0] == "budget"
+    assert _bits(best.value) == _bits(want[1])
+    assert _bits(best.error_estimate) == _bits(want[2])
