@@ -85,6 +85,11 @@ def validate(params: OperatorParams) -> None:
         raise ParameterError("alpha must be positive")
     if not params.rho > 0.0:
         raise ParameterError("rho must be positive")
+    for name in ("beta", "eta", "kappa"):
+        if not math.isfinite(getattr(params, name)):
+            raise ParameterError("%s must be finite" % name)
+    if math.isnan(params.lower):
+        raise ParameterError("lower bound must not be NaN")
     if math.isinf(params.lower):
         if params.lower > 0:
             raise ParameterError("lower bound must be finite or -inf")
@@ -357,6 +362,8 @@ def evaluate_classical(
             raise DomainError("requires 0 <= a < x")
         if not sigma > 0.0:
             raise ParameterError("sigma must be positive")
+        if not math.isfinite(eta):
+            raise ParameterError("eta must be finite")
         if a == 0.0:
             # x powers cancel exactly in the dimensionless form
             if eta <= -1.0:

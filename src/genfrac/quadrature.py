@@ -15,6 +15,7 @@ as well; it is the independent oracle the quadrature is tested against.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -109,7 +110,7 @@ _MAX_LEVEL = 12
 # 32 at 5.  So sampling levels 0-3 together costs them no extra nodes, while
 # a deeper block would sample nodes that most of them never sum.
 _BLOCK_LEVEL = 3
-_ROUNDOFF = 16.0 * np.finfo(float).eps
+_ROUNDOFF = 16.0 * sys.float_info.epsilon
 _T_MAX_CAP = 8.5
 _node_cache: dict[tuple[float, int], tuple] = {}
 
@@ -216,7 +217,7 @@ def weighted_unit_integral(
     only when every row meets the tolerance, and ``value`` and
     ``error_estimate`` come back with one entry per row.
     """
-    if one_minus_u_pow <= -1.0 or u_pow <= -1.0:
+    if not (one_minus_u_pow > -1.0 and u_pow > -1.0):
         raise DomainError(
             "weight exponents must exceed -1 for an integrable kernel, got "
             "(1-u)^%r u^%r" % (one_minus_u_pow, u_pow)

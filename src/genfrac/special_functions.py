@@ -1,8 +1,8 @@
 """Gamma and Beta functions for real positive arguments.
 
-Lanczos rational approximation (g = 7, 9 terms) with two guard rails:
-above the direct-evaluation ceiling the value is assembled by upward
-recurrence from the accurate core, and Beta is always formed in log
+Checked wrappers over the C library's tgamma and lgamma (``math.gamma``,
+``math.lgamma``): a non-positive or NaN argument raises DomainError, a
+result beyond double range reads ``inf``, and Beta is always formed in log
 space so large-argument combinations cannot overflow intermediates.
 """
 
@@ -10,70 +10,28 @@ import math
 
 from .errors import DomainError
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-# Direct product form stays well below double overflow up to here; larger
-# arguments go through recurrence (gamma) or stay in log space (log_gamma).
-_DIRECT_CEILING = 100.0
-_OVERFLOW_ARG = 171.7
-
-
-def _series(z: float) -> float:
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    return acc
-
-
-def _gamma_core(x: float) -> float:
-    # valid for 0.5 <= x <= _DIRECT_CEILING
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * _series(z)
-
 
 def gamma_fn(x: float) -> float:
     """Gamma function for x > 0. Raises DomainError otherwise."""
     if not x > 0.0:
         raise DomainError("gamma_fn requires a positive argument, got %r" % (x,))
-    if x < 0.5:
-        return gamma_fn(x + 1.0) / x
-    if x <= _DIRECT_CEILING:
-        return _gamma_core(x)
-    if x > _OVERFLOW_ARG:
+    try:
+        return math.gamma(x)
+    except OverflowError:
         # Gamma(x) exceeds double range; signal with inf rather than raise,
         # log_gamma stays finite for callers that need the magnitude.
         return math.inf
-    prod = 1.0
-    y = x
-    while y > _DIRECT_CEILING:
-        y -= 1.0
-        prod *= y
-    return prod * _gamma_core(y)
 
 
 def log_gamma(x: float) -> float:
     """log Gamma(x) for x > 0."""
     if not x > 0.0:
         raise DomainError("log_gamma requires a positive argument, got %r" % (x,))
-    if x < 0.5:
-        return log_gamma(x + 1.0) - math.log(x)
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(_series(z))
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        # only above about 2.5e305, where log Gamma(x) exceeds double range
+        return math.inf
 
 
 def log_beta(a: float, b: float) -> float:

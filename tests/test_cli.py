@@ -48,6 +48,18 @@ def test_eval_non_finite_x_exits_2(capsys, x):
     assert "value" not in captured.out
 
 
+@pytest.mark.parametrize("name", ["beta", "eta", "kappa"])
+def test_eval_nan_parameter_exits_2(capsys, name):
+    flags = {"--alpha": "0.5", "--beta": "0.5", "--rho": "1", "--eta": "0",
+             "--kappa": "0", "--a": "0", "--x": "1", "--fn": "const:1"}
+    flags["--" + name] = "nan"
+    code = run_cli(["eval", *(item for pair in flags.items() for item in pair)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: %s must be finite" % name in captured.err
+    assert "value" not in captured.out
+
+
 def test_eval_invalid_alpha_exits_2(capsys):
     code = run_cli([
         "eval", "--alpha", "-1", "--beta", "1", "--rho", "1", "--eta", "0",
@@ -93,6 +105,15 @@ def test_missing_required_flag_exits_2():
 def test_reduce_outputs(capsys, flags, expected):
     assert run_cli(["reduce", *flags]) == 0
     assert capsys.readouterr().out.strip() == expected
+
+
+def test_reduce_nan_lower_exits_2(capsys):
+    code = run_cli(["reduce", "--alpha", "0.5", "--beta", "0.5", "--rho", "1",
+                    "--eta", "0", "--kappa", "0", "--a", "nan"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: lower bound must not be NaN" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_single_theorem_passes(capsys, tmp_path):

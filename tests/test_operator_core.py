@@ -64,6 +64,21 @@ def test_validate_infinite_lower_constraints():
         validate(OperatorParams(alpha=0.5, beta=0.0, rho=1.0, eta=0.3, kappa=0.0, lower=NEG_INF))
 
 
+@pytest.mark.parametrize("name", ["beta", "eta", "kappa"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_validate_requires_finite_beta_eta_kappa(name, value):
+    fields = dict(alpha=0.5, beta=0.5, rho=1.0, eta=0.0, kappa=0.0)
+    fields[name] = value
+    with pytest.raises(ParameterError, match="%s must be finite" % name):
+        validate(OperatorParams(**fields))
+
+
+def test_validate_nan_lower():
+    # -inf stays allowed for the truncated form; NaN compares false everywhere
+    with pytest.raises(ParameterError, match="lower bound must not be NaN"):
+        validate(OperatorParams(alpha=0.5, beta=0.0, rho=1.0, eta=0.0, kappa=0.0, lower=math.nan))
+
+
 def test_validate_right_side_needs_upper():
     with pytest.raises(ParameterError, match="finite upper bound"):
         validate(
@@ -207,6 +222,16 @@ def test_classical_erdelyi_kober_frozen_reference():
         ClassicalKind.ERDELYI_KOBER, 0.6, f, (0.0,), 1.3, sigma=1.5, eta=0.8
     )
     assert res.value == pytest.approx(0.88445440056480686, rel=1e-10)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.4])
+def test_classical_erdelyi_kober_rejects_non_finite_eta(a):
+    # a NaN eta used to run to the node budget and raise ConvergenceError
+    f = _fn(Monomial(2.0), (0.0, 2.0))
+    with pytest.raises(ParameterError, match="eta must be finite"):
+        evaluate_classical(
+            ClassicalKind.ERDELYI_KOBER, 0.6, f, (a,), 1.3, sigma=1.5, eta=math.nan
+        )
 
 
 def test_classical_generalized_kind_rejected():

@@ -79,6 +79,13 @@ def test_kernel_rejects_nonintegrable_origin():
         integrate_kernel(ONE, params, 1.0)
 
 
+@pytest.mark.parametrize("one_minus_u_pow, u_pow", [(math.nan, 0.0), (0.0, math.nan)])
+def test_weighted_unit_integral_rejects_nan_exponents(one_minus_u_pow, u_pow):
+    # NaN compares false, so it used to pass the check and run to the node budget
+    with pytest.raises(DomainError, match="weight exponents must exceed -1"):
+        weighted_unit_integral(ONE, one_minus_u_pow, u_pow)
+
+
 def test_closed_form_examples():
     p = OperatorParams(alpha=1.0, beta=1.0, rho=1.0, eta=0.0, kappa=0.0)
     assert closed_form_monomial(p, 0.0, 2.0) == pytest.approx(2.0, rel=1e-13)
@@ -409,7 +416,9 @@ def test_block_pass_matches_per_level_loop_bit_for_bit(one_minus_u_pow, u_pow, c
         assert _bits(got[1]) == _bits(want[1])
         assert _bits(got[2]) == _bits(want[2])
         assert got[3] == want[3]
-        assert type(got[1]) is (float if np.ndim(want[1]) == 0 else np.ndarray)
+        want_type = float if np.ndim(want[1]) == 0 else np.ndarray
+        assert type(got[1]) is want_type
+        assert type(got[2]) is want_type
 
 
 @pytest.mark.parametrize("g", [FAST, _stacked(SMOOTH, FAST)])

@@ -32,16 +32,19 @@ def test_gamma_factorials():
 
 
 def test_gamma_domain_error():
-    with pytest.raises(DomainError):
-        gamma_fn(0.0)
-    with pytest.raises(DomainError):
-        gamma_fn(-3.2)
+    for x in (0.0, -3.2, math.nan):
+        with pytest.raises(DomainError):
+            gamma_fn(x)
+        with pytest.raises(DomainError):
+            log_gamma(x)
 
 
 def test_gamma_overflow_is_inf_but_log_stays_finite():
     assert gamma_fn(180.0) == math.inf
     assert math.isfinite(log_gamma(180.0))
     assert log_gamma(180.0) == pytest.approx(math.lgamma(180.0), rel=1e-14)
+    assert log_gamma(1e308) == math.inf
+    assert log_gamma(math.inf) == math.inf
 
 
 @settings(max_examples=300, deadline=None)
@@ -78,7 +81,23 @@ def test_beta_log_space_survives_large_arguments():
 
 
 def test_beta_domain_error():
-    with pytest.raises(DomainError):
-        beta_fn(0.0, 1.0)
-    with pytest.raises(DomainError):
-        beta_fn(1.0, -2.0)
+    for a, b in ((0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError):
+            beta_fn(a, b)
+        with pytest.raises(DomainError):
+            log_beta(a, b)
+
+
+def test_reciprocal_gamma_and_beta_match_mpmath():
+    # independent 40-digit reference over the alpha range operators draw from;
+    # 1/Gamma is the form the operator prefactor takes
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(5)
+    with mp.workdps(40):
+        for _ in range(400):
+            a = rng.uniform(0.01, 6.0)
+            b = rng.uniform(0.01, 6.0)
+            ref = mp.rgamma(a)
+            assert abs(math.exp(-log_gamma(a)) - ref) <= 1e-14 * abs(ref)
+            ref = mp.beta(a, b)
+            assert abs(beta_fn(a, b) - ref) <= 2e-14 * abs(ref)
