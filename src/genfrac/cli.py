@@ -28,13 +28,7 @@ from .errors import (
     ParameterError,
 )
 from .functions import parse_function_spec
-from .inequalities import (
-    DEFAULT_THEOREMS,
-    SuiteConfig,
-    TheoremId,
-    run_suite,
-    suite_threads_default,
-)
+from .inequalities import DEFAULT_THEOREMS, SuiteConfig, TheoremId, run_suite
 from .operator_core import OperatorParams, Side, evaluate, reduce_to_classical
 from .oracle import sweep
 from .quadrature import QuadratureConfig
@@ -198,7 +192,7 @@ def _theorem_selection(text: str):
 def cmd_verify(args) -> int:
     try:
         theorems = _theorem_selection(args.theorem)
-        _require_finite(x=args.x, p=args.p)
+        _require_finite(x=args.x, p=args.p, m=args.m, M=args.M)
         if args.trials < 1:
             raise DomainError("trials must be >= 1")
         if not 0.0 < args.m <= args.M:
@@ -218,7 +212,6 @@ def cmd_verify(args) -> int:
             x=args.x,
             slack_factor=args.slack_factor,
             statement_constants=args.paper_statement_constants,
-            threads=suite_threads_default(),
         )
         timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         report = run_suite(cfg, version=__version__, timestamp=timestamp)

@@ -213,17 +213,24 @@ class PositivePair:
     box: Optional[tuple] = None  # (a_lo, A_hi, b_lo, B_hi) for BOX_BOUNDED
     seed: int = field(default=0, compare=False)
 
-    def ratio_range_on_grid(self, n: int = 1000) -> tuple:
+    def _grid_values(self, n: int) -> tuple:
+        """f and g on an n-point grid of the domain; BoundsError unless finite."""
         lo, hi = self.f.domain
         t = np.linspace(lo, hi, n)
-        r = np.asarray(self.f(t)) / np.asarray(self.g(t))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            fv = np.asarray(self.f(t))
+            gv = np.asarray(self.g(t))
+        if not (np.isfinite(fv).all() and np.isfinite(gv).all()):
+            raise BoundsError("pair is not finite on the check grid (bounds too large?)")
+        return fv, gv
+
+    def ratio_range_on_grid(self, n: int = 1000) -> tuple:
+        fv, gv = self._grid_values(n)
+        r = fv / gv
         return float(r.min()), float(r.max())
 
     def box_range_on_grid(self, n: int = 1000) -> tuple:
-        lo, hi = self.f.domain
-        t = np.linspace(lo, hi, n)
-        fv = np.asarray(self.f(t))
-        gv = np.asarray(self.g(t))
+        fv, gv = self._grid_values(n)
         return float(fv.min()), float(fv.max()), float(gv.min()), float(gv.max())
 
 

@@ -14,8 +14,6 @@ trust.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -253,7 +251,7 @@ class CheckConfig:
 
     def __post_init__(self):
         _require(self.p >= 1.0, "require p >= 1")
-        _require(self.slack_factor > 0.0, "require positive slack_factor")
+        _require(0.0 < self.slack_factor < math.inf, "require positive finite slack_factor")
 
     @property
     def q(self) -> float:
@@ -616,7 +614,7 @@ class SuiteConfig:
     statement_constants: bool = False
     quad: QuadratureConfig = DEFAULT_CONFIG
     complexity: int = 2
-    threads: int = 1
+    threads: int = 1  # no effect, the suite is serial; kept because perfbench/workloads.py passes it
     operator_grid: tuple = field(default_factory=default_operator_grid)
 
 
@@ -743,7 +741,8 @@ def _trial_seed(master_seed: int, theorem_ordinal: int, index: int) -> int:
     return (int(master_seed) * 1_000_003 + theorem_ordinal * 10_007 + index) & 0x7FFFFFFF
 
 
-def _run_trial(cfg: SuiteConfig, theorem: TheoremId, index: int) -> TrialRecord:
+def _run_theorem(cfg: SuiteConfig, theorem: TheoremId, ordinal: int) -> list:
+    """The records of ``theorem``'s trials, in index order."""
     p_options = [p for p in cfg.p_values if p > 1.0] if theorem in _NEEDS_P_GT_1 else list(cfg.p_values)
     if not p_options:
         raise DomainError("%s requires at least one p > 1 in p_values" % theorem.value)
@@ -753,59 +752,49 @@ def _run_trial(cfg: SuiteConfig, theorem: TheoremId, index: int) -> TrialRecord:
         for bounds in cfg.ratio_bounds
         for p in p_options
     ]
-    op, (m, M), p = combos[index % len(combos)]
-    ordinal = list(TheoremId).index(theorem)
-    seed = _trial_seed(cfg.seed, ordinal, index)
-    domain = (op.lower, cfg.x)
-    if theorem is TheoremId.T13:
-        pair = generate_box_pair(seed, m, M, m, M, domain, cfg.complexity)
-    else:
-        pair = generate_ratio_pair(seed, m, M, domain, cfg.complexity)
-    c = cfg.c_fraction * m if theorem is TheoremId.T12 else None
-    check_cfg = CheckConfig(
-        p=p,
-        c=c,
-        slack_factor=cfg.slack_factor,
-        statement_constants=cfg.statement_constants,
-        quad=cfg.quad,
-    )
-    check = _OPERATOR_CHECKS[theorem](pair, op, cfg.x, check_cfg)
-    return TrialRecord(
-        theorem=theorem,
-        index=index,
-        pair_seed=seed,
-        params=op,
-        m=m,
-        M=M,
-        p=p,
-        c=c,
-        x=cfg.x,
-        kind=pair.kind,
-        check=check,
-    )
-
-
-def suite_threads_default() -> int:
-    raw = os.environ.get("GENFRAC_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    records = []
+    for index in range(cfg.trials):
+        op, (m, M), p = combos[index % len(combos)]
+        seed = _trial_seed(cfg.seed, ordinal, index)
+        domain = (op.lower, cfg.x)
+        if theorem is TheoremId.T13:
+            pair = generate_box_pair(seed, m, M, m, M, domain, cfg.complexity)
+        else:
+            pair = generate_ratio_pair(seed, m, M, domain, cfg.complexity)
+        c = cfg.c_fraction * m if theorem is TheoremId.T12 else None
+        check_cfg = CheckConfig(
+            p=p,
+            c=c,
+            slack_factor=cfg.slack_factor,
+            statement_constants=cfg.statement_constants,
+            quad=cfg.quad,
+        )
+        check = _OPERATOR_CHECKS[theorem](pair, op, cfg.x, check_cfg)
+        records.append(TrialRecord(
+            theorem=theorem,
+            index=index,
+            pair_seed=seed,
+            params=op,
+            m=m,
+            M=M,
+            p=p,
+            c=c,
+            x=cfg.x,
+            kind=pair.kind,
+            check=check,
+        ))
+    return records
 
 
 def run_suite(cfg: SuiteConfig, version: str = "0.1.0", timestamp: str = "") -> SuiteReport:
     """Run every selected theorem over ``trials`` seeded pairs.
 
-    Results are deterministic for a fixed master seed regardless of the
-    thread count: each trial derives its own seed and records are sorted
-    by (theorem, trial index) before aggregation.
+    Theorems run in TheoremId order and the trials of each in index order.
+    Each trial derives its pair seed from the master seed, the theorem and
+    its index, so a fixed master seed gives the same report on every run.
     """
-    jobs = [(theorem, i) for theorem in cfg.theorems for i in range(cfg.trials)]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            records = list(pool.map(lambda job: _run_trial(cfg, *job), jobs))
-    else:
-        records = [_run_trial(cfg, theorem, i) for theorem, i in jobs]
-    order = {t: k for k, t in enumerate(TheoremId)}
-    records.sort(key=lambda r: (order[r.theorem], r.index))
+    ordinals = {t: k for k, t in enumerate(TheoremId)}
+    records = []
+    for theorem in sorted(cfg.theorems, key=ordinals.get):
+        records.extend(_run_theorem(cfg, theorem, ordinals[theorem]))
     return SuiteReport(config=cfg, records=records, version=version, timestamp=timestamp)

@@ -81,10 +81,9 @@ class OperatorParams:
 
 def validate(params: OperatorParams) -> None:
     """Raise ParameterError naming the first violated condition."""
-    if not params.alpha > 0.0:
-        raise ParameterError("alpha must be positive")
-    if not params.rho > 0.0:
-        raise ParameterError("rho must be positive")
+    for name in ("alpha", "rho"):
+        if not 0.0 < getattr(params, name) < math.inf:
+            raise ParameterError("%s must be positive and finite" % name)
     for name in ("beta", "eta", "kappa"):
         if not math.isfinite(getattr(params, name)):
             raise ParameterError("%s must be finite" % name)
@@ -298,8 +297,8 @@ def evaluate_classical(
     power-weighted kind; WEYL and LIOUVILLE share the truncated
     infinite-interval form and report the tail bound in the error estimate.
     """
-    if not alpha > 0.0:
-        raise ParameterError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ParameterError("alpha must be positive and finite")
     if kind is ClassicalKind.GENERALIZED:
         raise DomainError("use evaluate() for the generalized operator")
     _require_finite_point(x)
@@ -338,8 +337,8 @@ def evaluate_classical(
     elif kind is ClassicalKind.KATUGAMPOLA:
         if not x > a >= 0.0:
             raise DomainError("requires 0 <= a < x")
-        if not rho > 0.0:
-            raise ParameterError("rho must be positive")
+        if not 0.0 < rho < math.inf:
+            raise ParameterError("rho must be positive and finite")
         if a == 0.0:
             d = x ** rho
             inv_rho = 1.0 / rho
@@ -360,8 +359,8 @@ def evaluate_classical(
     else:  # ERDELYI_KOBER
         if not x > a >= 0.0:
             raise DomainError("requires 0 <= a < x")
-        if not sigma > 0.0:
-            raise ParameterError("sigma must be positive")
+        if not 0.0 < sigma < math.inf:
+            raise ParameterError("sigma must be positive and finite")
         if not math.isfinite(eta):
             raise ParameterError("eta must be finite")
         if a == 0.0:

@@ -433,10 +433,9 @@ def closed_form_monomial(params: "OperatorParams", sigma: float, x: float) -> fl
     """
     if params.lower != 0.0:
         raise DomainError("closed form requires lower bound 0")
-    if not params.rho > 0.0:
-        raise DomainError("rho must be positive")
-    if not params.alpha > 0.0:
-        raise DomainError("alpha must be positive")
+    for name in ("alpha", "rho"):
+        if not 0.0 < getattr(params, name) < math.inf:
+            raise DomainError("%s must be positive and finite" % name)
     b1 = params.eta + sigma / params.rho + 1.0
     if b1 <= 0.0:
         raise DomainError(

@@ -196,7 +196,8 @@ def test_criterion_7_report_determinism():
             env=env, capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        payload = json.loads(open(path).read())
+        with open(path) as handle:
+            payload = json.load(handle)
         payload["metadata"].pop("timestamp")
         return json.dumps(payload, sort_keys=True)
 

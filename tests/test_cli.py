@@ -116,6 +116,22 @@ def test_reduce_nan_lower_exits_2(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["eval", "reduce"])
+@pytest.mark.parametrize("name", ["alpha", "rho"])
+def test_infinite_alpha_rho_exit_2(capsys, command, name):
+    # eval used to print value = nan and exit 0
+    flags = {"--alpha": "0.5", "--beta": "0.5", "--rho": "1", "--eta": "0",
+             "--kappa": "0", "--a": "0"}
+    if command == "eval":
+        flags.update({"--x": "1", "--fn": "const:1"})
+    flags["--" + name] = "inf"
+    code = run_cli([command, *(item for pair in flags.items() for item in pair)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: %s must be positive and finite" % name in captured.err
+    assert captured.out == ""
+
+
 def test_verify_single_theorem_passes(capsys, tmp_path):
     json_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
@@ -158,7 +174,11 @@ def test_verify_rejects_bad_inputs(capsys):
                     "--p", "1", "--m", "0.5", "--M", "2"]) == 2
     # non-finite inputs are invalid parameters, not non-convergence
     for flags, message in ((["--p", "inf"], "p must be finite"),
-                           (["--p", "2", "--x", "inf"], "x must be finite")):
+                           (["--p", "2", "--x", "inf"], "x must be finite"),
+                           (["--p", "2", "--M", "inf"], "M must be finite"),
+                           (["--p", "2", "--M", "1e308"], "pair is not finite"),
+                           (["--p", "2", "--slack-factor", "inf"],
+                            "require positive finite slack_factor")):
         assert run_cli(["verify", "--theorem", "8", "--trials", "2", "--seed", "1",
                         "--m", "1", "--M", "2", *flags]) == 2
         captured = capsys.readouterr()

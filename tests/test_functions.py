@@ -160,6 +160,17 @@ def test_box_pair_rejects_zero_lower_bound():
         generate_box_pair(1, 2.0, 1.0, 1.0, 2.0, DOMAIN)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: generate_ratio_pair(7, 0.5, 1e308, DOMAIN),  # f = r * g overflows
+    lambda: generate_ratio_pair(1, 0.5, np.inf, DOMAIN),
+    lambda: generate_box_pair(1, 1.0, np.inf, 1.0, 2.0, DOMAIN),
+])
+def test_pair_not_finite_on_grid_is_a_bounds_error(make):
+    # used to raise RuntimeError from the ratio check, or pass with NaN values
+    with pytest.raises(BoundsError, match="not finite on the check grid"):
+        make()
+
+
 def test_composition_closure():
     pair = generate_ratio_pair(11, 0.5, 2.0, DOMAIN)
     t = np.linspace(0.0, 1.0, 501)

@@ -210,6 +210,13 @@ def test_t12_rejects_c_at_or_above_m():
         check_t12(pair, RL_HALF, X, CheckConfig(p=2.0))  # c missing
 
 
+@pytest.mark.parametrize("factor", [math.inf, math.nan, 0.0])
+def test_check_config_rejects_bad_slack_factor(factor):
+    # an infinite slack used to pass every check, violated or not
+    with pytest.raises(DomainError, match="slack_factor"):
+        CheckConfig(slack_factor=factor)
+
+
 def test_t13_constant_boxes_equality():
     pair = generate_box_pair(3, 2.0, 2.0, 0.5, 0.5, DOMAIN)
     chk = check_t13(pair, RL_HALF, X, CheckConfig(p=2.0))
@@ -406,6 +413,14 @@ def test_suite_thread_determinism():
     j1 = json.dumps(r1.to_json_dict(), sort_keys=True)
     j2 = json.dumps(r2.to_json_dict(), sort_keys=True)
     assert j1 == j2
+
+
+def test_suite_records_in_theorem_then_index_order():
+    cfg = SuiteConfig(trials=5, seed=1, theorems=(TheoremId.T15, TheoremId.T8))
+    report = run_suite(cfg, timestamp="T")
+    assert [(r.theorem, r.index) for r in report.records] == (
+        [(TheoremId.T8, i) for i in range(5)] + [(TheoremId.T15, i) for i in range(5)]
+    )
 
 
 def test_suite_records_allow_exact_replay():

@@ -73,6 +73,15 @@ def test_validate_requires_finite_beta_eta_kappa(name, value):
         validate(OperatorParams(**fields))
 
 
+@pytest.mark.parametrize("name", ["alpha", "rho"])
+def test_validate_requires_finite_alpha_rho(name):
+    # an infinite alpha or rho used to pass and give value = nan
+    fields = dict(alpha=0.5, beta=0.5, rho=1.0, eta=0.0, kappa=0.0)
+    fields[name] = math.inf
+    with pytest.raises(ParameterError, match="%s must be positive and finite" % name):
+        validate(OperatorParams(**fields))
+
+
 def test_validate_nan_lower():
     # -inf stays allowed for the truncated form; NaN compares false everywhere
     with pytest.raises(ParameterError, match="lower bound must not be NaN"):
@@ -232,6 +241,26 @@ def test_classical_erdelyi_kober_rejects_non_finite_eta(a):
         evaluate_classical(
             ClassicalKind.ERDELYI_KOBER, 0.6, f, (a,), 1.3, sigma=1.5, eta=math.nan
         )
+
+
+@pytest.mark.parametrize("kind, name, extra", [
+    (ClassicalKind.RIEMANN_LIOUVILLE, "alpha", {}),
+    (ClassicalKind.KATUGAMPOLA, "rho", {"rho": math.inf}),
+    (ClassicalKind.ERDELYI_KOBER, "sigma", {"sigma": math.inf}),
+])
+def test_classical_rejects_infinite_parameters(kind, name, extra):
+    # these used to return 0.0 with a zero error estimate
+    alpha = math.inf if name == "alpha" else 0.5
+    with pytest.raises(ParameterError, match="%s must be positive and finite" % name):
+        evaluate_classical(kind, alpha, ONE, (0.0,), 1.0, **extra)
+
+
+@pytest.mark.parametrize("name", ["alpha", "rho"])
+def test_closed_form_rejects_infinite_alpha_rho(name):
+    fields = dict(alpha=0.5, beta=0.5, rho=1.0, eta=0.0, kappa=0.0)
+    fields[name] = math.inf
+    with pytest.raises(DomainError, match="%s must be positive and finite" % name):
+        closed_form_monomial(OperatorParams(**fields), 1.0, 1.0)
 
 
 def test_classical_generalized_kind_rejected():
