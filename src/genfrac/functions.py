@@ -9,6 +9,7 @@ grid check re-asserts it numerically as defense in depth.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -63,9 +64,11 @@ class Expr:
 
 
 def _horner(coeffs: tuple, t: np.ndarray) -> np.ndarray:
-    # c0 + c1 t + c2 t^2 + ...
-    acc = np.zeros_like(t)
-    for c in reversed(coeffs):
+    # c0 + c1 t + c2 t^2 + ..., from the top: (cn t + c(n-1)) t + c(n-2) ...
+    if len(coeffs) == 1:
+        return np.full_like(t, coeffs[0])
+    acc = t * coeffs[-1] + coeffs[-2]
+    for c in reversed(coeffs[:-2]):
         acc = acc * t + c
     return acc
 
@@ -198,6 +201,15 @@ def eval_fn(f: TestFunction, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
+def check_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n)``, built once per (lo, hi, n) and read-only,
+    because every caller gets the same array."""
+    t = np.linspace(lo, hi, n)
+    t.setflags(write=False)
+    return t
+
+
 class PairKind(Enum):
     RATIO_BOUNDED = "ratio"
     BOX_BOUNDED = "box"
@@ -213,13 +225,20 @@ class PositivePair:
     box: Optional[tuple] = None  # (a_lo, A_hi, b_lo, B_hi) for BOX_BOUNDED
     seed: int = field(default=0, compare=False)
 
+    def values(self, t: ArrayLike) -> tuple:
+        """``(f(t), g(t))``.  When f is ``Product((r, g.expr))``, as for a ratio
+        pair, g's tree is evaluated once and f(t) = r(t) * g(t), which is
+        bit for bit what ``Product`` computes, (1 * r) * g."""
+        fe = self.f.expr
+        if isinstance(fe, Product) and len(fe.factors) == 2 and fe.factors[1] is self.g.expr:
+            gv = self.g(t)
+            return fe.factors[0](t) * gv, gv
+        return self.f(t), self.g(t)
+
     def _grid_values(self, n: int) -> tuple:
         """f and g on an n-point grid of the domain; BoundsError unless finite."""
-        lo, hi = self.f.domain
-        t = np.linspace(lo, hi, n)
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-            fv = np.asarray(self.f(t))
-            gv = np.asarray(self.g(t))
+            fv, gv = self.values(check_grid(*self.f.domain, n))
         if not (np.isfinite(fv).all() and np.isfinite(gv).all()):
             raise BoundsError("pair is not finite on the check grid (bounds too large?)")
         return fv, gv
@@ -241,8 +260,7 @@ _BOX_STREAM = 0x67656E67
 def _bounded_exp_poly(rng: np.random.Generator, domain: tuple, complexity: int) -> ExpPoly:
     degree = int(rng.integers(0, min(3, max(1, complexity)) + 1))
     coeffs = rng.uniform(-1.0, 1.0, size=degree + 1)
-    grid = np.linspace(domain[0], domain[1], 256)
-    peak = float(np.max(np.abs(_horner(coeffs, grid))))
+    peak = float(np.max(np.abs(_horner(coeffs, check_grid(domain[0], domain[1], 256)))))
     if peak > 1.5:
         coeffs = coeffs * (1.5 / peak)
     return ExpPoly(tuple(float(c) for c in coeffs))

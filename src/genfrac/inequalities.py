@@ -24,6 +24,7 @@ from .errors import ConvergenceError, DomainError
 from .functions import (
     PairKind,
     PositivePair,
+    check_grid,
     generate_box_pair,
     generate_ratio_pair,
 )
@@ -91,10 +92,32 @@ def c2(m: float, M: float) -> float:
     return (M + 1.0) * (m + 1.0) / M - 2.0
 
 
+def _in_range(name: str, direct: Callable[[], float], log_form: Callable[[], float]) -> float:
+    """A constant from ``direct()``, or exp(``log_form()``) where the direct
+    form overflows: the log form is the fallback only, so a constant the
+    direct form reaches keeps its bits.  DomainError when the constant
+    itself is beyond the float range."""
+    try:
+        value = direct()
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    try:
+        return math.exp(log_form())
+    except OverflowError:
+        raise DomainError("%s is beyond the float range" % name) from None
+
+
 def c3(p: float, M: float) -> float:
     _require(p > 1.0, "require p > 1")
     _require(M > 0.0, "require M > 0")
-    return 2.0 ** (p - 1.0) * M ** p / (p * (M + 1.0) ** p)
+    # 2^(p-1) (M / (M + 1))^p / p
+    return _in_range(
+        "c3",
+        lambda: 2.0 ** (p - 1.0) * M ** p / (p * (M + 1.0) ** p),
+        lambda: (p - 1.0) * math.log(2.0) - p * math.log1p(1.0 / M) - math.log(p),
+    )
 
 
 def c4(q: float, m: float, statement_constants: bool = False) -> float:
@@ -110,7 +133,11 @@ def c4(q: float, m: float, statement_constants: bool = False) -> float:
     if statement_constants:
         p = q / (q - 1.0)
         expo = p - 1.0
-    return 2.0 ** expo / (q * (m + 1.0) ** q)
+    return _in_range(
+        "c4",
+        lambda: 2.0 ** expo / (q * (m + 1.0) ** q),
+        lambda: expo * math.log(2.0) - math.log(q) - q * math.log1p(m),
+    )
 
 
 def c5(a_lo: float, A_hi: float, b_lo: float, B_hi: float) -> float:
@@ -200,7 +227,7 @@ def _sign_crossings(diff, lo: float, hi: float, n: int = 512) -> tuple:
     computed from its two parents as 0.5 * (left + right), exactly as a
     scalar bisection computes it, so the roots are the ones it finds.
     """
-    t = np.linspace(lo, hi, n)
+    t = check_grid(lo, hi, n)
     d = np.asarray(diff(t), dtype=float)
     cells = np.flatnonzero((d[:-1] != 0.0) & (d[:-1] * d[1:] <= 0.0))
     ends = np.stack([t[cells], t[cells + 1]], axis=1)  # one bracket per row
@@ -306,7 +333,8 @@ def _inconclusive_check(theorem: TheoremId, constant: float) -> InequalityCheck:
 # Each check is data: the integrands as functions of the pair's values
 # (f(t), g(t)) at the quadrature nodes, one row each, and a rule combining
 # their operator values into the compared sides.  _run_check integrates all
-# rows of a check on one node set, calling f and g once per node set.
+# rows of a check on one node set, taking f and g from one
+# ``PositivePair.values`` call per node set.
 # ---------------------------------------------------------------------------
 
 
@@ -340,7 +368,7 @@ def _run_check(check: _Check, pair: PositivePair, params, x: float,
     """
 
     def on_pair(fn):
-        return lambda t: fn(pair.f(t), pair.g(t))
+        return lambda t: fn(*pair.values(t))
 
     breakpoints = ()
     if check.kinks is not None and not isinstance(params, HadamardOp):

@@ -18,11 +18,13 @@ from genfrac.functions import (
     SinPos,
     Sum,
     TestFunction,
+    check_grid,
     eval_fn,
     generate_box_pair,
     generate_ratio_pair,
     parse_function_spec,
 )
+from genfrac.functions import _horner
 
 DOMAIN = (0.0, 1.0)
 
@@ -73,6 +75,25 @@ def test_sinpos_stays_in_band():
     assert v.min() >= 0.25 and v.max() <= 1.75
 
 
+def test_horner_matches_zero_start_loop():
+    # reference: the loop from 0, which the leading step c_n t + c_(n-1) replaces
+    def reference(coeffs, t):
+        acc = np.zeros_like(t)
+        for c in reversed(coeffs):
+            acc = acc * t + c
+        return acc
+
+    rng = np.random.default_rng(5)
+    t = np.concatenate([rng.uniform(-3.0, 3.0, 200), [0.0, -0.0, 1e-300, -1e50]])
+    for degree in range(6):
+        coeffs = tuple(float(c) for c in rng.uniform(-2.0, 2.0, degree + 1))
+        for x in (t, np.asarray(0.37)):
+            got = _horner(coeffs, x)
+            assert np.shape(got) == x.shape
+            np.testing.assert_array_equal(got, reference(coeffs, x))
+        np.testing.assert_array_equal(_horner(np.array(coeffs), t), reference(coeffs, t))
+
+
 def test_ratio_pair_determinism():
     a = generate_ratio_pair(42, 0.5, 2.0, DOMAIN)
     b = generate_ratio_pair(42, 0.5, 2.0, DOMAIN)
@@ -92,6 +113,37 @@ def test_ratio_pair_equal_bounds_forces_identity():
     pair = generate_ratio_pair(7, 1.0, 1.0, DOMAIN)
     t = np.linspace(0.0, 1.0, 257)
     np.testing.assert_array_equal(np.asarray(pair.f(t)), np.asarray(pair.g(t)))
+
+
+def test_pair_values_match_f_and_g():
+    t = np.linspace(0.0, 1.0, 257)
+    pairs = [generate_ratio_pair(seed, m, M, DOMAIN)
+             for seed, (m, M) in enumerate(((0.5, 2.0), (1.0, 1.0), (0.9, 1.1)))]
+    pairs.append(generate_box_pair(3, 1.0, 2.0, 1.0, 3.0, DOMAIN))
+    for pair in pairs:
+        fv, gv = pair.values(t)
+        np.testing.assert_array_equal(fv, pair.f(t))
+        np.testing.assert_array_equal(gv, pair.g(t))
+        for point in (0.0, 0.3, 1.0):
+            fs, gs = pair.values(point)
+            assert type(fs) is float and type(gs) is float
+            assert (fs, gs) == (pair.f(point), pair.g(point))
+
+
+def test_check_grid_is_shared_read_only_and_bounded():
+    grid = check_grid(0.0, 1.0, 1000)
+    np.testing.assert_array_equal(grid, np.linspace(0.0, 1.0, 1000))
+    assert check_grid(0.0, 1.0, 1000) is grid
+    with pytest.raises(ValueError):
+        grid[0] = 1.0
+    with pytest.raises(ValueError):
+        grid += 1.0
+    assert grid[0] == 0.0
+    maxsize = check_grid.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(2, maxsize + 12):
+        check_grid(-1.0, 2.0, n)
+    assert check_grid.cache_info().currsize <= maxsize
 
 
 def test_ratio_pair_invalid_bounds():

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from genfrac.functions import (
     Const,
     PairKind,
     PositivePair,
+    Product,
     Sum,
     TestFunction,
     generate_box_pair,
@@ -95,6 +98,48 @@ def test_constant_domain_errors():
         c3(1.0, 1.0)  # needs p > 1
     with pytest.raises(DomainError):
         c5(0.0, 1.0, 1.0, 2.0)
+
+
+def test_c3_c4_default_constants_keep_the_direct_formulas():
+    # the overflow fallback must not move any constant the suite uses
+    for p in (1.5, 2.0, 3.0):
+        q = p / (p - 1.0)
+        for m, M in ((0.5, 2.0), (1.0, 1.0), (0.9, 1.1)):
+            assert c3(p, M) == 2.0 ** (p - 1.0) * M ** p / (p * (M + 1.0) ** p)
+            assert c4(q, m) == 2.0 ** (q - 1.0) / (q * (m + 1.0) ** q)
+            assert c4(q, m, statement_constants=True) == (
+                2.0 ** (p - 1.0) / (q * (m + 1.0) ** q))
+
+
+def test_c3_c4_past_the_direct_formulas_range():
+    # M ** p overflows; the constant tends to 2^(p-1)/p
+    assert c3(2.0, 1e200) == pytest.approx(1.0, rel=1e-15)
+    assert c3(3.0, 1e300) == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert c3(2.0, 1.3e154) == pytest.approx(1.0, rel=1e-15)  # was inf / inf = nan
+    assert c3(2000.0, 1.0) == pytest.approx(1.0 / 4000.0, rel=1e-12)  # 2^1999 overflows
+    # p = 1.0001: q = 10001, 2^(q-1) / (q 1.5^q) ~ e^2876 is not a float
+    q = CheckConfig(p=1.0001).q
+    with pytest.raises(DomainError, match="c4"):
+        c4(q, 0.5)
+    assert c4(q, 0.5, statement_constants=True) == 0.0  # ~1e-1765 rounds to zero
+
+
+@pytest.mark.parametrize("flags", [
+    ["--theorem", "11", "--p", "2", "--M", "1e200"],
+    ["--theorem", "11", "--p", "1.0001", "--M", "2"],
+    ["--theorem", "all", "--p", "2", "--M", "1e300"],
+])
+def test_verify_with_extreme_constants_exits_without_traceback(flags):
+    # in a subprocess: the overflowing integrands warn, and pytest turns warnings into errors
+    proc = subprocess.run(
+        [sys.executable, "-m", "genfrac.cli", "verify", "--trials", "3", "--seed", "1",
+         "--m", "0.5", *flags],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode in (2, 3), (proc.returncode, proc.stderr)
+    assert "Traceback" not in proc.stderr
+    if "1.0001" in flags:
+        assert proc.returncode == 2 and "error: c4" in proc.stderr
 
 
 @settings(max_examples=300, deadline=None)
@@ -312,6 +357,40 @@ def test_random_box_trials_hold():
         pair = generate_box_pair(200 + seed, 1.0, 2.0, 1.0, 3.0, DOMAIN)
         chk = check_t13(pair, ALL_PARAMS[seed % len(ALL_PARAMS)], X, CheckConfig(p=3.0))
         assert chk.satisfied and not chk.inconclusive
+
+
+def _unshared(pair):
+    """``pair`` with f's tree rebuilt on an equal copy of g's, so that
+    ``values`` takes its fallback, ``(f(t), g(t))``."""
+    r, g_expr = pair.f.expr.factors
+    f = TestFunction(Product((r, dataclasses.replace(g_expr))), pair.f.domain)
+    return dataclasses.replace(pair, f=f)
+
+
+def test_checks_identical_with_and_without_shared_g_tree():
+    cases = []
+    for seed in range(4):
+        for m, M in ((0.5, 2.0), (1.0, 1.0), (0.9, 1.1)):
+            pair = generate_ratio_pair(300 + seed, m, M, DOMAIN)
+            assert pair.f.expr.factors[1] is pair.g.expr
+            twin = _unshared(pair)
+            assert twin.f == pair.f and twin.f.expr.factors[1] is not twin.g.expr
+            for check, c in ((check_t8, None), (check_t9, None), (check_t10, None),
+                             (check_t11, None), (check_t12, 0.5 * m), (check_t14, None),
+                             (check_t15, None), (check_forward_minkowski, None)):
+                cases.append((check, pair, twin, c))
+    for seed in range(4):
+        box = generate_box_pair(400 + seed, 1.0, 2.0, 1.0, 3.0, DOMAIN)
+        cases.append((check_t13, box, box, None))
+        cases.append((check_t15, box, box, None))
+    for k, (check, pair, twin, c) in enumerate(cases):
+        params, x = ALL_PARAMS[k % 4], X
+        if k % 5 == 4 and check is not check_t15:  # T15's kinks need the generalized path
+            params, x = HadamardOp(alpha=0.5), 2.0  # integrates over [1, 2]
+        cfg = CheckConfig(p=(2.0, 3.0)[k % 2], c=c)
+        shared, fallback = check(pair, params, x, cfg), check(twin, params, x, cfg)
+        assert not shared.inconclusive
+        assert repr(shared) == repr(fallback), (check.__name__, k)
 
 
 def test_t13_degenerate_box_matches_t8_on_constants():
