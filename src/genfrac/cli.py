@@ -108,29 +108,13 @@ def _params_from_args(args, side=Side.LEFT, upper=None) -> OperatorParams:
     )
 
 
-def _require_finite(**values) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError("%s must be finite, got %r" % (name, value))
-
-
 def cmd_eval(args) -> int:
     side = Side.RIGHT if args.side == "right" else Side.LEFT
-    try:
-        params = _params_from_args(args, side=side, upper=args.upper)
-        domain = (args.x, args.upper) if side is Side.RIGHT else (args.a, args.x)
-        f = parse_function_spec(args.fn, domain)
-        cfg = QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-        result = evaluate(params, f, args.x, cfg)
-    except (ParameterError, DomainError, FunctionSpecError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except ConvergenceError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        if exc.result is not None:
-            print("best estimate: %.17g (error estimate %.3g)"
-                  % (exc.result.value, exc.result.error_estimate), file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    params = _params_from_args(args, side=side, upper=args.upper)
+    domain = (args.x, args.upper) if side is Side.RIGHT else (args.a, args.x)
+    f = parse_function_spec(args.fn, domain)
+    cfg = QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+    result = evaluate(params, f, args.x, cfg)
     print("value = %.17g" % result.value)
     print("error_estimate = %.3g" % result.error_estimate)
     print("evaluations = %d" % result.evaluations)
@@ -138,27 +122,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    try:
-        params = _params_from_args(args)
-        kind = reduce_to_classical(params, tol=args.tol, rho_limit_tol=args.rho_limit_tol)
-    except (ParameterError, DomainError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    params = _params_from_args(args)
+    kind = reduce_to_classical(params, tol=args.tol, rho_limit_tol=args.rho_limit_tol)
     print(kind.value)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    try:
-        _require_finite(x=args.x)
-        cfg = QuadratureConfig(rel_tol=args.rel_tol)
-        worst, results = sweep(x=args.x, cfg=cfg)
-    except (ParameterError, DomainError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except ConvergenceError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    if not math.isfinite(args.x):
+        raise DomainError("x must be finite, got %r" % (args.x,))
+    cfg = QuadratureConfig(rel_tol=args.rel_tol)
+    worst, results = sweep(x=args.x, cfg=cfg)
     print("points = %d" % len(results))
     print("max_rel_error = %.3e" % worst)
     if args.json:
@@ -180,45 +154,26 @@ def cmd_oracle(args) -> int:
 def _theorem_selection(text: str):
     if text.strip().lower() == "all":
         return DEFAULT_THEOREMS
-    try:
-        number = int(text)
-    except ValueError:
-        raise DomainError("theorem must be 8..15 or 'all', got %r" % (text,)) from None
-    if not 8 <= number <= 15:
+    theorem = TheoremId.__members__.get("T" + text.strip())
+    if theorem is None:
         raise DomainError("theorem must be 8..15 or 'all', got %r" % (text,))
-    return (TheoremId("T%d" % number),)
+    return (theorem,)
 
 
 def cmd_verify(args) -> int:
-    try:
-        theorems = _theorem_selection(args.theorem)
-        _require_finite(x=args.x, p=args.p, m=args.m, M=args.M)
-        if args.trials < 1:
-            raise DomainError("trials must be >= 1")
-        if not 0.0 < args.m <= args.M:
-            raise DomainError("require 0 < m <= M")
-        c_fraction = 0.5
-        if args.c is not None:
-            if not 0.0 < args.c < args.m:
-                raise DomainError("require 0 < c < m")
-            c_fraction = args.c / args.m
-        cfg = SuiteConfig(
-            theorems=theorems,
-            trials=args.trials,
-            seed=args.seed,
-            p_values=(args.p,),
-            ratio_bounds=((args.m, args.M),),
-            c_fraction=c_fraction,
-            x=args.x,
-            slack_factor=args.slack_factor,
-            statement_constants=args.paper_statement_constants,
-        )
-        timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        report = run_suite(cfg, version=__version__, timestamp=timestamp)
-    except (ParameterError, DomainError, BoundsError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-
+    cfg = SuiteConfig(
+        theorems=_theorem_selection(args.theorem),
+        trials=args.trials,
+        seed=args.seed,
+        p_values=(args.p,),
+        ratio_bounds=((args.m, args.M),),
+        c=args.c,
+        x=args.x,
+        slack_factor=args.slack_factor,
+        statement_constants=args.paper_statement_constants,
+    )
+    timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    report = run_suite(cfg, version=__version__, timestamp=timestamp)
     for theorem, stats in report.summary().items():
         margin = stats["min_margin"]
         print(
@@ -257,7 +212,17 @@ def main(argv=None) -> int:
         "oracle": cmd_oracle,
         "verify": cmd_verify,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ParameterError, DomainError, FunctionSpecError, BoundsError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except ConvergenceError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        if exc.result is not None:
+            print("best estimate: %.17g (error estimate %.3g)"
+                  % (exc.result.value, exc.result.error_estimate), file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -6,15 +6,8 @@ class DomainError(ValueError):
 
 
 class ParameterError(ValueError):
-    """An operator parameter set violates a validity condition.
-
-    ``condition`` names the violated condition so callers (and the CLI)
-    can report exactly what failed.
-    """
-
-    def __init__(self, condition: str):
-        super().__init__(condition)
-        self.condition = condition
+    """An operator parameter set violates a validity condition; the message
+    names the violated condition."""
 
 
 class BoundsError(ValueError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
@@ -223,7 +223,6 @@ class PositivePair:
     M: float
     kind: PairKind
     box: Optional[tuple] = None  # (a_lo, A_hi, b_lo, B_hi) for BOX_BOUNDED
-    seed: int = field(default=0, compare=False)
 
     def values(self, t: ArrayLike) -> tuple:
         """``(f(t), g(t))``.  When f is ``Product((r, g.expr))``, as for a ratio
@@ -299,7 +298,7 @@ def generate_ratio_pair(
     f_expr = Product((ratio, g_expr))
     f = TestFunction(f_expr, (lo, hi))
     g = TestFunction(g_expr, (lo, hi))
-    pair = PositivePair(f, g, m, M, PairKind.RATIO_BOUNDED, seed=int(seed))
+    pair = PositivePair(f, g, m, M, PairKind.RATIO_BOUNDED)
     rmin, rmax = pair.ratio_range_on_grid(1000)
     if rmin < m - 1e-12 or rmax > M + 1e-12:
         raise RuntimeError(
@@ -339,7 +338,6 @@ def generate_box_pair(
         M=A_hi / b_lo,
         kind=PairKind.BOX_BOUNDED,
         box=(a_lo, A_hi, b_lo, B_hi),
-        seed=int(seed),
     )
     fmin, fmax, gmin, gmax = pair.box_range_on_grid(1000)
     eps = 1e-12

@@ -82,6 +82,11 @@ def _require(cond: bool, msg: str) -> None:
         raise DomainError(msg)
 
 
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        _require(math.isfinite(value), "%s must be finite, got %r" % (name, value))
+
+
 def c1(m: float, M: float) -> float:
     _require(0.0 < m <= M, "require 0 < m <= M")
     return (M * (m + 1.0) + (M + 1.0)) / ((m + 1.0) * (M + 1.0))
@@ -631,12 +636,20 @@ def default_operator_grid() -> tuple:
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """Each selected theorem over ``trials`` seeded pairs, cycling through
+    the operator grid, the ratio bounds (m, M) and the p values (only p > 1
+    for T10 and T11).  ``c`` is T12's 0 < c < m; None means m / 2 per bound.
+
+    Construction raises DomainError for a bad configuration, so before any
+    trial runs; m > M is the pair generators' BoundsError.
+    """
+
     theorems: tuple = DEFAULT_THEOREMS
     trials: int = 100
     seed: int = 0
     p_values: tuple = (1.0, 2.0, 3.0)
     ratio_bounds: tuple = ((0.5, 2.0), (1.0, 1.0), (0.9, 1.1))
-    c_fraction: float = 0.5
+    c: Optional[float] = None
     x: float = 1.0
     slack_factor: float = 2.0
     statement_constants: bool = False
@@ -644,6 +657,20 @@ class SuiteConfig:
     complexity: int = 2
     threads: int = 1  # no effect, the suite is serial; kept because perfbench/workloads.py passes it
     operator_grid: tuple = field(default_factory=default_operator_grid)
+
+    def __post_init__(self):
+        _require(self.trials >= 1, "trials must be >= 1")
+        _require(len(self.theorems) > 0, "select at least one theorem")
+        _require_finite(x=self.x)
+        for p in self.p_values:
+            _require_finite(p=p)
+            CheckConfig(p=p, slack_factor=self.slack_factor)  # p >= 1, slack_factor
+        for theorem in self.theorems:
+            _require(theorem not in _NEEDS_P_GT_1 or any(p > 1.0 for p in self.p_values),
+                     "%s requires at least one p > 1 in p_values" % theorem.value)
+        for m, M in self.ratio_bounds:
+            _require_finite(m=m, M=M)
+            _require(self.c is None or 0.0 < self.c < m, "require 0 < c < m")
 
 
 @dataclass(frozen=True)
@@ -772,8 +799,6 @@ def _trial_seed(master_seed: int, theorem_ordinal: int, index: int) -> int:
 def _run_theorem(cfg: SuiteConfig, theorem: TheoremId, ordinal: int) -> list:
     """The records of ``theorem``'s trials, in index order."""
     p_options = [p for p in cfg.p_values if p > 1.0] if theorem in _NEEDS_P_GT_1 else list(cfg.p_values)
-    if not p_options:
-        raise DomainError("%s requires at least one p > 1 in p_values" % theorem.value)
     combos = [
         (op, bounds, p)
         for op in cfg.operator_grid
@@ -789,7 +814,9 @@ def _run_theorem(cfg: SuiteConfig, theorem: TheoremId, ordinal: int) -> list:
             pair = generate_box_pair(seed, m, M, m, M, domain, cfg.complexity)
         else:
             pair = generate_ratio_pair(seed, m, M, domain, cfg.complexity)
-        c = cfg.c_fraction * m if theorem is TheoremId.T12 else None
+        c = None
+        if theorem is TheoremId.T12:
+            c = 0.5 * m if cfg.c is None else cfg.c
         check_cfg = CheckConfig(
             p=p,
             c=c,

@@ -185,13 +185,20 @@ def evaluate(
         - log_gamma(params.alpha)
     )
     return scaled_integral(
-        math.exp(log_pref), integrate_kernel, f, params, x, cfg, breakpoints
+        _prefactor(log_pref), integrate_kernel, f, params, x, cfg, breakpoints
     )
 
 
 def _require_finite_point(x: float) -> None:
     if not math.isfinite(x):
         raise DomainError("evaluation point must be finite, got %r" % (x,))
+
+
+def _prefactor(log_pref: float) -> float:
+    try:
+        return math.exp(log_pref)
+    except OverflowError:
+        raise DomainError("operator prefactor is beyond the float range") from None
 
 
 def _evaluate_right(params, f, x, cfg) -> IntegralResult:
@@ -205,7 +212,7 @@ def _evaluate_right(params, f, x, cfg) -> IntegralResult:
         - log_gamma(params.alpha)
     )
     return scaled_integral(
-        math.exp(log_pref), _kernel_segment, f, x, b, x, params.rho,
+        _prefactor(log_pref), _kernel_segment, f, x, b, x, params.rho,
         params.kappa / params.rho, params.alpha, cfg,
     )
 

@@ -2,7 +2,6 @@
 
 import csv
 import json
-import os
 import subprocess
 import sys
 
@@ -68,6 +67,22 @@ def test_eval_invalid_alpha_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "alpha must be positive" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--beta", "-900", "--rho", "3", "--kappa", "0", "--x", "2"],
+    ["--beta", "0.5", "--rho", "1", "--kappa", "2000", "--x", "2"],
+    ["--beta", "-900", "--rho", "3", "--kappa", "0", "--x", "1",
+     "--side", "right", "--upper", "2"],
+])
+def test_eval_prefactor_overflow_exits_2(capsys, flags):
+    code = run_cli(["eval", "--alpha", "0.5", "--eta", "0", "--a", "0",
+                    "--fn", "const:1", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: operator prefactor is beyond the float range" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_eval_bad_fn_spec_exits_2(capsys):
@@ -193,6 +208,40 @@ def test_verify_rejects_bad_inputs(capsys):
         assert "trials must be >= 1" in captured.err
 
 
+def test_verify_records_c_as_given(capsys, tmp_path):
+    # c/m*m is 0.4610000000000001 here: the report must not round-trip c
+    csv_path = tmp_path / "report.csv"
+    code = run_cli(["verify", "--theorem", "12", "--trials", "2", "--seed", "1",
+                    "--p", "2", "--m", "1.091", "--M", "2", "--c", "0.461",
+                    "--csv", str(csv_path)])
+    assert code == 0, capsys.readouterr().err
+    with open(csv_path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["c"] for row in rows] == ["0.461", "0.461"]
+
+
+def test_verify_rejects_config_before_any_trial(capsys, monkeypatch):
+    import genfrac.inequalities as inequalities
+
+    calls = []
+
+    def spy(real):
+        def generate(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return generate
+
+    for name in ("generate_ratio_pair", "generate_box_pair"):
+        monkeypatch.setattr(inequalities, name, spy(getattr(inequalities, name)))
+    code = run_cli(["verify", "--theorem", "all", "--trials", "2", "--seed", "1",
+                    "--p", "1", "--m", "0.5", "--M", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: T10 requires at least one p > 1" in captured.err
+    assert calls == []
+    assert captured.out == ""
+
+
 def _strip_timestamp(payload: dict) -> dict:
     payload = dict(payload)
     payload["metadata"] = {
@@ -201,16 +250,15 @@ def _strip_timestamp(payload: dict) -> dict:
     return payload
 
 
-def test_verify_json_deterministic_across_parallelism(tmp_path):
+def test_verify_json_deterministic_run_to_run(tmp_path):
     out = []
-    for threads in ("1", "3"):
-        path = tmp_path / ("rep_%s.json" % threads)
-        env = dict(os.environ, GENFRAC_THREADS=threads)
+    for run in ("1", "2"):
+        path = tmp_path / ("rep_%s.json" % run)
         proc = subprocess.run(
             [sys.executable, "-m", "genfrac.cli", "verify", "--theorem", "9",
              "--trials", "8", "--seed", "123", "--p", "2", "--m", "0.5",
              "--M", "2", "--json", str(path)],
-            env=env, capture_output=True, text=True,
+            capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         out.append(json.dumps(_strip_timestamp(json.loads(path.read_text())),

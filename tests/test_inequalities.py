@@ -485,10 +485,21 @@ def test_suite_counts_and_zero_violations():
     assert not report.inconclusive_over_threshold()
 
 
-def test_suite_thread_determinism():
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(trials=0), "trials must be >= 1"),
+    (dict(theorems=()), "select at least one theorem"),
+    (dict(p_values=(1.0,)), "T10 requires at least one p > 1"),
+    (dict(c=0.6), "require 0 < c < m"),  # c < m for two of the three default bounds
+])
+def test_suite_config_rejects_at_construction(kwargs, message):
+    with pytest.raises(DomainError, match=message):
+        SuiteConfig(**kwargs)
+
+
+def test_suite_run_to_run_determinism():
     base = dict(trials=10, seed=3)
-    r1 = run_suite(SuiteConfig(threads=1, **base), timestamp="T")
-    r2 = run_suite(SuiteConfig(threads=4, **base), timestamp="T")
+    r1 = run_suite(SuiteConfig(**base), timestamp="T")
+    r2 = run_suite(SuiteConfig(**base), timestamp="T")
     j1 = json.dumps(r1.to_json_dict(), sort_keys=True)
     j2 = json.dumps(r2.to_json_dict(), sort_keys=True)
     assert j1 == j2
