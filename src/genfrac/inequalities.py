@@ -661,6 +661,9 @@ class SuiteConfig:
     def __post_init__(self):
         _require(self.trials >= 1, "trials must be >= 1")
         _require(len(self.theorems) > 0, "select at least one theorem")
+        _require(len(self.p_values) > 0, "p_values must not be empty")
+        _require(len(self.ratio_bounds) > 0, "ratio_bounds must not be empty")
+        _require(len(self.operator_grid) > 0, "operator_grid must not be empty")
         _require_finite(x=self.x)
         for p in self.p_values:
             _require_finite(p=p)

@@ -171,22 +171,29 @@ def evaluate(
     validate(params)
     _require_finite_point(x)
     if params.side is Side.RIGHT:
-        return _evaluate_right(params, f, x, cfg)
-    if math.isinf(params.lower):
-        return scaled_integral(
+        res = _evaluate_right(params, f, x, cfg)
+    elif math.isinf(params.lower):
+        res = scaled_integral(
             math.exp(-log_gamma(params.alpha)),
             _truncated_power_kernel, params.alpha, f, x, cfg,
         )
-    if not x > params.lower:
-        raise DomainError("evaluation point must exceed the lower bound")
-    log_pref = (
-        (1.0 - params.beta) * math.log(params.rho)
-        + params.kappa * math.log(x)
-        - log_gamma(params.alpha)
-    )
-    return scaled_integral(
-        _prefactor(log_pref), integrate_kernel, f, params, x, cfg, breakpoints
-    )
+    else:
+        if not x > params.lower:
+            raise DomainError("evaluation point must exceed the lower bound")
+        log_pref = (
+            (1.0 - params.beta) * math.log(params.rho)
+            + params.kappa * math.log(x)
+            - log_gamma(params.alpha)
+        )
+        res = scaled_integral(
+            _prefactor(log_pref), integrate_kernel, f, params, x, cfg, breakpoints
+        )
+    # one integrand: its integral converged, so a value past the float range
+    # means prefactor times integral overflowed; rows are left to the
+    # caller, which judges each one
+    if isinstance(res.value, float) and not math.isfinite(res.value):
+        raise DomainError("operator value is beyond the float range")
+    return res
 
 
 def _require_finite_point(x: float) -> None:

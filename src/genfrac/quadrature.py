@@ -14,6 +14,7 @@ as well; it is the independent oracle the quadrature is tested against.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -97,7 +98,9 @@ def scaled_integral(factor: float, integral: Callable, *args) -> IntegralResult:
 #
 # u(t) = 1/(1 + exp(-pi*sinh(t))) maps R onto (0,1); endpoints are approached
 # double-exponentially but never hit.  We cache log(u), log(1-u) and log of
-# the Jacobian, so each integral pays one vectorized exp per integrand call.
+# the Jacobian per t_max, and the weights built from them per pair of weight
+# exponents, so an integral with a weight seen before pays no exp up to
+# level _CACHED_LEVEL.
 # Levels 0.._BLOCK_LEVEL are cached as one block per t_max, sampled in one
 # call; each deeper level is cached, and sampled, on its own.
 # ---------------------------------------------------------------------------
@@ -109,7 +112,16 @@ _MAX_LEVEL = 12
 # rounds: 760 at 3, 320 at 4; first 2 eval-mix rounds: 451 at 3, 177 at 4,
 # 32 at 5.  So sampling levels 0-3 together costs them no extra nodes, while
 # a deeper block would sample nodes that most of them never sum.
+#
+# None of those integrals goes past level 5, so the weights of the block,
+# and of levels 4 and 5 once an integral reaches them, are cached per
+# exponent pair, in at most _WEIGHT_CACHE_SIZE entries; deeper levels
+# compute theirs per call.  At the largest t_max, 8.5, an entry holds
+# 137 + 136 + 272 = 545 weights, 4360 bytes, so the cache holds at most
+# about 1.1 MB of weights; the nodes are shared per t_max.
 _BLOCK_LEVEL = 3
+_CACHED_LEVEL = 5
+_WEIGHT_CACHE_SIZE = 256
 _ROUNDOFF = 16.0 * sys.float_info.epsilon
 _T_MAX_CAP = 8.5
 _node_cache: dict[tuple[float, int], tuple] = {}
@@ -122,6 +134,13 @@ def _log1p_exp(y: np.ndarray) -> np.ndarray:
     out[pos] = y[pos] + np.log1p(np.exp(-y[pos]))
     out[~pos] = np.log1p(np.exp(y[~pos]))
     return out
+
+
+def _read_only(arrays: tuple) -> tuple:
+    # cached arrays reach every caller, so none of them may write to one
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 def _compute_level_nodes(t_max: float, level: int):
@@ -146,7 +165,7 @@ def _level_nodes(t_max: float, level: int):
     key = (t_max, level)
     cached = _node_cache.get(key)
     if cached is None:
-        cached = _node_cache[key] = _compute_level_nodes(t_max, level)
+        cached = _node_cache[key] = _read_only(_compute_level_nodes(t_max, level))
     return cached
 
 
@@ -160,10 +179,51 @@ def _block_nodes(t_max: float):
     cached = _node_cache.get(key)
     if cached is None:
         levels = [_compute_level_nodes(t_max, k) for k in range(_BLOCK_LEVEL + 1)]
-        offsets = np.cumsum([0] + [nodes[0].size for nodes in levels]).tolist()
-        cached = tuple(np.concatenate(parts) for parts in zip(*levels)) + (offsets,)
-        _node_cache[key] = cached
+        offsets = tuple(np.cumsum([0] + [nodes[0].size for nodes in levels]).tolist())
+        cached = _read_only(tuple(np.concatenate(parts) for parts in zip(*levels)))
+        cached = _node_cache[key] = cached + (offsets,)
     return cached
+
+
+def _weights(log_u, log_1mu, log_jac, a1: float, b1: float) -> np.ndarray:
+    w = np.exp(log_jac + b1 * log_u + a1 * log_1mu)
+    w.setflags(write=False)
+    return w
+
+
+@functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
+def _cached_levels(one_minus_u_pow: float, u_pow: float):
+    """(t_max, offsets, levels) of the weight (1-u)^a u^b.
+
+    levels[0] is the block's (nodes, weights), with level k at
+    offsets[k]:offsets[k + 1]; levels[k] is the (nodes, weights) of level
+    _BLOCK_LEVEL + k, filled in by _deep_level when first used.  Every
+    array is read-only.
+    """
+    t_max = _pick_t_max(one_minus_u_pow, u_pow)
+    u, log_u, log_1mu, log_jac, offsets = _block_nodes(t_max)
+    w = _weights(log_u, log_1mu, log_jac, one_minus_u_pow + 1.0, u_pow + 1.0)
+    levels = [None] * (_CACHED_LEVEL - _BLOCK_LEVEL + 1)
+    levels[0] = (u, w)
+    return t_max, offsets, levels
+
+
+def _deep_level(levels, t_max: float, level: int, a1: float, b1: float):
+    """(nodes, weights) of one level deeper than _BLOCK_LEVEL.
+
+    Levels up to _CACHED_LEVEL are kept in ``levels``, the exponent pair's
+    entry of _cached_levels.  Storing by index is safe without a lock: two
+    threads can only store equal arrays.
+    """
+    k = level - _BLOCK_LEVEL
+    cached = levels[k] if k < len(levels) else None
+    if cached is not None:
+        return cached
+    u, log_u, log_1mu, log_jac = _level_nodes(t_max, level)
+    w = _weights(log_u, log_1mu, log_jac, a1, b1)
+    if k < len(levels):
+        levels[k] = (u, w)
+    return u, w
 
 
 def _pick_t_max(one_minus_u_pow: float, u_pow: float) -> float:
@@ -212,9 +272,10 @@ def weighted_unit_integral(
     ``evaluations`` counts only the nodes of the levels summed.
 
     The tanh-sinh nodes and weights depend only on the weight, not on the
-    integrand, so k rows share them: each call computes the weights once
-    and takes one matrix-vector product per level.  Refinement then stops
-    only when every row meets the tolerance, and ``value`` and
+    integrand, so k rows share them, and the weights of levels
+    0.._CACHED_LEVEL are cached per pair of weight exponents (bounded, see
+    _BLOCK_LEVEL).  Each level takes one matrix-vector product.  Refinement
+    then stops only when every row meets the tolerance, and ``value`` and
     ``error_estimate`` come back with one entry per row.
     """
     if not (one_minus_u_pow > -1.0 and u_pow > -1.0):
@@ -222,14 +283,13 @@ def weighted_unit_integral(
             "weight exponents must exceed -1 for an integrable kernel, got "
             "(1-u)^%r u^%r" % (one_minus_u_pow, u_pow)
         )
-    t_max = _pick_t_max(one_minus_u_pow, u_pow)
+    t_max, offsets, levels = _cached_levels(one_minus_u_pow, u_pow)
     a1 = one_minus_u_pow + 1.0
     b1 = u_pow + 1.0
-    u, log_u, log_1mu, log_jac, offsets = _block_nodes(t_max)
-    w = np.exp(log_jac + b1 * log_u + a1 * log_1mu)
+    u, w = levels[0]
     vals = np.asarray(g(u))
     if vals.ndim > 1:
-        return _rows_integral(g, vals, w, offsets, t_max, a1, b1, cfg)
+        return _rows_integral(g, vals, offsets, levels, t_max, a1, b1, cfg)
 
     # one integrand: plain float arithmetic, which costs less per level
     # than the same steps on numpy scalars
@@ -240,14 +300,13 @@ def weighted_unit_integral(
     estimate = math.inf
     for level in range(_MAX_LEVEL + 1):
         if level > _BLOCK_LEVEL:
-            u, log_u, log_1mu, log_jac = _level_nodes(t_max, level)
+            u, w = _deep_level(levels, t_max, level, a1, b1)
             lo, hi = 0, u.size
         else:
             lo, hi = offsets[level], offsets[level + 1]
         if level > 2 and evals + hi - lo > cfg.max_subdivisions:
             raise _out_of_budget(cfg, IntegralResult(value, estimate, evals))
         if level > _BLOCK_LEVEL:
-            w = np.exp(log_jac + b1 * log_u + a1 * log_1mu)
             vals = np.asarray(g(u))
         total += float(vals[lo:hi].dot(w[lo:hi]))
         evals += hi - lo
@@ -262,38 +321,54 @@ def weighted_unit_integral(
     raise _out_of_levels(IntegralResult(value, estimate, evals))
 
 
-def _rows_integral(g, vals, w, offsets, t_max, a1, b1, cfg) -> IntegralResult:
+def _rows_integral(g, vals, offsets, levels, t_max, a1, b1, cfg) -> IntegralResult:
     """weighted_unit_integral for a g returning k rows.
 
-    ``vals`` and ``w`` hold the block of levels 0.._BLOCK_LEVEL.  The steps
-    are those of the one-integrand loop, in array arithmetic over the rows.
+    ``vals`` holds the block of levels 0.._BLOCK_LEVEL; leading dimensions
+    beyond one are flattened into rows and restored in the result.  Each
+    level takes one matrix-vector product; the steps after it are those of
+    the one-integrand loop, on a list of Python floats, one per row, which
+    performs the same IEEE operations as numpy would on these few values.
+    Only ``max`` differs from ``np.maximum``, on a NaN argument; a NaN value
+    makes its estimate NaN, so the tolerance test fails either way.
     """
+    shape = vals.shape[:-1]
+    vals = vals.reshape(-1, vals.shape[-1])
+    w = levels[0][1]
     evals = 0
-    total = 0.0
+    total = [0.0] * len(vals)
     value = None
     estimate = None
     for level in range(_MAX_LEVEL + 1):
         if level > _BLOCK_LEVEL:
-            u, log_u, log_1mu, log_jac = _level_nodes(t_max, level)
+            u, w = _deep_level(levels, t_max, level, a1, b1)
             lo, hi = 0, u.size
         else:
             lo, hi = offsets[level], offsets[level + 1]
         if level > 2 and evals + hi - lo > cfg.max_subdivisions:
-            raise _out_of_budget(cfg, IntegralResult(value, estimate, evals))
+            raise _out_of_budget(cfg, _rows_result(shape, value, estimate, evals))
         if level > _BLOCK_LEVEL:
-            w = np.exp(log_jac + b1 * log_u + a1 * log_1mu)
-            vals = np.asarray(g(u))
-        total = total + vals[..., lo:hi].dot(w[lo:hi])
+            vals = np.asarray(g(u)).reshape(-1, hi)
+        sums = vals[:, lo:hi].dot(w[lo:hi]).tolist()
+        total = [t + s for t, s in zip(total, sums)]
         evals += hi - lo
-        prev, value = value, 2.0 ** (-level) * total
+        scale = 2.0 ** (-level)
+        prev, value = value, [scale * t for t in total]
         if level:
-            estimate = np.abs(value - prev)
-            if level >= 2 and np.all(
-                estimate <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
+            estimate = [abs(v - p) for v, p in zip(value, prev)]
+            if level >= 2 and all(
+                e <= max(cfg.abs_tol, cfg.rel_tol * abs(v))
+                for e, v in zip(estimate, value)
             ):
-                estimate = np.maximum(estimate, _ROUNDOFF * np.abs(value))
-                return IntegralResult(value, estimate, evals)
-    raise _out_of_levels(IntegralResult(value, estimate, evals))
+                estimate = [max(e, _ROUNDOFF * abs(v)) for e, v in zip(estimate, value)]
+                return _rows_result(shape, value, estimate, evals)
+    raise _out_of_levels(_rows_result(shape, value, estimate, evals))
+
+
+def _rows_result(shape, value, estimate, evals) -> IntegralResult:
+    return IntegralResult(
+        np.array(value).reshape(shape), np.array(estimate).reshape(shape), evals
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +472,8 @@ def integrate_kernel(
     if a == 0.0 and params.rho * (params.eta + 1.0) <= 0.0:
         raise DomainError("rho*(eta+1) must be positive when a=0")
     cuts = sorted({float(b) for b in breakpoints if a < b < x})
+    if not cuts:
+        return _kernel_segment(f, a, x, x, params.rho, params.eta, params.alpha, cfg)
     edges = [a] + cuts + [x]
     value = 0.0
     err = 0.0

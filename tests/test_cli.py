@@ -85,6 +85,17 @@ def test_eval_prefactor_overflow_exits_2(capsys, flags):
     assert captured.out == ""
 
 
+def test_eval_value_overflow_exits_2(capsys):
+    # the prefactor 2^700 is a float, but prefactor times integral is not
+    code = run_cli(["eval", "--alpha", "0.5", "--beta", "0.5", "--rho", "1", "--eta", "0",
+                    "--kappa", "700", "--a", "0", "--x", "2", "--fn", "mono:sigma=400"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: operator value is beyond the float range" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_eval_bad_fn_spec_exits_2(capsys):
     code = run_cli(["eval", *RL_FLAGS, "--a", "0", "--x", "2", "--fn", "wat:1"])
     assert code == 2

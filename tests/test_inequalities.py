@@ -490,6 +490,9 @@ def test_suite_counts_and_zero_violations():
     (dict(theorems=()), "select at least one theorem"),
     (dict(p_values=(1.0,)), "T10 requires at least one p > 1"),
     (dict(c=0.6), "require 0 < c < m"),  # c < m for two of the three default bounds
+    (dict(p_values=(), theorems=(TheoremId.T8,)), "p_values must not be empty"),
+    (dict(ratio_bounds=()), "ratio_bounds must not be empty"),
+    (dict(operator_grid=()), "operator_grid must not be empty"),
 ])
 def test_suite_config_rejects_at_construction(kwargs, message):
     with pytest.raises(DomainError, match=message):

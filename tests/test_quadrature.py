@@ -1,6 +1,7 @@
 """Kernel quadrature against the closed-form monomial oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -441,3 +442,102 @@ def test_budget_below_the_block_reports_the_level_2_estimate(g):
     assert want[0] == "budget"
     assert _bits(best.value) == _bits(want[1])
     assert _bits(best.error_estimate) == _bits(want[2])
+
+
+# ---------------------------------------------------------------------------
+# weights cached per pair of weight exponents
+# ---------------------------------------------------------------------------
+
+
+def _formula_weights(one_minus_u_pow, u_pow, levels):
+    """Weights of the given levels, concatenated, from uncached nodes."""
+    t_max = quadrature._pick_t_max(one_minus_u_pow, u_pow)
+    parts = [quadrature._compute_level_nodes(t_max, level) for level in levels]
+    u, log_u, log_1mu, log_jac = (np.concatenate(p) for p in zip(*parts))
+    w = np.exp(log_jac + (u_pow + 1.0) * log_u + (one_minus_u_pow + 1.0) * log_1mu)
+    return u, w
+
+
+def _entry(one_minus_u_pow, u_pow):
+    """The cache entry of a weight after an integral that reaches level 6."""
+    cfg = QuadratureConfig(max_subdivisions=100000)
+    evaluations = _outcome(KINKED, one_minus_u_pow, u_pow, cfg)[3]
+    assert evaluations >= sum(_level_sizes(one_minus_u_pow, u_pow)[:7])
+    return quadrature._cached_levels(one_minus_u_pow, u_pow)
+
+
+@pytest.mark.parametrize("one_minus_u_pow, u_pow", WEIGHTS)
+def test_cached_weights_equal_the_formula_bit_for_bit(one_minus_u_pow, u_pow):
+    quadrature._cached_levels.cache_clear()
+    t_max, offsets, levels = _entry(one_minus_u_pow, u_pow)
+    assert t_max == quadrature._pick_t_max(one_minus_u_pow, u_pow)
+    assert list(offsets) == np.cumsum([0] + _level_sizes(one_minus_u_pow, u_pow)[:4]).tolist()
+    want = [range(quadrature._BLOCK_LEVEL + 1), [4], [5]]
+    assert len(levels) == len(want) == quadrature._CACHED_LEVEL - quadrature._BLOCK_LEVEL + 1
+    for (u, w), level_set in zip(levels, want):
+        want_u, want_w = _formula_weights(one_minus_u_pow, u_pow, level_set)
+        assert _bits(u) == _bits(want_u)
+        assert _bits(w) == _bits(want_w)
+        for array in (u, w):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
+def test_weight_cache_is_bounded_and_stops_at_level_5():
+    info = quadrature._cached_levels.cache_info()
+    assert info.maxsize == quadrature._WEIGHT_CACHE_SIZE == 256
+    t_max, _, levels = _entry(-0.5, 0.0)
+    a1, b1 = 0.5, 1.0
+    assert quadrature._deep_level(levels, t_max, 5, a1, b1) is levels[2]
+    # level 6 computes its weights afresh on every call, and keeps none
+    first = quadrature._deep_level(levels, t_max, 6, a1, b1)
+    second = quadrature._deep_level(levels, t_max, 6, a1, b1)
+    assert first[1] is not second[1]
+    assert _bits(first[1]) == _bits(second[1]) == _bits(_formula_weights(-0.5, 0.0, [6])[1])
+    assert len(levels) == 3
+
+
+@pytest.mark.parametrize("one_minus_u_pow, u_pow", WEIGHTS)
+def test_cold_and_warm_weight_cache_give_identical_results(one_minus_u_pow, u_pow):
+    integrands = [SMOOTH, FAST, KINKED, _stacked(SMOOTH, FAST), _stacked(ONE, KINKED)]
+    cfgs = [QuadratureConfig(), QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=300)]
+    runs = []
+    for _ in range(2):
+        quadrature._cached_levels.cache_clear()
+        for _ in range(2):  # cold, then warm
+            runs.append([_outcome(g, one_minus_u_pow, u_pow, cfg)
+                         for g in integrands for cfg in cfgs])
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert got[0] == want[0]
+            assert _bits(got[1]) == _bits(want[1])
+            assert _bits(got[2]) == _bits(want[2])
+            assert got[3] == want[3]
+
+
+def test_rows_with_an_infinite_row_fail_without_warnings():
+    def g(u):
+        return np.stack([np.exp(u), np.full_like(u, np.inf)])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as exc_info:
+            weighted_unit_integral(g, -0.5, 0.0)
+    best = exc_info.value.result
+    assert best.value.shape == best.error_estimate.shape == (2,)
+    assert best.value[0] == pytest.approx(weighted_unit_integral(np.exp, -0.5, 0.0).value)
+    assert np.isinf(best.value[1])
+    assert np.isnan(best.error_estimate[1])
+
+
+def test_rows_keep_leading_dimensions():
+    def flat(u):
+        return np.stack([u ** k for k in range(6)])
+
+    want = weighted_unit_integral(flat, -0.5, 0.3)
+    got = weighted_unit_integral(lambda u: flat(u).reshape(2, 3, -1), -0.5, 0.3)
+    assert got.value.shape == got.error_estimate.shape == (2, 3)
+    assert _bits(got.value) == _bits(want.value)
+    assert _bits(got.error_estimate) == _bits(want.error_estimate)
+    assert got.evaluations == want.evaluations
