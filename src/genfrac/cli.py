@@ -198,7 +198,8 @@ def cmd_verify(args) -> int:
         print("FAIL: %d violated trial(s)" % report.total_failures)
         return EXIT_FAIL
     if report.inconclusive_over_threshold():
-        print("INCONCLUSIVE: %d trial(s) did not converge" % report.total_inconclusive)
+        print("INCONCLUSIVE: %d trial(s) inconclusive: quadrature did not converge "
+              "or an integrand row was not finite" % report.total_inconclusive)
         return EXIT_NO_CONVERGENCE
     print("OK")
     return EXIT_OK

@@ -27,7 +27,7 @@ from .quadrature import (
     IntegralResult,
     QuadratureConfig,
     _kernel_segment,
-    integrate_kernel,
+    _left_kernel,
     scaled_integral,
     weighted_unit_integral,
 )
@@ -81,12 +81,16 @@ class OperatorParams:
 
 def validate(params: OperatorParams) -> None:
     """Raise ParameterError naming the first violated condition."""
-    for name in ("alpha", "rho"):
-        if not 0.0 < getattr(params, name) < math.inf:
-            raise ParameterError("%s must be positive and finite" % name)
-    for name in ("beta", "eta", "kappa"):
-        if not math.isfinite(getattr(params, name)):
-            raise ParameterError("%s must be finite" % name)
+    if not 0.0 < params.alpha < math.inf:
+        raise ParameterError("alpha must be positive and finite")
+    if not 0.0 < params.rho < math.inf:
+        raise ParameterError("rho must be positive and finite")
+    if not math.isfinite(params.beta):
+        raise ParameterError("beta must be finite")
+    if not math.isfinite(params.eta):
+        raise ParameterError("eta must be finite")
+    if not math.isfinite(params.kappa):
+        raise ParameterError("kappa must be finite")
     if math.isnan(params.lower):
         raise ParameterError("lower bound must not be NaN")
     if math.isinf(params.lower):
@@ -163,6 +167,14 @@ def evaluate(
     ``breakpoints`` marks interior non-smooth points of f (see
     integrate_kernel); it applies to the finite left-sided form only.
 
+    The finite forms hand the prefactor to the kernel segment, which
+    applies the substitution's scale to the unit integral first and the
+    prefactor after it: pref * (scale * value), and the same for the error
+    estimate.  With interior breakpoints the scaled segments are summed and
+    the sum is multiplied by the prefactor.  So a left-sided value is
+    exp(log prefactor) times integrate_kernel's, bit for bit.  The
+    truncated form scales its summed segments by 1/Gamma(alpha).
+
     ``f`` may return one row per integrand for an array of points (see
     weighted_unit_integral); value and error estimate then have one entry
     per row.  A ConvergenceError carries the best estimate of the operator
@@ -185,9 +197,7 @@ def evaluate(
             + params.kappa * math.log(x)
             - log_gamma(params.alpha)
         )
-        res = scaled_integral(
-            _prefactor(log_pref), integrate_kernel, f, params, x, cfg, breakpoints
-        )
+        res = _left_kernel(f, params, x, cfg, breakpoints, _prefactor(log_pref))
     # one integrand: its integral converged, so a value past the float range
     # means prefactor times integral overflowed; rows are left to the
     # caller, which judges each one
@@ -218,9 +228,9 @@ def _evaluate_right(params, f, x, cfg) -> IntegralResult:
         + params.rho * params.eta * math.log(x)
         - log_gamma(params.alpha)
     )
-    return scaled_integral(
-        _prefactor(log_pref), _kernel_segment, f, x, b, x, params.rho,
-        params.kappa / params.rho, params.alpha, cfg,
+    return _kernel_segment(
+        f, x, b, x, params.rho, params.kappa / params.rho, params.alpha, cfg,
+        _prefactor(log_pref),
     )
 
 

@@ -376,6 +376,15 @@ def _rows_result(shape, value, estimate, evals) -> IntegralResult:
 # ---------------------------------------------------------------------------
 
 
+def _scaled(res: IntegralResult, pref: float, scale: float) -> IntegralResult:
+    # pref * (scale * v): the IEEE operations of res.scaled(scale).scaled(pref)
+    return IntegralResult(
+        pref * (scale * res.value),
+        abs(pref) * (abs(scale) * res.error_estimate),
+        res.evaluations,
+    )
+
+
 def _kernel_segment(
     f,
     lo: float,
@@ -385,8 +394,9 @@ def _kernel_segment(
     power: float,
     alpha: float,
     cfg: QuadratureConfig,
+    pref: float = 1.0,
 ) -> IntegralResult:
-    """int_lo^hi t^(rho-1) (t^rho)^power |x^rho - t^rho|^(alpha-1) f(t) dt.
+    """pref * int_lo^hi t^(rho-1) (t^rho)^power |x^rho - t^rho|^(alpha-1) f(t) dt.
 
     ``x`` is ``hi`` (the left-sided kernel), ``lo`` (the right-sided
     kernel) or above ``hi`` (an interior segment).  The substitution
@@ -394,18 +404,20 @@ def _kernel_segment(
     exact u^power weight when lo = 0, and the singular factor into an
     exact (1-u)^(alpha-1) weight when x = hi or u^(alpha-1) when x = lo.
     For x above hi the then-smooth singular factor stays in the integrand.
+
+    The substitution's scale is applied to the unit integral first and the
+    operator prefactor ``pref`` after it, as pref * (scale * value); a
+    ConvergenceError's best estimate is scaled alike.
     """
     inv_rho = 1.0 / rho
-
     if lo == 0.0:
         # t = hi * u^(1/rho); (t^rho)^power becomes u^power exactly
         log_scale = rho * (power + 1.0) * math.log(hi) - math.log(rho)
         d = hi ** rho
         u_pow = power
-
-        def subst(u):
-            return hi * u ** inv_rho, None
     else:
+        # t = lo * (1 + u*D/lo^rho)^(1/rho), stable for rho -> 0+, with the
+        # weight (t^rho)^power in the integrand
         log_lo_rho = rho * math.log(lo)
         lo_rho = math.exp(log_lo_rho)
         d = lo_rho * math.expm1(rho * math.log(hi / lo))
@@ -413,15 +425,8 @@ def _kernel_segment(
         ratio = d / lo_rho
         u_pow = 0.0
 
-        def subst(u):
-            # t = lo * (1 + u*D/lo^rho)^(1/rho), stable for rho -> 0+,
-            # and the weight (t^rho)^power
-            z = np.log1p(u * ratio)
-            t = lo * np.exp(inv_rho * z)
-            return t, (np.exp(power * (log_lo_rho + z)) if power != 0.0 else None)
-
     a_pow = 0.0
-    e_gap = None
+    interior = False
     if x == hi:
         log_scale += (alpha - 1.0) * math.log(d)
         a_pow = alpha - 1.0
@@ -430,16 +435,40 @@ def _kernel_segment(
         u_pow += alpha - 1.0
     else:
         # remaining gap x^rho - hi^rho > 0 keeps the factor smooth
+        interior = True
         e_gap = hi ** rho * math.expm1(rho * math.log(x / hi))
 
-    def g(u):
-        t, weight = subst(u)
-        vals = np.asarray(f(t), dtype=float)
-        if e_gap is not None:
-            vals = vals * (e_gap + d * (1.0 - u)) ** (alpha - 1.0)
-        return vals if weight is None else weight * vals
+    # the integrand is chosen once per segment: at a singular endpoint and
+    # without a (t^rho)^power weight it is f at the substituted nodes; the
+    # general form, which tests its cases per call, keeps the order
+    # weight * (f * gap factor)
+    if lo == 0.0 and not interior:
+        def g(u):
+            return f(hi * u ** inv_rho)
+    elif power == 0.0 and not interior:
+        def g(u):
+            return f(lo * np.exp(inv_rho * np.log1p(u * ratio)))
+    else:
+        def g(u):
+            if lo == 0.0:
+                vals = f(hi * u ** inv_rho)
+            else:
+                z = np.log1p(u * ratio)
+                vals = f(lo * np.exp(inv_rho * z))
+            if interior:
+                vals = vals * (e_gap + d * (1.0 - u)) ** (alpha - 1.0)
+            if lo != 0.0 and power != 0.0:
+                vals = np.exp(power * (log_lo_rho + z)) * vals
+            return vals
 
-    return scaled_integral(math.exp(log_scale), weighted_unit_integral, g, a_pow, u_pow, cfg)
+    scale = math.exp(log_scale)
+    try:
+        res = weighted_unit_integral(g, a_pow, u_pow, cfg)
+    except ConvergenceError as exc:
+        if exc.result is not None:
+            exc.result = _scaled(exc.result, pref, scale)
+        raise
+    return _scaled(res, pref, scale)
 
 
 def integrate_kernel(
@@ -465,15 +494,32 @@ def integrate_kernel(
     every segment then integrates all rows.  When a segment does not
     converge, the remaining ones are still integrated and the
     ConvergenceError carries the sum over all segments.
+
+    The operator value is prefactor times this result; ``evaluate`` applies
+    the prefactor inside the same computation (see _left_kernel), so the
+    two agree bit for bit.
     """
     a = params.lower
     if not x > a:
         raise DomainError("evaluation point must exceed the lower bound")
     if a == 0.0 and params.rho * (params.eta + 1.0) <= 0.0:
         raise DomainError("rho*(eta+1) must be positive when a=0")
-    cuts = sorted({float(b) for b in breakpoints if a < b < x})
+    return _left_kernel(f, params, x, cfg, breakpoints, 1.0)
+
+
+def _left_kernel(f, params, x, cfg, breakpoints, pref) -> IntegralResult:
+    """``pref`` times integrate_kernel(f, params, x, cfg, breakpoints), for
+    arguments already checked.
+
+    Without interior breakpoints the one segment applies ``pref``; with
+    them the segments are summed first and the sum is scaled by ``pref``.
+    """
+    a = params.lower
+    cuts = sorted({float(b) for b in breakpoints if a < b < x}) if breakpoints else ()
     if not cuts:
-        return _kernel_segment(f, a, x, x, params.rho, params.eta, params.alpha, cfg)
+        return _kernel_segment(
+            f, a, x, x, params.rho, params.eta, params.alpha, cfg, pref
+        )
     edges = [a] + cuts + [x]
     value = 0.0
     err = 0.0
@@ -490,7 +536,7 @@ def integrate_kernel(
         value += seg.value
         err += seg.error_estimate
         evals += seg.evaluations
-    res = IntegralResult(value, err, evals)
+    res = IntegralResult(pref * value, abs(pref) * err, evals)
     if failure is not None:
         failure.result = res
         raise failure

@@ -277,6 +277,19 @@ def test_verify_json_deterministic_run_to_run(tmp_path):
     assert out[0] == out[1]
 
 
+def test_verify_overflowing_rows_exit_3_without_warning():
+    # in a subprocess, where numpy's overflow warning would reach stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "genfrac.cli", "verify", "--theorem", "8", "--trials", "3",
+         "--seed", "1", "--p", "2", "--m", "0.5", "--M", "1e300"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert ("INCONCLUSIVE: 3 trial(s) inconclusive: quadrature did not converge "
+            "or an integrand row was not finite") in proc.stdout.splitlines()
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_oracle_smoke(capsys):
     code = run_cli(["oracle", "--x", "1.2"])
     out = capsys.readouterr().out

@@ -130,7 +130,7 @@ def test_c3_c4_past_the_direct_formulas_range():
     ["--theorem", "all", "--p", "2", "--M", "1e300"],
 ])
 def test_verify_with_extreme_constants_exits_without_traceback(flags):
-    # in a subprocess: the overflowing integrands warn, and pytest turns warnings into errors
+    # in a subprocess: the exit code and stderr are those a user of the console sees
     proc = subprocess.run(
         [sys.executable, "-m", "genfrac.cli", "verify", "--trials", "3", "--seed", "1",
          "--m", "0.5", *flags],
@@ -140,6 +140,16 @@ def test_verify_with_extreme_constants_exits_without_traceback(flags):
     assert "Traceback" not in proc.stderr
     if "1.0001" in flags:
         assert proc.returncode == 2 and "error: c4" in proc.stderr
+
+
+def test_overflowing_rows_are_inconclusive_without_warnings():
+    # f**p overflows at M = 1e300; under pytest a RuntimeWarning would be an error
+    cfg = SuiteConfig(theorems=(TheoremId.T8,), trials=3, seed=1, p_values=(2.0,),
+                      ratio_bounds=((0.5, 1e300),))
+    before = np.geterr()
+    report = run_suite(cfg)
+    assert report.total_inconclusive == 3 and report.total_failures == 0
+    assert np.geterr() == before
 
 
 @settings(max_examples=300, deadline=None)

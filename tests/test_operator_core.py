@@ -1,9 +1,12 @@
 """Validation, classification table, and operator evaluation paths."""
 
 import math
+import sys
 
+import numpy as np
 import pytest
 
+from genfrac import quadrature
 from genfrac.errors import ConvergenceError, DomainError, ParameterError
 from genfrac.functions import Const, ExpPoly, Monomial, SinPos, TestFunction
 from genfrac.operator_core import (
@@ -15,7 +18,8 @@ from genfrac.operator_core import (
     reduce_to_classical,
     validate,
 )
-from genfrac.quadrature import closed_form_monomial
+from genfrac.quadrature import QuadratureConfig, closed_form_monomial, integrate_kernel
+from genfrac.special_functions import log_gamma
 
 NEG_INF = float("-inf")
 
@@ -86,6 +90,36 @@ def test_validate_nan_lower():
     # -inf stays allowed for the truncated form; NaN compares false everywhere
     with pytest.raises(ParameterError, match="lower bound must not be NaN"):
         validate(OperatorParams(alpha=0.5, beta=0.0, rho=1.0, eta=0.0, kappa=0.0, lower=math.nan))
+
+
+VALID = dict(alpha=0.5, beta=0.5, rho=1.0, eta=0.0, kappa=0.0)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(alpha=0.0, rho=math.nan), "alpha must be positive and finite"),
+    (dict(alpha=math.inf), "alpha must be positive and finite"),
+    (dict(alpha=math.nan), "alpha must be positive and finite"),
+    (dict(rho=-1.0, beta=math.nan), "rho must be positive and finite"),
+    (dict(rho=math.inf), "rho must be positive and finite"),
+    (dict(beta=math.inf, eta=math.nan), "beta must be finite"),
+    (dict(eta=math.nan, kappa=math.inf), "eta must be finite"),
+    (dict(kappa=-math.inf, lower=math.nan), "kappa must be finite"),
+    (dict(lower=math.nan, side=Side.RIGHT), "lower bound must not be NaN"),
+    (dict(lower=math.inf), "lower bound must be finite or -inf"),
+    (dict(lower=NEG_INF, rho=2.0), "infinite lower bound requires rho=1, eta=0, kappa=0"),
+    (dict(lower=NEG_INF, kappa=0.5), "infinite lower bound requires rho=1, eta=0, kappa=0"),
+    (dict(lower=-0.5, side=Side.RIGHT), "lower bound must be nonnegative"),
+    (dict(eta=-1.0, side=Side.RIGHT), "rho*(eta+1) must be positive when a=0"),
+    (dict(side=Side.RIGHT), "right-sided operator requires a finite upper bound"),
+    (dict(side=Side.RIGHT, upper=math.inf), "right-sided operator requires a finite upper bound"),
+    (dict(side=Side.RIGHT, upper=0.0), "upper bound must exceed the lower bound"),
+    (dict(side=Side.RIGHT, lower=2.0, upper=1.0), "upper bound must exceed the lower bound"),
+])
+def test_validate_names_the_first_violated_condition(fields, message):
+    # fields that break several conditions pin the order of the checks
+    with pytest.raises(ParameterError) as exc_info:
+        validate(OperatorParams(**{**VALID, **fields}))
+    assert str(exc_info.value) == message
 
 
 def test_validate_right_side_needs_upper():
@@ -394,3 +428,111 @@ def test_right_side_domain_checks():
         evaluate(p, ONE, 2.5)  # x beyond upper
     with pytest.raises(DomainError):
         evaluate(p, ONE, 0.0)  # x must be positive
+
+
+# ---------------------------------------------------------------------------
+# the path to the quadrature primitive
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def unit_integrals(monkeypatch):
+    """Evaluations of every weighted_unit_integral call, one entry each.
+
+    Every genfrac module's binding of the function is replaced by a
+    counting wrapper, as perfbench/tracing.py does to count integrals.
+    """
+    original = quadrature.weighted_unit_integral
+    seen = []
+
+    def counting(*args, **kwargs):
+        res = original(*args, **kwargs)
+        seen.append(res.evaluations)
+        return res
+
+    for name, module in list(sys.modules.items()):
+        if name == "genfrac" or name.startswith("genfrac."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return seen
+
+
+SMOOTH = _fn(ExpPoly((0.0, 0.5)))
+GENERAL = dict(alpha=0.6, beta=0.3, rho=1.5, eta=0.4, kappa=0.2)
+
+
+@pytest.mark.parametrize("integrals, run", [
+    (1, lambda: evaluate(OperatorParams(**GENERAL), SMOOTH, 1.3)),
+    (1, lambda: evaluate(OperatorParams(**GENERAL, lower=0.5), SMOOTH, 1.3)),
+    (3, lambda: evaluate(OperatorParams(**GENERAL), SMOOTH, 1.3, breakpoints=(0.4, 0.9))),
+    (3, lambda: evaluate(OperatorParams(**GENERAL, lower=0.2), SMOOTH, 1.3,
+                         breakpoints=(0.4, 0.9))),
+    (1, lambda: evaluate(OperatorParams(**GENERAL, upper=2.0, side=Side.RIGHT), SMOOTH, 0.8)),
+    (None, lambda: evaluate(OperatorParams(0.5, 1.0, 1.0, 0.0, 0.0, lower=NEG_INF),
+                            DECAYING, 1.0)),
+    (1, lambda: evaluate_classical(ClassicalKind.RIEMANN_LIOUVILLE, 0.6, SMOOTH, (0.2,), 1.3)),
+    (1, lambda: evaluate_classical(ClassicalKind.HADAMARD, 0.6, SMOOTH, (0.5,), 1.3)),
+    (1, lambda: evaluate_classical(ClassicalKind.KATUGAMPOLA, 0.6, SMOOTH, (0.0,), 1.3,
+                                   rho=1.5)),
+    (1, lambda: evaluate_classical(ClassicalKind.KATUGAMPOLA, 0.6, SMOOTH, (0.5,), 1.3,
+                                   rho=1.5)),
+    (1, lambda: evaluate_classical(ClassicalKind.ERDELYI_KOBER, 0.6, SMOOTH, (0.0,), 1.3,
+                                   sigma=1.5, eta=0.4)),
+    (1, lambda: evaluate_classical(ClassicalKind.ERDELYI_KOBER, 0.6, SMOOTH, (0.5,), 1.3,
+                                   sigma=1.5, eta=0.4)),
+    (None, lambda: evaluate_classical(ClassicalKind.WEYL, 0.5, DECAYING, (NEG_INF,), 1.0)),
+    (None, lambda: evaluate_classical(ClassicalKind.LIOUVILLE, 0.5, DECAYING, (NEG_INF,), 1.0)),
+], ids=["left-a0", "left-a", "left-breaks-a0", "left-breaks-a", "right", "truncated-weyl",
+        "rl", "hadamard", "katugampola-a0", "katugampola-a", "ek-a0", "ek-a", "weyl",
+        "liouville"])
+def test_every_integral_goes_through_the_traced_primitive(unit_integrals, integrals, run):
+    res = run()
+    if integrals is None:  # one integral per truncation segment
+        assert len(unit_integrals) > 2
+    else:
+        assert len(unit_integrals) == integrals
+    assert sum(unit_integrals) == res.evaluations
+
+
+def _rows(t):
+    return np.array([SMOOTH(t), np.cos(t) + 2.0])
+
+
+def _left_prefactor(params, x):
+    return math.exp(
+        (1.0 - params.beta) * math.log(params.rho)
+        + params.kappa * math.log(x)
+        - log_gamma(params.alpha)
+    )
+
+
+@pytest.mark.parametrize("lower", [0.0, 0.4])
+@pytest.mark.parametrize("eta", [0.0, 0.4])
+@pytest.mark.parametrize("f", [SMOOTH, _rows], ids=["one", "rows"])
+@pytest.mark.parametrize("breakpoints", [(), (0.7, 1.1)], ids=["whole", "split"])
+def test_evaluate_is_prefactor_times_integrate_kernel_bit_for_bit(lower, eta, f, breakpoints):
+    params = OperatorParams(**{**GENERAL, "eta": eta, "lower": lower})
+    pref = _left_prefactor(params, 1.3)
+    res = evaluate(params, f, 1.3, breakpoints=breakpoints)
+    kernel = integrate_kernel(f, params, 1.3, breakpoints=breakpoints)
+    assert np.array_equal(res.value, pref * kernel.value)
+    assert np.array_equal(res.error_estimate, abs(pref) * kernel.error_estimate)
+    assert res.evaluations == kernel.evaluations
+
+
+@pytest.mark.parametrize("lower", [0.0, 0.4])
+@pytest.mark.parametrize("breakpoints", [(), (0.7, 1.1)], ids=["whole", "split"])
+def test_convergence_error_is_prefactor_times_integrate_kernel_bit_for_bit(lower, breakpoints):
+    params = OperatorParams(**{**GENERAL, "lower": lower})
+    f = _fn(SinPos(90.0, 0.2, 0.5, 1.5))  # fast oscillation needs many nodes
+    cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=60)
+    with pytest.raises(ConvergenceError) as operator_error:
+        evaluate(params, f, 1.3, cfg, breakpoints)
+    with pytest.raises(ConvergenceError) as kernel_error:
+        integrate_kernel(f, params, 1.3, cfg, breakpoints)
+    best, kernel = operator_error.value.result, kernel_error.value.result
+    pref = _left_prefactor(params, 1.3)
+    assert best.value == pref * kernel.value
+    assert best.error_estimate == abs(pref) * kernel.error_estimate
+    assert best.evaluations == kernel.evaluations > 0
