@@ -368,20 +368,23 @@ def _run_check(check: _Check, pair: PositivePair, params, x: float,
     """Integrate every row of ``check`` in one call and judge the inequality.
 
     Quadrature non-convergence, or an unusable value in any row, makes the
-    trial inconclusive.
+    trial inconclusive.  The rows and the kink finder's difference may
+    overflow (f**p for a large M, say); they are sampled without numpy's
+    overflow and invalid-value warnings, as _apply_op judges every row.
     """
 
     def on_pair(fn):
         return lambda t: fn(*pair.values(t))
 
-    breakpoints = ()
-    if check.kinks is not None and not isinstance(params, HadamardOp):
-        lo, hi = pair.f.domain
-        breakpoints = _sign_crossings(
-            on_pair(check.kinks), max(lo, params.lower), min(hi, x)
-        )
     rows = on_pair(lambda fv, gv: np.array(check.rows(fv, gv)))
-    vals = _apply_op(params, rows, x, cfg.quad, breakpoints)
+    with np.errstate(over="ignore", invalid="ignore"):
+        breakpoints = ()
+        if check.kinks is not None and not isinstance(params, HadamardOp):
+            lo, hi = pair.f.domain
+            breakpoints = _sign_crossings(
+                on_pair(check.kinks), max(lo, params.lower), min(hi, x)
+            )
+        vals = _apply_op(params, rows, x, cfg.quad, breakpoints)
     if vals is None:
         return _inconclusive_check(check.theorem, check.constant)
     sides = check.combine(*vals)
@@ -850,12 +853,10 @@ def run_suite(cfg: SuiteConfig, version: str = "0.1.0", timestamp: str = "") -> 
     its index, so a fixed master seed gives the same report on every run.
 
     An integrand row that overflows (f**p for a large M, say) makes its
-    trial inconclusive without a numpy warning: _apply_op judges every
-    row's finiteness.
+    trial inconclusive without a numpy warning (see _run_check).
     """
     ordinals = {t: k for k, t in enumerate(TheoremId)}
     records = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for theorem in sorted(cfg.theorems, key=ordinals.get):
-            records.extend(_run_theorem(cfg, theorem, ordinals[theorem]))
+    for theorem in sorted(cfg.theorems, key=ordinals.get):
+        records.extend(_run_theorem(cfg, theorem, ordinals[theorem]))
     return SuiteReport(config=cfg, records=records, version=version, timestamp=timestamp)

@@ -81,16 +81,12 @@ class OperatorParams:
 
 def validate(params: OperatorParams) -> None:
     """Raise ParameterError naming the first violated condition."""
-    if not 0.0 < params.alpha < math.inf:
-        raise ParameterError("alpha must be positive and finite")
-    if not 0.0 < params.rho < math.inf:
-        raise ParameterError("rho must be positive and finite")
-    if not math.isfinite(params.beta):
-        raise ParameterError("beta must be finite")
-    if not math.isfinite(params.eta):
-        raise ParameterError("eta must be finite")
-    if not math.isfinite(params.kappa):
-        raise ParameterError("kappa must be finite")
+    for name in ("alpha", "rho"):
+        if not 0.0 < getattr(params, name) < math.inf:
+            raise ParameterError("%s must be positive and finite" % name)
+    for name in ("beta", "eta", "kappa"):
+        if not math.isfinite(getattr(params, name)):
+            raise ParameterError("%s must be finite" % name)
     if math.isnan(params.lower):
         raise ParameterError("lower bound must not be NaN")
     if math.isinf(params.lower):

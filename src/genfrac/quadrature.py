@@ -71,14 +71,23 @@ class IntegralResult:
     error_estimate: float
     evaluations: int
 
-    def scaled(self, factor: float) -> "IntegralResult":
+    def scaled(self, factor: float, inner: float = 1.0) -> "IntegralResult":
+        """factor * (inner * value), and alike for the error estimate.
+
+        The inner factor goes first, so one call does the arithmetic of
+        scaled(inner).scaled(factor); 1.0 * v is v, bit for bit.
+        """
         return IntegralResult(
-            factor * self.value, abs(factor) * self.error_estimate, self.evaluations
+            factor * (inner * self.value),
+            abs(factor) * (abs(inner) * self.error_estimate),
+            self.evaluations,
         )
 
 
-def scaled_integral(factor: float, integral: Callable, *args) -> IntegralResult:
-    """``factor`` times ``integral(*args)``.
+def scaled_integral(
+    factor: float, integral: Callable, *args, inner: float = 1.0
+) -> IntegralResult:
+    """``factor`` times (``inner`` times ``integral(*args)``).
 
     A ConvergenceError raised by ``integral`` is re-raised with its best
     estimate scaled alike, so a failure reports its value in the same
@@ -88,9 +97,9 @@ def scaled_integral(factor: float, integral: Callable, *args) -> IntegralResult:
         res = integral(*args)
     except ConvergenceError as exc:
         if exc.result is not None:
-            exc.result = exc.result.scaled(factor)
+            exc.result = exc.result.scaled(factor, inner)
         raise
-    return res.scaled(factor)
+    return res.scaled(factor, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +385,6 @@ def _rows_result(shape, value, estimate, evals) -> IntegralResult:
 # ---------------------------------------------------------------------------
 
 
-def _scaled(res: IntegralResult, pref: float, scale: float) -> IntegralResult:
-    # pref * (scale * v): the IEEE operations of res.scaled(scale).scaled(pref)
-    return IntegralResult(
-        pref * (scale * res.value),
-        abs(pref) * (abs(scale) * res.error_estimate),
-        res.evaluations,
-    )
-
-
 def _kernel_segment(
     f,
     lo: float,
@@ -438,37 +438,22 @@ def _kernel_segment(
         interior = True
         e_gap = hi ** rho * math.expm1(rho * math.log(x / hi))
 
-    # the integrand is chosen once per segment: at a singular endpoint and
-    # without a (t^rho)^power weight it is f at the substituted nodes; the
-    # general form, which tests its cases per call, keeps the order
-    # weight * (f * gap factor)
-    if lo == 0.0 and not interior:
-        def g(u):
-            return f(hi * u ** inv_rho)
-    elif power == 0.0 and not interior:
-        def g(u):
-            return f(lo * np.exp(inv_rho * np.log1p(u * ratio)))
-    else:
-        def g(u):
-            if lo == 0.0:
-                vals = f(hi * u ** inv_rho)
-            else:
-                z = np.log1p(u * ratio)
-                vals = f(lo * np.exp(inv_rho * z))
-            if interior:
-                vals = vals * (e_gap + d * (1.0 - u)) ** (alpha - 1.0)
-            if lo != 0.0 and power != 0.0:
-                vals = np.exp(power * (log_lo_rho + z)) * vals
-            return vals
+    # weight * (f * gap factor), in that order
+    def g(u):
+        if lo == 0.0:
+            vals = f(hi * u ** inv_rho)
+        else:
+            z = np.log1p(u * ratio)
+            vals = f(lo * np.exp(inv_rho * z))
+        if interior:
+            vals = vals * (e_gap + d * (1.0 - u)) ** (alpha - 1.0)
+        if lo != 0.0 and power != 0.0:
+            vals = np.exp(power * (log_lo_rho + z)) * vals
+        return vals
 
-    scale = math.exp(log_scale)
-    try:
-        res = weighted_unit_integral(g, a_pow, u_pow, cfg)
-    except ConvergenceError as exc:
-        if exc.result is not None:
-            exc.result = _scaled(exc.result, pref, scale)
-        raise
-    return _scaled(res, pref, scale)
+    return scaled_integral(
+        pref, weighted_unit_integral, g, a_pow, u_pow, cfg, inner=math.exp(log_scale)
+    )
 
 
 def integrate_kernel(
@@ -515,7 +500,9 @@ def _left_kernel(f, params, x, cfg, breakpoints, pref) -> IntegralResult:
     them the segments are summed first and the sum is scaled by ``pref``.
     """
     a = params.lower
-    cuts = sorted({float(b) for b in breakpoints if a < b < x}) if breakpoints else ()
+    cuts = ()
+    if len(breakpoints):
+        cuts = sorted({float(b) for b in breakpoints if a < b < x})
     if not cuts:
         return _kernel_segment(
             f, a, x, x, params.rho, params.eta, params.alpha, cfg, pref
@@ -536,7 +523,7 @@ def _left_kernel(f, params, x, cfg, breakpoints, pref) -> IntegralResult:
         value += seg.value
         err += seg.error_estimate
         evals += seg.evaluations
-    res = IntegralResult(pref * value, abs(pref) * err, evals)
+    res = IntegralResult(value, err, evals).scaled(pref)
     if failure is not None:
         failure.result = res
         raise failure

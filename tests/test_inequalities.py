@@ -142,9 +142,11 @@ def test_verify_with_extreme_constants_exits_without_traceback(flags):
         assert proc.returncode == 2 and "error: c4" in proc.stderr
 
 
-def test_overflowing_rows_are_inconclusive_without_warnings():
-    # f**p overflows at M = 1e300; under pytest a RuntimeWarning would be an error
-    cfg = SuiteConfig(theorems=(TheoremId.T8,), trials=3, seed=1, p_values=(2.0,),
+@pytest.mark.parametrize("theorem", [TheoremId.T8, TheoremId.T15])
+def test_overflowing_rows_are_inconclusive_without_warnings(theorem):
+    # f**p, and T15's kink difference, overflow at M = 1e300; under pytest a
+    # RuntimeWarning would be an error
+    cfg = SuiteConfig(theorems=(theorem,), trials=3, seed=1, p_values=(2.0,),
                       ratio_bounds=((0.5, 1e300),))
     before = np.geterr()
     report = run_suite(cfg)

@@ -191,6 +191,9 @@ def test_breakpoint_split_matches_single_shot():
     # out-of-range breakpoints are ignored
     same = integrate_kernel(f, params, 1.3, breakpoints=(-1.0, 5.0))
     assert same.value == whole.value
+    # a numpy array of breakpoints works as a tuple does
+    assert integrate_kernel(f, params, 1.3, breakpoints=np.array([0.3, 0.9])) == split
+    assert integrate_kernel(f, params, 1.3, breakpoints=np.array([])) == whole
 
 
 def test_weighted_unit_integral_rejects_bad_exponents():
