@@ -26,9 +26,7 @@ __all__ = [
     "Polynomial",
     "ExpPoly",
     "SinPos",
-    "Sum",
     "Product",
-    "Power",
     "PMax",
     "TestFunction",
     "PairKind",
@@ -129,17 +127,6 @@ class SinPos(Expr):
 
 
 @dataclass(frozen=True)
-class Sum(Expr):
-    terms: tuple  # of (coefficient, Expr)
-
-    def eval(self, t):
-        acc = np.zeros_like(t)
-        for c, e in self.terms:
-            acc = acc + c * e.eval(t)
-        return acc
-
-
-@dataclass(frozen=True)
 class Product(Expr):
     factors: tuple
 
@@ -148,15 +135,6 @@ class Product(Expr):
         for e in self.factors:
             acc = acc * e.eval(t)
         return acc
-
-
-@dataclass(frozen=True)
-class Power(Expr):
-    base: Expr
-    exponent: float
-
-    def eval(self, t):
-        return self.base.eval(t) ** self.exponent
 
 
 @dataclass(frozen=True)

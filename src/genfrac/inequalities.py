@@ -14,7 +14,7 @@ trust.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -214,14 +214,15 @@ def _apply_op(op, integrand, x: float, quad: QuadratureConfig, breakpoints: tupl
 
 _BISECT_LEVELS = 80  # bisection steps per grid cell of the kink finder
 _BISECT_DEPTH = 7  # of which one call of the difference resolves this many
+_KINK_GRID = 512  # points of the grid the kink finder samples first
 
 
-def _sign_crossings(diff, lo: float, hi: float, n: int = 512) -> tuple:
+def _sign_crossings(diff, lo: float, hi: float) -> tuple:
     """Interior points where ``diff`` changes sign (kinks of a pointwise max).
 
-    ``diff`` is sampled on an n-point grid.  Each grid cell whose left end
-    is nonzero and whose ends do not share a sign is bisected until its
-    ends are adjacent doubles (at most _BISECT_LEVELS steps, rounded up to
+    ``diff`` is sampled on a _KINK_GRID-point grid.  Each grid cell whose
+    left end is nonzero and whose ends do not share a sign is bisected until
+    its ends are adjacent doubles (at most _BISECT_LEVELS steps, rounded up to
     whole k-sections), and the root is their midpoint; a bisection point
     where ``diff`` is exactly zero is the root itself.
 
@@ -232,7 +233,7 @@ def _sign_crossings(diff, lo: float, hi: float, n: int = 512) -> tuple:
     computed from its two parents as 0.5 * (left + right), exactly as a
     scalar bisection computes it, so the roots are the ones it finds.
     """
-    t = check_grid(lo, hi, n)
+    t = check_grid(lo, hi, _KINK_GRID)
     d = np.asarray(diff(t), dtype=float)
     cells = np.flatnonzero((d[:-1] != 0.0) & (d[:-1] * d[1:] <= 0.0))
     ends = np.stack([t[cells], t[cells + 1]], axis=1)  # one bracket per row
@@ -301,8 +302,6 @@ class InequalityCheck:
     constant: float
     slack: float
     satisfied: bool
-    lhs_err: float
-    rhs_err: float
     mid: Optional[float] = None  # sandwich checks: the bracketed quantity
     inconclusive: bool = False
     aux: Optional[dict] = None
@@ -325,8 +324,6 @@ def _inconclusive_check(theorem: TheoremId, constant: float) -> InequalityCheck:
         constant=constant,
         slack=math.nan,
         satisfied=False,
-        lhs_err=math.nan,
-        rhs_err=math.nan,
         inconclusive=True,
     )
 
@@ -407,8 +404,6 @@ def _run_check(check: _Check, pair: PositivePair, params, x: float,
         constant=check.constant,
         slack=slack,
         satisfied=satisfied,
-        lhs_err=lhs.err,
-        rhs_err=rhs.err,
         mid=None if mid is None else mid.value,
         aux=sides.aux,
     )
@@ -638,8 +633,9 @@ def default_operator_grid() -> tuple:
 @dataclass(frozen=True)
 class SuiteConfig:
     """Each selected theorem over ``trials`` seeded pairs, cycling through
-    the operator grid, the ratio bounds (m, M) and the p values (only p > 1
-    for T10 and T11).  ``c`` is T12's 0 < c < m; None means m / 2 per bound.
+    default_operator_grid(), the ratio bounds (m, M) and the p values (only
+    p > 1 for T10 and T11).  ``c`` is T12's 0 < c < m; None means m / 2 per
+    bound.
 
     Construction raises DomainError for a bad configuration, so before any
     trial runs; m > M is the pair generators' BoundsError.
@@ -654,17 +650,13 @@ class SuiteConfig:
     x: float = 1.0
     slack_factor: float = 2.0
     statement_constants: bool = False
-    quad: QuadratureConfig = DEFAULT_CONFIG
-    complexity: int = 2
     threads: int = 1  # no effect, the suite is serial; kept because perfbench/workloads.py passes it
-    operator_grid: tuple = field(default_factory=default_operator_grid)
 
     def __post_init__(self):
         _require(self.trials >= 1, "trials must be >= 1")
         _require(len(self.theorems) > 0, "select at least one theorem")
         _require(len(self.p_values) > 0, "p_values must not be empty")
         _require(len(self.ratio_bounds) > 0, "ratio_bounds must not be empty")
-        _require(len(self.operator_grid) > 0, "operator_grid must not be empty")
         _require_finite(x=self.x)
         for p in self.p_values:
             _require_finite(p=p)
@@ -718,6 +710,11 @@ def _record_values(r: TrialRecord) -> tuple:
     )
 
 
+# more inconclusive trials than this share of a run make `verify` exit
+# with the non-convergence code
+_INCONCLUSIVE_SHARE = 0.01
+
+
 @dataclass
 class SuiteReport:
     config: SuiteConfig
@@ -750,9 +747,10 @@ class SuiteReport:
     def total_inconclusive(self) -> int:
         return sum(1 for r in self.records if r.status == "inconclusive")
 
-    def inconclusive_over_threshold(self, fraction: float = 0.01) -> bool:
+    def inconclusive_over_threshold(self) -> bool:
+        """More than _INCONCLUSIVE_SHARE of the trials are inconclusive."""
         total = len(self.records)
-        return total > 0 and self.total_inconclusive > fraction * total
+        return total > 0 and self.total_inconclusive > _INCONCLUSIVE_SHARE * total
 
     def to_json_dict(self) -> dict:
         failures = [
@@ -780,7 +778,7 @@ class SuiteReport:
                         "kappa": g.kappa,
                         "lower": g.lower,
                     }
-                    for g in self.config.operator_grid
+                    for g in default_operator_grid()
                 ],
                 "p_values": list(self.config.p_values),
                 "ratio_bounds": [list(b) for b in self.config.ratio_bounds],
@@ -805,7 +803,7 @@ def _run_theorem(cfg: SuiteConfig, theorem: TheoremId, ordinal: int) -> list:
     p_options = [p for p in cfg.p_values if p > 1.0] if theorem in _NEEDS_P_GT_1 else list(cfg.p_values)
     combos = [
         (op, bounds, p)
-        for op in cfg.operator_grid
+        for op in default_operator_grid()
         for bounds in cfg.ratio_bounds
         for p in p_options
     ]
@@ -815,9 +813,9 @@ def _run_theorem(cfg: SuiteConfig, theorem: TheoremId, ordinal: int) -> list:
         seed = _trial_seed(cfg.seed, ordinal, index)
         domain = (op.lower, cfg.x)
         if theorem is TheoremId.T13:
-            pair = generate_box_pair(seed, m, M, m, M, domain, cfg.complexity)
+            pair = generate_box_pair(seed, m, M, m, M, domain)
         else:
-            pair = generate_ratio_pair(seed, m, M, domain, cfg.complexity)
+            pair = generate_ratio_pair(seed, m, M, domain)
         c = None
         if theorem is TheoremId.T12:
             c = 0.5 * m if cfg.c is None else cfg.c
@@ -826,7 +824,6 @@ def _run_theorem(cfg: SuiteConfig, theorem: TheoremId, ordinal: int) -> list:
             c=c,
             slack_factor=cfg.slack_factor,
             statement_constants=cfg.statement_constants,
-            quad=cfg.quad,
         )
         check = _OPERATOR_CHECKS[theorem](pair, op, cfg.x, check_cfg)
         records.append(TrialRecord(

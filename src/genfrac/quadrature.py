@@ -115,12 +115,16 @@ def scaled_integral(
 # ---------------------------------------------------------------------------
 
 _MAX_LEVEL = 12
-# The block ends at level 3 because no integral in the three benchmark
-# workloads stops before it.  Stop levels of perfbench seed 801, first 8
+# No integral stops before _MIN_LEVEL: levels 1 and 2 can agree by chance
+# (a Weyl truncation segment did, at 33 nodes, with a true error 30 times
+# its estimate).
+_MIN_LEVEL = 3
+# The block ends at _MIN_LEVEL, so sampling levels 0-3 together costs no
+# integral extra nodes, while a deeper block would sample nodes that most
+# integrals never sum.  Stop levels of perfbench seed 801, first 8
 # verify-suite rounds: 650 at level 3, 408 at 4; first 2 oracle-sweep
 # rounds: 760 at 3, 320 at 4; first 2 eval-mix rounds: 451 at 3, 177 at 4,
-# 32 at 5.  So sampling levels 0-3 together costs them no extra nodes, while
-# a deeper block would sample nodes that most of them never sum.
+# 32 at 5.
 #
 # None of those integrals goes past level 5, so the weights of the block,
 # and of levels 4 and 5 once an integral reaches them, are cached per
@@ -128,12 +132,11 @@ _MAX_LEVEL = 12
 # compute theirs per call.  At the largest t_max, 8.5, an entry holds
 # 137 + 136 + 272 = 545 weights, 4360 bytes, so the cache holds at most
 # about 1.1 MB of weights; the nodes are shared per t_max.
-_BLOCK_LEVEL = 3
+_BLOCK_LEVEL = _MIN_LEVEL
 _CACHED_LEVEL = 5
 _WEIGHT_CACHE_SIZE = 256
 _ROUNDOFF = 16.0 * sys.float_info.epsilon
 _T_MAX_CAP = 8.5
-_node_cache: dict[tuple[float, int], tuple] = {}
 
 
 def _log1p_exp(y: np.ndarray) -> np.ndarray:
@@ -169,29 +172,23 @@ def _compute_level_nodes(t_max: float, level: int):
     return u, log_u, log_1mu, log_jac
 
 
+# t_max lies on _pick_t_max's half-step grid up to _T_MAX_CAP and the level
+# goes up to _MAX_LEVEL, so these unbounded caches hold few entries
+@functools.cache
 def _level_nodes(t_max: float, level: int):
     """(u, log_u, log_1mu, log_jac) of one level deeper than _BLOCK_LEVEL."""
-    key = (t_max, level)
-    cached = _node_cache.get(key)
-    if cached is None:
-        cached = _node_cache[key] = _read_only(_compute_level_nodes(t_max, level))
-    return cached
+    return _read_only(_compute_level_nodes(t_max, level))
 
 
+@functools.cache
 def _block_nodes(t_max: float):
     """Levels 0.._BLOCK_LEVEL as one (u, log_u, log_1mu, log_jac, offsets).
 
-    Level k owns the slice offsets[k]:offsets[k + 1].  The block is cached
-    under level -1.
+    Level k owns the slice offsets[k]:offsets[k + 1].
     """
-    key = (t_max, -1)
-    cached = _node_cache.get(key)
-    if cached is None:
-        levels = [_compute_level_nodes(t_max, k) for k in range(_BLOCK_LEVEL + 1)]
-        offsets = tuple(np.cumsum([0] + [nodes[0].size for nodes in levels]).tolist())
-        cached = _read_only(tuple(np.concatenate(parts) for parts in zip(*levels)))
-        cached = _node_cache[key] = cached + (offsets,)
-    return cached
+    levels = [_compute_level_nodes(t_max, k) for k in range(_BLOCK_LEVEL + 1)]
+    offsets = tuple(np.cumsum([0] + [nodes[0].size for nodes in levels]).tolist())
+    return _read_only(tuple(np.concatenate(parts) for parts in zip(*levels))) + (offsets,)
 
 
 def _weights(log_u, log_1mu, log_jac, a1: float, b1: float) -> np.ndarray:
@@ -272,12 +269,14 @@ def weighted_unit_integral(
     -1, otherwise the integral does not exist.
 
     Refinement halves the tanh-sinh step until the last two passes agree
-    within tolerance; the reported error estimate is that last difference,
-    which in practice overestimates the true error of the final pass.
+    within tolerance, at level _MIN_LEVEL at the earliest; the reported
+    error estimate is that last difference, which in practice
+    overestimates the true error of the final pass.  Levels below
+    _MIN_LEVEL are always summed, later ones only within the node budget.
 
     The first call samples g at the nodes of levels 0.._BLOCK_LEVEL at
     once, and each deeper level makes one call of its own.  So g may be
-    sampled at nodes that an early stop or the node budget leaves unused;
+    sampled at level-_BLOCK_LEVEL nodes that the node budget leaves unused;
     ``evaluations`` counts only the nodes of the levels summed.
 
     The tanh-sinh nodes and weights depend only on the weight, not on the
@@ -313,7 +312,7 @@ def weighted_unit_integral(
             lo, hi = 0, u.size
         else:
             lo, hi = offsets[level], offsets[level + 1]
-        if level > 2 and evals + hi - lo > cfg.max_subdivisions:
+        if level >= _MIN_LEVEL and evals + hi - lo > cfg.max_subdivisions:
             raise _out_of_budget(cfg, IntegralResult(value, estimate, evals))
         if level > _BLOCK_LEVEL:
             vals = np.asarray(g(u))
@@ -322,7 +321,7 @@ def weighted_unit_integral(
         value = 2.0 ** (-level) * total
         if prev is not None:
             estimate = abs(value - prev)
-            if level >= 2 and estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+            if level >= _MIN_LEVEL and estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
                 # floor at the roundoff level of the node summation
                 estimate = max(estimate, _ROUNDOFF * abs(value))
                 return IntegralResult(value, estimate, evals)
@@ -354,7 +353,7 @@ def _rows_integral(g, vals, offsets, levels, t_max, a1, b1, cfg) -> IntegralResu
             lo, hi = 0, u.size
         else:
             lo, hi = offsets[level], offsets[level + 1]
-        if level > 2 and evals + hi - lo > cfg.max_subdivisions:
+        if level >= _MIN_LEVEL and evals + hi - lo > cfg.max_subdivisions:
             raise _out_of_budget(cfg, _rows_result(shape, value, estimate, evals))
         if level > _BLOCK_LEVEL:
             vals = np.asarray(g(u)).reshape(-1, hi)
@@ -365,7 +364,7 @@ def _rows_integral(g, vals, offsets, levels, t_max, a1, b1, cfg) -> IntegralResu
         prev, value = value, [scale * t for t in total]
         if level:
             estimate = [abs(v - p) for v, p in zip(value, prev)]
-            if level >= 2 and all(
+            if level >= _MIN_LEVEL and all(
                 e <= max(cfg.abs_tol, cfg.rel_tol * abs(v))
                 for e, v in zip(estimate, value)
             ):

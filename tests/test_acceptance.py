@@ -133,7 +133,7 @@ def test_criterion_4_inequality_suite():
     total = len(report.records)
     ok = (
         report.total_failures == 0
-        and not report.inconclusive_over_threshold(0.01)
+        and not report.inconclusive_over_threshold()
         and total == 8 * 1000
         and elapsed <= 600.0
     )

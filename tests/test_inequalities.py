@@ -17,7 +17,6 @@ from genfrac.functions import (
     PairKind,
     PositivePair,
     Product,
-    Sum,
     TestFunction,
     generate_box_pair,
     generate_ratio_pair,
@@ -504,7 +503,6 @@ def test_suite_counts_and_zero_violations():
     (dict(c=0.6), "require 0 < c < m"),  # c < m for two of the three default bounds
     (dict(p_values=(), theorems=(TheoremId.T8,)), "p_values must not be empty"),
     (dict(ratio_bounds=()), "ratio_bounds must not be empty"),
-    (dict(operator_grid=()), "operator_grid must not be empty"),
 ])
 def test_suite_config_rejects_at_construction(kwargs, message):
     with pytest.raises(DomainError, match=message):
@@ -535,7 +533,7 @@ def test_suite_records_allow_exact_replay():
                            (TheoremId.T15, check_t15)):
         for record in (r for r in report.records if r.theorem is theorem):
             pair = generate_ratio_pair(record.pair_seed, record.m, record.M,
-                                       (record.params.lower, record.x), cfg.complexity)
+                                       (record.params.lower, record.x))
             chk = check(pair, record.params, record.x,
                         CheckConfig(p=record.p, slack_factor=cfg.slack_factor))
             assert chk.lhs == record.check.lhs
@@ -581,13 +579,16 @@ def _bisection_roots(diff, lo, hi, n=512):
 
 
 def _t15_arms_difference(pair):
-    # the two arms of the T15 maximum, built as expression trees
+    # the two arms of the T15 maximum, from f and g evaluated apart
     m, M = pair.m, pair.M
-    arm1 = TestFunction(Sum(((M * (M / m + 1.0), pair.f.expr), (-M * M, pair.g.expr))),
-                        pair.f.domain)
-    arm2 = TestFunction(Sum((((m + M) / m, pair.g.expr), (-1.0 / m, pair.f.expr))),
-                        pair.f.domain)
-    return lambda t: np.asarray(arm1(t)) - np.asarray(arm2(t))
+
+    def diff(t):
+        f, g = pair.f(t), pair.g(t)
+        arm1 = M * (M / m + 1.0) * f + (-M * M) * g
+        arm2 = (m + M) / m * g + (-1.0 / m) * f
+        return np.asarray(arm1) - np.asarray(arm2)
+
+    return diff
 
 
 def test_kink_finder_matches_scalar_bisection_on_t15_pairs():
