@@ -51,7 +51,7 @@ class QuadratureConfig:
             raise DomainError("rel_tol must be positive")
         if not self.abs_tol > 0.0:
             raise DomainError("abs_tol must be positive")
-        if self.max_subdivisions < 1:
+        if not self.max_subdivisions >= 1:  # NaN would disable the budget
             raise DomainError("max_subdivisions must be >= 1")
 
 
@@ -121,10 +121,13 @@ _MAX_LEVEL = 12
 _MIN_LEVEL = 3
 # The block ends at _MIN_LEVEL, so sampling levels 0-3 together costs no
 # integral extra nodes, while a deeper block would sample nodes that most
-# integrals never sum.  Stop levels of perfbench seed 801, first 8
-# verify-suite rounds: 650 at level 3, 408 at 4; first 2 oracle-sweep
-# rounds: 760 at 3, 320 at 4; first 2 eval-mix rounds: 451 at 3, 177 at 4,
-# 32 at 5.
+# integrals never sum.  Both refinement loops sum levels 0-3 straight
+# through from the block, with the one budget test before level 3 and no
+# stop test before _MIN_LEVEL; they unpack exactly five block offsets, so
+# a change of _BLOCK_LEVEL fails loudly there.  Stop levels of perfbench
+# seed 801, first 8 verify-suite rounds: 650 at level 3, 408 at 4; first 2
+# oracle-sweep rounds: 760 at 3, 320 at 4; first 2 eval-mix rounds: 451 at
+# 3, 177 at 4, 32 at 5.
 #
 # None of those integrals goes past level 5, so the weights of the block,
 # and of levels 4 and 5 once an integral reaches them, are cached per
@@ -242,8 +245,11 @@ def _pick_t_max(one_minus_u_pow: float, u_pow: float) -> float:
 
 
 def _out_of_budget(cfg: QuadratureConfig, best: IntegralResult) -> ConvergenceError:
+    # levels 0-2 are summed before the first budget test, so a budget
+    # below their nodes is exceeded by the count reported here
     return ConvergenceError(
-        "quadrature did not converge within %d evaluations" % cfg.max_subdivisions,
+        "quadrature did not converge within %d evaluations (%d made)"
+        % (cfg.max_subdivisions, best.evaluations),
         result=best,
     )
 
@@ -271,13 +277,16 @@ def weighted_unit_integral(
     Refinement halves the tanh-sinh step until the last two passes agree
     within tolerance, at level _MIN_LEVEL at the earliest; the reported
     error estimate is that last difference, which in practice
-    overestimates the true error of the final pass.  Levels below
-    _MIN_LEVEL are always summed, later ones only within the node budget.
+    overestimates the true error of the final pass.
 
-    The first call samples g at the nodes of levels 0.._BLOCK_LEVEL at
-    once, and each deeper level makes one call of its own.  So g may be
-    sampled at level-_BLOCK_LEVEL nodes that the node budget leaves unused;
-    ``evaluations`` counts only the nodes of the levels summed.
+    The first call samples g at the nodes of levels 0.._BLOCK_LEVEL (0-3)
+    at once, and those levels are summed straight through, with no stop
+    test before _MIN_LEVEL.  Levels 0-2 are always summed; the one budget
+    test before level 3 raises with the level-2 value and estimate when
+    levels 0-3 together exceed the node budget.  Each deeper level makes
+    one call of its own, within the budget.  So g may be sampled at
+    level-3 nodes that the budget leaves unused; ``evaluations`` counts
+    only the nodes of the levels summed.
 
     The tanh-sinh nodes and weights depend only on the weight, not on the
     integrand, so k rows share them, and the weights of levels
@@ -300,33 +309,42 @@ def weighted_unit_integral(
         return _rows_integral(g, vals, offsets, levels, t_max, a1, b1, cfg)
 
     # one integrand: plain float arithmetic, which costs less per level
-    # than the same steps on numpy scalars
-    evals = 0
-    total = 0.0
-    value = 0.0
-    prev = None
-    estimate = math.inf
-    for level in range(_MAX_LEVEL + 1):
-        if level > _BLOCK_LEVEL:
-            u, w = _deep_level(levels, t_max, level, a1, b1)
-            lo, hi = 0, u.size
-        else:
-            lo, hi = offsets[level], offsets[level + 1]
-        if level >= _MIN_LEVEL and evals + hi - lo > cfg.max_subdivisions:
+    # than the same steps on numpy scalars.  Levels 0-3 are summed straight
+    # through from the block's values; the unpacking fails if _BLOCK_LEVEL
+    # moves.  Level k's value is 2^-k times the running total, which starts
+    # at 0.0 as a loop's would, so a -0.0 first sum still comes out 0.0.
+    o0, o1, o2, o3, o4 = offsets
+    total = 0.0 + float(vals[o0:o1].dot(w[o0:o1]))
+    total += float(vals[o1:o2].dot(w[o1:o2]))
+    prev = 0.5 * total
+    total += float(vals[o2:o3].dot(w[o2:o3]))
+    value = 0.25 * total
+    if o4 > cfg.max_subdivisions:
+        # the level-2 estimate is kept for this error only
+        raise _out_of_budget(cfg, IntegralResult(value, abs(value - prev), o3))
+    total += float(vals[o3:o4].dot(w[o3:o4]))
+    evals = o4
+    level = _BLOCK_LEVEL
+    prev, value = value, 0.125 * total
+    estimate = abs(value - prev)
+    while not estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+        if level == _MAX_LEVEL:
+            raise _out_of_levels(IntegralResult(value, estimate, evals))
+        level += 1
+        u, w = _deep_level(levels, t_max, level, a1, b1)
+        if evals + u.size > cfg.max_subdivisions:
             raise _out_of_budget(cfg, IntegralResult(value, estimate, evals))
-        if level > _BLOCK_LEVEL:
-            vals = np.asarray(g(u))
-        total += float(vals[lo:hi].dot(w[lo:hi]))
-        evals += hi - lo
-        value = 2.0 ** (-level) * total
-        if prev is not None:
-            estimate = abs(value - prev)
-            if level >= _MIN_LEVEL and estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-                # floor at the roundoff level of the node summation
-                estimate = max(estimate, _ROUNDOFF * abs(value))
-                return IntegralResult(value, estimate, evals)
-        prev = value
-    raise _out_of_levels(IntegralResult(value, estimate, evals))
+        total += float(np.asarray(g(u)).dot(w))
+        evals += u.size
+        prev, value = value, 2.0 ** (-level) * total
+        estimate = abs(value - prev)
+    # floor at the roundoff level of the node summation
+    return IntegralResult(value, max(estimate, _ROUNDOFF * abs(value)), evals)
+
+
+def _row_totals(total, vals, w, lo: int, hi: int) -> list:
+    """total plus the rows' sums over the nodes lo:hi, one float per row."""
+    return [t + s for t, s in zip(total, vals[:, lo:hi].dot(w[lo:hi]).tolist())]
 
 
 def _rows_integral(g, vals, offsets, levels, t_max, a1, b1, cfg) -> IntegralResult:
@@ -335,7 +353,7 @@ def _rows_integral(g, vals, offsets, levels, t_max, a1, b1, cfg) -> IntegralResu
     ``vals`` holds the block of levels 0.._BLOCK_LEVEL; leading dimensions
     beyond one are flattened into rows and restored in the result.  Each
     level takes one matrix-vector product; the steps after it are those of
-    the one-integrand loop, on a list of Python floats, one per row, which
+    the one-integrand path, on a list of Python floats, one per row, which
     performs the same IEEE operations as numpy would on these few values.
     Only ``max`` differs from ``np.maximum``, on a NaN argument; a NaN value
     makes its estimate NaN, so the tolerance test fails either way.
@@ -343,34 +361,37 @@ def _rows_integral(g, vals, offsets, levels, t_max, a1, b1, cfg) -> IntegralResu
     shape = vals.shape[:-1]
     vals = vals.reshape(-1, vals.shape[-1])
     w = levels[0][1]
-    evals = 0
-    total = [0.0] * len(vals)
-    value = None
-    estimate = None
-    for level in range(_MAX_LEVEL + 1):
-        if level > _BLOCK_LEVEL:
-            u, w = _deep_level(levels, t_max, level, a1, b1)
-            lo, hi = 0, u.size
-        else:
-            lo, hi = offsets[level], offsets[level + 1]
-        if level >= _MIN_LEVEL and evals + hi - lo > cfg.max_subdivisions:
+    o0, o1, o2, o3, o4 = offsets
+    total = _row_totals([0.0] * len(vals), vals, w, o0, o1)
+    total = _row_totals(total, vals, w, o1, o2)
+    prev = [0.5 * t for t in total]
+    total = _row_totals(total, vals, w, o2, o3)
+    value = [0.25 * t for t in total]
+    if o4 > cfg.max_subdivisions:
+        estimate = [abs(v - p) for v, p in zip(value, prev)]
+        raise _out_of_budget(cfg, _rows_result(shape, value, estimate, o3))
+    total = _row_totals(total, vals, w, o3, o4)
+    evals = o4
+    level = _BLOCK_LEVEL
+    prev, value = value, [0.125 * t for t in total]
+    estimate = [abs(v - p) for v, p in zip(value, prev)]
+    while not all(
+        e <= max(cfg.abs_tol, cfg.rel_tol * abs(v)) for e, v in zip(estimate, value)
+    ):
+        if level == _MAX_LEVEL:
+            raise _out_of_levels(_rows_result(shape, value, estimate, evals))
+        level += 1
+        u, w = _deep_level(levels, t_max, level, a1, b1)
+        if evals + u.size > cfg.max_subdivisions:
             raise _out_of_budget(cfg, _rows_result(shape, value, estimate, evals))
-        if level > _BLOCK_LEVEL:
-            vals = np.asarray(g(u)).reshape(-1, hi)
-        sums = vals[:, lo:hi].dot(w[lo:hi]).tolist()
-        total = [t + s for t, s in zip(total, sums)]
-        evals += hi - lo
+        vals = np.asarray(g(u)).reshape(-1, u.size)
+        total = _row_totals(total, vals, w, 0, u.size)
+        evals += u.size
         scale = 2.0 ** (-level)
         prev, value = value, [scale * t for t in total]
-        if level:
-            estimate = [abs(v - p) for v, p in zip(value, prev)]
-            if level >= _MIN_LEVEL and all(
-                e <= max(cfg.abs_tol, cfg.rel_tol * abs(v))
-                for e, v in zip(estimate, value)
-            ):
-                estimate = [max(e, _ROUNDOFF * abs(v)) for e, v in zip(estimate, value)]
-                return _rows_result(shape, value, estimate, evals)
-    raise _out_of_levels(_rows_result(shape, value, estimate, evals))
+        estimate = [abs(v - p) for v, p in zip(value, prev)]
+    estimate = [max(e, _ROUNDOFF * abs(v)) for e, v in zip(estimate, value)]
+    return _rows_result(shape, value, estimate, evals)
 
 
 def _rows_result(shape, value, estimate, evals) -> IntegralResult:

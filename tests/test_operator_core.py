@@ -122,6 +122,86 @@ def test_validate_names_the_first_violated_condition(fields, message):
     assert str(exc_info.value) == message
 
 
+def _two_loop_validate(params):
+    """validate with its two loops over the field names: the reference for
+    any rewrite, which must raise the same messages in the same order."""
+    for name in ("alpha", "rho"):
+        if not 0.0 < getattr(params, name) < math.inf:
+            raise ParameterError("%s must be positive and finite" % name)
+    for name in ("beta", "eta", "kappa"):
+        if not math.isfinite(getattr(params, name)):
+            raise ParameterError("%s must be finite" % name)
+    if math.isnan(params.lower):
+        raise ParameterError("lower bound must not be NaN")
+    if math.isinf(params.lower):
+        if params.lower > 0:
+            raise ParameterError("lower bound must be finite or -inf")
+        if abs(params.rho - 1.0) > 1e-12 or params.eta != 0.0 or params.kappa != 0.0:
+            raise ParameterError(
+                "infinite lower bound requires rho=1, eta=0, kappa=0"
+            )
+    elif params.lower < 0.0:
+        raise ParameterError("lower bound must be nonnegative")
+    elif params.lower == 0.0 and params.rho * (params.eta + 1.0) <= 0.0:
+        raise ParameterError("rho*(eta+1) must be positive when a=0")
+    if params.side is Side.RIGHT:
+        if params.upper is None or not math.isfinite(params.upper):
+            raise ParameterError("right-sided operator requires a finite upper bound")
+        if not params.upper > max(params.lower, 0.0):
+            raise ParameterError("upper bound must exceed the lower bound")
+
+
+def _validate_message(validator, params):
+    try:
+        validator(params)
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_matches_the_two_loop_version_on_a_seeded_grid():
+    # each field valid three times in four, else 0, a negative value, NaN or
+    # +-inf; rho = 1 and eta = kappa = 0 come up often enough that
+    # lower = -inf also passes
+    special = [0.0, -1.5, math.nan, math.inf, NEG_INF]
+    valid = dict(alpha=[0.5], beta=[0.5], rho=[1.0, 2.0], eta=[0.3, 0.0],
+                 kappa=[0.7, 0.0], lower=[0.5, 3.0])
+    uppers = [None, 2.0, math.inf]
+    rng = np.random.default_rng(20261018)
+    n = 20000
+    use_valid = (rng.random((n, len(valid))) < 0.75).tolist()
+    picks = rng.integers(0, 60, size=(n, len(valid) + 2)).tolist()
+    seen = set()
+    for flags, pick in zip(use_valid, picks):
+        fields = {}
+        for (name, values), flag, k in zip(valid.items(), flags, pick):
+            pool = values if flag else special
+            fields[name] = pool[k % len(pool)]
+        fields["upper"] = uppers[pick[-2] % len(uppers)]
+        fields["side"] = (Side.LEFT, Side.RIGHT)[pick[-1] % 2]
+        params = OperatorParams(**fields)
+        want = _validate_message(_two_loop_validate, params)
+        assert _validate_message(validate, params) == want, params
+        seen.add(want if want or params.lower > NEG_INF else "accepted at -inf")
+    # every message, and acceptance, came up
+    assert seen == {
+        None,
+        "accepted at -inf",
+        "alpha must be positive and finite",
+        "rho must be positive and finite",
+        "beta must be finite",
+        "eta must be finite",
+        "kappa must be finite",
+        "lower bound must not be NaN",
+        "lower bound must be finite or -inf",
+        "infinite lower bound requires rho=1, eta=0, kappa=0",
+        "lower bound must be nonnegative",
+        "rho*(eta+1) must be positive when a=0",
+        "right-sided operator requires a finite upper bound",
+        "upper bound must exceed the lower bound",
+    }
+
+
 def test_validate_right_side_needs_upper():
     with pytest.raises(ParameterError, match="finite upper bound"):
         validate(

@@ -47,6 +47,21 @@ def test_config_invariants():
         QuadratureConfig(abs_tol=-1.0)
     with pytest.raises(DomainError):
         QuadratureConfig(max_subdivisions=0)
+    # NaN compares false with every budget, so it would disable the budget
+    with pytest.raises(DomainError):
+        QuadratureConfig(max_subdivisions=float("nan"))
+    # small budgets stay legal: they force non-convergence in tests
+    assert QuadratureConfig(max_subdivisions=1).max_subdivisions == 1
+
+
+def test_budget_below_levels_0_to_2_reports_the_evaluations_made():
+    # levels 0-2 (33 nodes at this weight) are summed before the first
+    # budget test, so the count made exceeds a budget of 10
+    cfg = QuadratureConfig(max_subdivisions=10)
+    with pytest.raises(ConvergenceError,
+                       match=r"within 10 evaluations \(33 made\)") as exc_info:
+        weighted_unit_integral(lambda u: np.exp(u), 0.0, 0.0, cfg)
+    assert exc_info.value.result.evaluations == 33
 
 
 def test_kernel_plain_integral():
@@ -352,10 +367,11 @@ def _per_level_reference(g, one_minus_u_pow, u_pow, cfg):
     the ConvergenceError that weighted_unit_integral raises, if any.
     """
     t_max = quadrature._pick_t_max(one_minus_u_pow, u_pow)
+    min_level = quadrature._MIN_LEVEL
     evals, total, value, prev, estimate = 0, 0.0, 0.0, None, math.inf
     for level in range(quadrature._MAX_LEVEL + 1):
         u, log_u, log_1mu, log_jac = quadrature._compute_level_nodes(t_max, level)
-        if level > 2 and evals + u.size > cfg.max_subdivisions:
+        if level >= min_level and evals + u.size > cfg.max_subdivisions:
             return "budget", value, estimate, evals
         w = np.exp(log_jac + (u_pow + 1.0) * log_u + (one_minus_u_pow + 1.0) * log_1mu)
         total = total + np.dot(g(u), w)
@@ -363,7 +379,7 @@ def _per_level_reference(g, one_minus_u_pow, u_pow, cfg):
         value = 2.0 ** (-level) * total
         if prev is not None:
             estimate = np.abs(value - prev)
-            if level >= 2 and np.all(
+            if level >= min_level and np.all(
                 estimate <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
             ):
                 floor = quadrature._ROUNDOFF * np.abs(value)
@@ -387,6 +403,29 @@ def _bits(x):
 
 
 WEIGHTS = [(-0.5, 0.0), (0.0, 0.0), (1.5, -0.7), (-0.95, 0.2)]  # t_max 4.5, 4, 5, 7
+
+# the Weyl reproducer's [x-8, x-4] truncation segment (tests/test_reference.py)
+# as _kernel_segment hands it to weighted_unit_integral, at weight (0, 0):
+# its levels 1 and 2 agree by chance, so a stop at level 2 takes 33 nodes
+# where refinement to level 3 and beyond takes 129
+_WEYL_C = (-0.35273568848580283, 0.18884244124957472, -0.9432538960629218)
+_WEYL_ALPHA, _WEYL_X = 0.6070039823465437, 0.8420226549937566
+_WEYL_F = TestFunction(ExpPoly(_WEYL_C), (-math.inf, _WEYL_X))
+
+
+def WEYL_SEGMENT(u):
+    return _WEYL_F(_WEYL_X - 8.0 + 4.0 * u) * (4.0 + 4.0 * (1.0 - u)) ** (_WEYL_ALPHA - 1.0)
+
+
+INTEGRANDS = [SMOOTH, FAST, KINKED, WEYL_SEGMENT,
+              _stacked(SMOOTH, FAST), _stacked(ONE, KINKED), _stacked(WEYL_SEGMENT, SMOOTH)]
+
+
+def _assert_same_outcome(got, want):
+    assert got[0] == want[0]
+    assert _bits(got[1]) == _bits(want[1])
+    assert _bits(got[2]) == _bits(want[2])
+    assert got[3] == want[3]
 
 
 @pytest.mark.parametrize("one_minus_u_pow, u_pow", WEIGHTS)
@@ -413,17 +452,34 @@ def test_first_call_samples_the_block_then_one_level_per_call(one_minus_u_pow, u
      QuadratureConfig(max_subdivisions=100000)],
 )
 def test_block_pass_matches_per_level_loop_bit_for_bit(one_minus_u_pow, u_pow, cfg):
-    integrands = [SMOOTH, FAST, KINKED, _stacked(SMOOTH, FAST), _stacked(ONE, KINKED)]
-    for g in integrands:
+    for g in INTEGRANDS:
         got = _outcome(g, one_minus_u_pow, u_pow, cfg)
         want = _per_level_reference(g, one_minus_u_pow, u_pow, cfg)
-        assert got[0] == want[0]
-        assert _bits(got[1]) == _bits(want[1])
-        assert _bits(got[2]) == _bits(want[2])
-        assert got[3] == want[3]
+        _assert_same_outcome(got, want)
         want_type = float if np.ndim(want[1]) == 0 else np.ndarray
         assert type(got[1]) is want_type
         assert type(got[2]) is want_type
+
+
+def test_weyl_segment_refines_past_level_two():
+    cfg = QuadratureConfig()
+    assert _outcome(WEYL_SEGMENT, 0.0, 0.0, cfg)[3] == 129
+    assert _outcome(_stacked(WEYL_SEGMENT, WEYL_SEGMENT), 0.0, 0.0, cfg)[3] == 129
+
+
+@pytest.mark.parametrize("one_minus_u_pow, u_pow", WEIGHTS)
+@pytest.mark.parametrize("levels", [4, 5])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_block_pass_matches_per_level_loop_at_block_boundary_budgets(
+    one_minus_u_pow, u_pow, levels, offset
+):
+    # budgets of exactly levels 0-3 or 0-4 nodes, and one either side
+    budget = sum(_level_sizes(one_minus_u_pow, u_pow)[:levels]) + offset
+    for cfg in (QuadratureConfig(max_subdivisions=budget),
+                QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=budget)):
+        for g in INTEGRANDS:
+            _assert_same_outcome(_outcome(g, one_minus_u_pow, u_pow, cfg),
+                                 _per_level_reference(g, one_minus_u_pow, u_pow, cfg))
 
 
 @pytest.mark.parametrize("g", [FAST, _stacked(SMOOTH, FAST)])
@@ -504,20 +560,16 @@ def test_weight_cache_is_bounded_and_stops_at_level_5():
 
 @pytest.mark.parametrize("one_minus_u_pow, u_pow", WEIGHTS)
 def test_cold_and_warm_weight_cache_give_identical_results(one_minus_u_pow, u_pow):
-    integrands = [SMOOTH, FAST, KINKED, _stacked(SMOOTH, FAST), _stacked(ONE, KINKED)]
     cfgs = [QuadratureConfig(), QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=300)]
     runs = []
     for _ in range(2):
         quadrature._cached_levels.cache_clear()
         for _ in range(2):  # cold, then warm
             runs.append([_outcome(g, one_minus_u_pow, u_pow, cfg)
-                         for g in integrands for cfg in cfgs])
+                         for g in INTEGRANDS for cfg in cfgs])
     for run in runs[1:]:
         for got, want in zip(run, runs[0]):
-            assert got[0] == want[0]
-            assert _bits(got[1]) == _bits(want[1])
-            assert _bits(got[2]) == _bits(want[2])
-            assert got[3] == want[3]
+            _assert_same_outcome(got, want)
 
 
 def test_rows_with_an_infinite_row_fail_without_warnings():
