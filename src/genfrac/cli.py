@@ -131,6 +131,8 @@ def cmd_reduce(args) -> int:
 def cmd_oracle(args) -> int:
     if not math.isfinite(args.x):
         raise DomainError("x must be finite, got %r" % (args.x,))
+    if not args.threshold >= 0.0:
+        raise DomainError("threshold must be a number >= 0, got %r" % (args.threshold,))
     cfg = QuadratureConfig(rel_tol=args.rel_tol)
     worst, results = sweep(x=args.x, cfg=cfg)
     print("points = %d" % len(results))

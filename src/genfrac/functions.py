@@ -111,6 +111,12 @@ class SinPos(Expr):
 
     ``shift`` is an optional logistic of a low-degree polynomial; it only
     moves the phase, so the range bound is unaffected.
+
+    When lo == hi (finite), the profile is the constant lo, as a ratio
+    profile is for m = M.  It is then returned without the sine and the
+    shift: the formula gives lo + (+0.0) wherever its argument is finite,
+    and NaN where it is not.  The shift's logistic lies in [0, 1] for finite
+    coefficients, so the argument is finite exactly where w t + phi is.
     """
 
     w: float
@@ -121,6 +127,8 @@ class SinPos(Expr):
 
     def eval(self, t):
         arg = self.w * t + self.phi
+        if self.hi - self.lo == 0.0:
+            return 0.0 * arg + (self.lo + 0.0)
         if self.shift is not None:
             arg = arg + 1.0 / (1.0 + np.exp(-_horner(self.shift, t)))
         return self.lo + (self.hi - self.lo) * 0.5 * (1.0 + np.sin(arg))

@@ -213,58 +213,151 @@ def _apply_op(op, integrand, x: float, quad: QuadratureConfig, breakpoints: tupl
 
 
 _BISECT_LEVELS = 80  # bisection steps per grid cell of the kink finder
-_BISECT_DEPTH = 7  # of which one call of the difference resolves this many
+_BISECT_DEPTH = 7  # steps per block; a bracket's liveness is tested once per block
+_BISECT_CAP = -(-_BISECT_LEVELS // _BISECT_DEPTH) * _BISECT_DEPTH  # in whole blocks
 _KINK_GRID = 512  # points of the grid the kink finder samples first
+
+
+def _bisection_stops(a: float, b: float, level: int) -> bool:
+    """Whether bisection of [a, b] stops after ``level`` steps: at a block
+    end, once the ends are adjacent doubles or the cap is reached."""
+    return level % _BISECT_DEPTH == 0 and (
+        level >= _BISECT_CAP or not math.nextafter(a, math.inf) < b
+    )
+
+
+class _Bracket:
+    """One sign-changing grid cell under bisection.
+
+    ``fa`` and ``fb`` are the difference at the ends a and b.  The sign test
+    puts fa on the side of the cell's left end and fb on the other (the
+    grid's right end may also be an exact zero), so fb - fa is never zero.
+    """
+
+    __slots__ = ("a", "b", "fa", "fb", "positive", "level", "guided", "points", "root")
+
+    def __init__(self, a: float, b: float, fa: float, fb: float):
+        self.a, self.b, self.fa, self.fb = a, b, fa, fb
+        self.positive = fa > 0.0
+        self.level = 0
+        self.guided = True
+
+    def plan(self) -> list:
+        """The points this round evaluates.
+
+        While the secant guides the cell, they are the midpoints of the
+        bisection path that the secant through (a, fa) and (b, fb) predicts,
+        up to where bisection would stop on it: a midpoint left of the
+        secant's root is predicted to pass the left end's sign test.
+        Otherwise they are the 2^j - 1 dyadic points of a k-section up to the
+        next block end, j steps away.
+        """
+        a, b, level = self.a, self.b, self.level
+        if self.guided:
+            self.root = root = a - self.fa * (b - a) / (self.fb - self.fa)
+            self.points = path = []
+            while True:
+                mid = 0.5 * (a + b)
+                path.append(mid)
+                if mid < root:
+                    a = mid
+                else:
+                    b = mid
+                level += 1
+                if _bisection_stops(a, b, level):
+                    return path
+        # column i holds the dyadic point a + (b - a) * i / k, built from its parents
+        k = 2 ** (_BISECT_DEPTH - level % _BISECT_DEPTH)
+        pts = np.empty(k + 1)
+        pts[0], pts[k] = a, b
+        h = k // 2
+        while h:
+            pts[h::2 * h] = 0.5 * (pts[0:k:2 * h] + pts[2 * h::2 * h])
+            h //= 2
+        self.points = pts.tolist()
+        return self.points[1:k]
+
+    def replay(self, vals: list) -> None:
+        """Bisect with the difference ``vals`` at ``plan()``'s points."""
+        if self.guided:
+            for i, (mid, dm) in enumerate(zip(self.points, vals)):
+                if dm == 0.0:
+                    self._zero(mid)
+                    return
+                left = (dm > 0.0) == self.positive
+                if left:
+                    self.a, self.fa = mid, dm
+                else:
+                    self.b, self.fb = mid, dm
+                self.level += 1
+                if left != (mid < self.root):  # the rest of the path is off
+                    # a round that advanced less than a block k-sections from now on
+                    self.guided = i + 1 >= _BISECT_DEPTH
+                    return
+            return
+        # vals[i - 1] is the value at column i
+        pts, pos = self.points, 0
+        h = (len(pts) - 1) // 2
+        while h:
+            dm = vals[pos + h - 1]
+            if dm == 0.0:
+                self._zero(pts[pos + h])
+                return
+            if (dm > 0.0) == self.positive:
+                pos += h
+            h //= 2
+        self.a, self.b = pts[pos], pts[pos + 1]
+        self.level += _BISECT_DEPTH - self.level % _BISECT_DEPTH
+
+    def _zero(self, t: float) -> None:
+        self.a = self.b = t
+        self.level = _BISECT_CAP  # bisection stops here
 
 
 def _sign_crossings(diff, lo: float, hi: float) -> tuple:
     """Interior points where ``diff`` changes sign (kinks of a pointwise max).
 
     ``diff`` is sampled on a _KINK_GRID-point grid.  Each grid cell whose
-    left end is nonzero and whose ends do not share a sign is bisected until
-    its ends are adjacent doubles (at most _BISECT_LEVELS steps, rounded up to
-    whole k-sections), and the root is their midpoint; a bisection point
-    where ``diff`` is exactly zero is the root itself.
+    left end is nonzero and whose ends do not share a sign is bisected,
+    each midpoint being 0.5 * (left + right) of its bracket.  A cell stops
+    at the first end of a block of _BISECT_DEPTH steps where its ends are
+    adjacent doubles, or after _BISECT_LEVELS steps rounded up to whole
+    blocks, and its root is then the midpoint of its ends; a midpoint where
+    ``diff`` is exactly zero is the root itself.
 
-    The bisection runs on all cells at once, as a k-section with
-    k = 2^_BISECT_DEPTH: one call of ``diff`` evaluates every midpoint the
-    next _BISECT_DEPTH bisection steps could visit, k-1 per cell, and the
-    bisection's path through them is then replayed.  Each midpoint is
-    computed from its two parents as 0.5 * (left + right), exactly as a
-    scalar bisection computes it, so the roots are the ones it finds.
+    Each round evaluates the points of every live cell in one call of
+    ``diff`` and then replays the bisection with their signs.  A cell's
+    points are the bisection path that the secant through its ends
+    predicts; the replay keeps every step up to and including the first
+    whose sign disagrees, and the next round starts from there.  A cell
+    whose round advanced less than one block, because the secant
+    mispredicted early, evaluates every midpoint of the steps to its next
+    block end from then on (a k-section: 2^j - 1 points for j steps).
+    Every midpoint is the one plain bisection computes, so the roots are
+    too.  No input takes more than one call of ``diff`` more than
+    k-sections of whole blocks alone: each round before a cell's switch
+    advances it at least a block, and the switch round at least one step.
     """
     t = check_grid(lo, hi, _KINK_GRID)
     d = np.asarray(diff(t), dtype=float)
     cells = np.flatnonzero((d[:-1] != 0.0) & (d[:-1] * d[1:] <= 0.0))
-    ends = np.stack([t[cells], t[cells + 1]], axis=1)  # one bracket per row
-    positive = (d[cells] > 0.0).tolist()
-    k = 2 ** _BISECT_DEPTH
-    for _ in range(-(-_BISECT_LEVELS // _BISECT_DEPTH)):
-        live = np.flatnonzero(np.nextafter(ends[:, 0], np.inf) < ends[:, 1])
-        if not live.size:
+    brackets = [
+        _Bracket(*ends)
+        for ends in zip(t[cells].tolist(), t[cells + 1].tolist(),
+                        d[cells].tolist(), d[cells + 1].tolist())
+    ]
+    live = brackets
+    while True:
+        live = [c for c in live if not _bisection_stops(c.a, c.b, c.level)]
+        if not live:
             break
-        # column i holds the dyadic point a + (b - a) * i / k, built from its parents
-        pts = np.empty((live.size, k + 1))
-        pts[:, 0], pts[:, k] = ends[live, 0], ends[live, 1]
-        h = k // 2
-        while h:
-            pts[:, h::2 * h] = 0.5 * (pts[:, 0:k:2 * h] + pts[:, 2 * h::2 * h])
-            h //= 2
-        vals = np.asarray(diff(pts[:, 1:k].ravel()), dtype=float)
-        for row, (cell, v) in enumerate(zip(live.tolist(), vals.reshape(live.size, -1).tolist())):
-            # replay the bisection; v[i - 1] is the value at column i
-            pos, h = 0, k // 2
-            while h:
-                dm = v[pos + h - 1]
-                if dm == 0.0:
-                    ends[cell] = pts[row, pos + h]
-                    break
-                if (dm > 0.0) == positive[cell]:
-                    pos += h
-                h //= 2
-            else:
-                ends[cell] = pts[row, pos:pos + 2]
-    return tuple(float(r) for r in 0.5 * (ends[:, 0] + ends[:, 1]))
+        plans = [c.plan() for c in live]
+        vals = np.asarray(diff(np.array([x for p in plans for x in p])), dtype=float).tolist()
+        start = 0
+        for c, p in zip(live, plans):
+            c.replay(vals[start:start + len(p)])
+            start += len(p)
+    return tuple(0.5 * (c.a + c.b) for c in brackets)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,20 @@ def test_eval_plain(capsys):
     assert "evaluations" in out
 
 
+@pytest.mark.parametrize("flags", [
+    ["--a", "0", "--x", "1"],
+    ["--a=0.5", "--x", "1.5"],
+    ["--a=0", "--x", "0.8", "--side", "right", "--upper", "2"],
+])
+def test_eval_constant_sinpos_prints_what_const_prints(capsys, flags):
+    point = ["--alpha", "0.5", "--beta", "0.5", "--rho", "2", "--eta", "0.3", "--kappa", "0.1"]
+    outputs = []
+    for fn in ("sinpos:2,0,1,1", "const:1"):
+        assert run_cli(["eval", *point, *flags, "--fn", fn]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_eval_half_order(capsys):
     code = run_cli([
         "eval", "--alpha", "0.5", "--beta", "0.5", "--rho", "1", "--eta", "0",
@@ -303,8 +317,17 @@ def test_oracle_smoke(capsys):
     [(["--rel-tol", "0"], "rel_tol must be positive"),
      (["--x", "-1"], "evaluation point must exceed the lower bound"),
      (["--x", "inf"], "x must be finite"),
-     (["--x", "nan"], "x must be finite")],
+     (["--x", "nan"], "x must be finite"),
+     (["--threshold", "nan"], "threshold must be a number >= 0, got nan"),
+     (["--threshold", "-1"], "threshold must be a number >= 0, got -1.0")],
 )
 def test_oracle_bad_inputs_exit_2(capsys, flags, message):
     assert run_cli(["oracle", *flags]) == 2
     assert "error: %s" % message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold, code", [("0", 1), ("inf", 0)])
+def test_oracle_threshold_decides_the_exit_code(capsys, threshold, code):
+    # the sweep's worst error is a few ulps: above 0, below inf
+    assert run_cli(["oracle", "--threshold", threshold]) == code
+    assert "max_rel_error" in capsys.readouterr().out

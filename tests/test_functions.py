@@ -71,6 +71,40 @@ def test_sinpos_stays_in_band():
     assert v.min() >= 0.25 and v.max() <= 1.75
 
 
+def _general_sinpos(s, t):
+    """Reference: the SinPos formula, whatever lo and hi are."""
+    arg = s.w * t + s.phi
+    if s.shift is not None:
+        arg = arg + 1.0 / (1.0 + np.exp(-_horner(s.shift, t)))
+    return s.lo + (s.hi - s.lo) * 0.5 * (1.0 + np.sin(arg))
+
+
+def _assert_same_bits(a, b):
+    # same type and shape, NaN at the same places, every other value with
+    # the same bits (the sign of a zero included)
+    assert type(a) is type(b)
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@pytest.mark.parametrize("c", [1.0, 0.7])
+@pytest.mark.parametrize("shift", [None, (0.1, -0.3, 0.2)])
+def test_constant_sinpos_matches_the_general_formula_bit_for_bit(c, shift):
+    s = SinPos(2.0, 0.4, c, c, shift)
+    finite = np.concatenate([np.linspace(-3.0, 3.0, 601), [0.0, -0.0, 1e300]])
+    t = np.concatenate([finite, [1e308, np.inf, -np.inf, np.nan]])  # 2e308 overflows w t
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_same_bits(s.eval(t), _general_sinpos(s, t))
+        for ti in t.tolist():
+            _assert_same_bits(s.eval(np.asarray(ti)), _general_sinpos(s, np.asarray(ti)))
+        assert np.all(s.eval(finite) == c)
+        for bad in (np.inf, -np.inf, np.nan):
+            assert np.isnan(s.eval(np.asarray(bad)))
+
+
 def test_horner_matches_zero_start_loop():
     # reference: the loop from 0, which the leading step c_n t + c_(n-1) replaces
     def reference(coeffs, t):

@@ -44,7 +44,8 @@ from genfrac.inequalities import (
     check_t15,
     run_suite,
 )
-from genfrac.inequalities import _sign_crossings
+from genfrac.functions import check_grid
+from genfrac.inequalities import _BISECT_DEPTH, _BISECT_LEVELS, _KINK_GRID, _sign_crossings
 from genfrac.operator_core import OperatorParams
 from genfrac.quadrature import QuadratureConfig
 
@@ -621,3 +622,106 @@ def test_kink_finder_exact_zero_on_grid_node():
 
 def test_kink_finder_no_crossing():
     assert _sign_crossings(lambda t: 1.0 + t, 0.0, 1.0) == ()
+
+
+def _k_section_crossings(diff, lo, hi):
+    """Reference: the k-section kink finder, every midpoint of the next
+    _BISECT_DEPTH steps of every live cell in one call of ``diff``."""
+    t = check_grid(lo, hi, _KINK_GRID)
+    d = np.asarray(diff(t), dtype=float)
+    cells = np.flatnonzero((d[:-1] != 0.0) & (d[:-1] * d[1:] <= 0.0))
+    ends = np.stack([t[cells], t[cells + 1]], axis=1)  # one bracket per row
+    positive = (d[cells] > 0.0).tolist()
+    k = 2 ** _BISECT_DEPTH
+    for _ in range(-(-_BISECT_LEVELS // _BISECT_DEPTH)):
+        live = np.flatnonzero(np.nextafter(ends[:, 0], np.inf) < ends[:, 1])
+        if not live.size:
+            break
+        # column i holds the dyadic point a + (b - a) * i / k, built from its parents
+        pts = np.empty((live.size, k + 1))
+        pts[:, 0], pts[:, k] = ends[live, 0], ends[live, 1]
+        h = k // 2
+        while h:
+            pts[:, h::2 * h] = 0.5 * (pts[:, 0:k:2 * h] + pts[:, 2 * h::2 * h])
+            h //= 2
+        vals = np.asarray(diff(pts[:, 1:k].ravel()), dtype=float)
+        for row, (cell, v) in enumerate(zip(live.tolist(), vals.reshape(live.size, -1).tolist())):
+            # replay the bisection; v[i - 1] is the value at column i
+            pos, h = 0, k // 2
+            while h:
+                dm = v[pos + h - 1]
+                if dm == 0.0:
+                    ends[cell] = pts[row, pos + h]
+                    break
+                if (dm > 0.0) == positive[cell]:
+                    pos += h
+                h //= 2
+            else:
+                ends[cell] = pts[row, pos:pos + 2]
+    return tuple(float(r) for r in 0.5 * (ends[:, 0] + ends[:, 1]))
+
+
+def _counted(diff):
+    calls = []
+
+    def wrapped(t):
+        calls.append(np.size(t))
+        return diff(t)
+
+    return wrapped, calls
+
+
+def _assert_same_roots_within_one_call(diff, lo, hi):
+    new, new_calls = _counted(diff)
+    ref, ref_calls = _counted(diff)
+    roots = _sign_crossings(new, lo, hi)
+    assert roots == _k_section_crossings(ref, lo, hi)
+    assert len(new_calls) <= len(ref_calls) + 1
+    return roots, new_calls, ref_calls
+
+
+def test_kink_finder_matches_k_section_on_t15_pairs():
+    found, new_calls, ref_calls = 0, [], []
+    for seed in range(24):
+        for m, M in ((0.5, 2.0), (0.9, 1.1), (0.2, 5.0), (0.99, 1.01)):
+            diff = _t15_arms_difference(generate_ratio_pair(seed, m, M, DOMAIN))
+            roots, new, ref = _assert_same_roots_within_one_call(diff, *DOMAIN)
+            found += len(roots)
+            new_calls += new
+            ref_calls += ref
+    assert found >= 50
+    # the secant-guided paths take fewer calls and far fewer points
+    assert len(new_calls) < len(ref_calls)
+    assert sum(new_calls) - 96 * _KINK_GRID < 0.5 * (sum(ref_calls) - 96 * _KINK_GRID)
+
+
+_NODE = float(np.linspace(0.0, 1.0, _KINK_GRID)[100])
+_NAN_PATCH = (0.4035, 0.4045)  # inside the grid cell that holds 0.405
+
+
+def _nan_patch(sign):
+    def diff(t):
+        inside = (t > _NAN_PATCH[0]) & (t < _NAN_PATCH[1])
+        return np.where(inside, np.nan, sign * (t - 0.405))
+    return diff
+
+
+@pytest.mark.parametrize(
+    "diff, lo, hi, cells",
+    [
+        (lambda t: t - 1e-30, 0.0, 1.0, 1),  # no adjacent doubles within the level cap
+        (lambda t: t - _NODE, 0.0, 1.0, 1),  # an exact zero on a grid node
+        (lambda t: np.sin(20.0 * t), 0.05, 1.0, 6),
+        (lambda t: np.sin(1e5 * t), 0.0, 1.0, 148),
+        (lambda t: (t - 0.3) ** 3, 0.0, 1.0, 1),  # values at rounding level near the root
+        (lambda t: np.where(t < 0.4123, 1.0, -1.0), 0.0, 1.0, 1),  # a step
+        (_nan_patch(1.0), 0.0, 1.0, 1),
+        (_nan_patch(-1.0), 0.0, 1.0, 1),
+        (lambda t: 1e-300 * (t - 0.37), 0.0, 1.0, 511),  # d * d underflows in every cell
+    ],
+    ids=["level-cap", "zero-on-node", "sin20", "sin1e5", "cube", "step",
+         "nan-with-left-sign", "nan-with-right-sign", "tiny-line"],
+)
+def test_kink_finder_matches_k_section_on_adversarial_differences(diff, lo, hi, cells):
+    roots, _, _ = _assert_same_roots_within_one_call(diff, lo, hi)
+    assert len(roots) == cells
