@@ -42,15 +42,7 @@ __all__ = [
     "c4",
     "c5",
     "c6",
-    "check_t8",
-    "check_t9",
-    "check_t10",
-    "check_t11",
-    "check_t12",
-    "check_t13",
-    "check_t14",
-    "check_t15",
-    "check_forward_minkowski",
+    "check_theorem",
     "check_scalar_lemmas",
     "SuiteConfig",
     "TrialRecord",
@@ -196,22 +188,6 @@ class _Val:
         return _Val(self.value + other.value, self.err + other.err)
 
 
-def _apply_op(op, integrand, x: float, quad: QuadratureConfig, breakpoints: tuple = ()):
-    """Operator values of every row of ``integrand``; None when one is untrusted."""
-    try:
-        if isinstance(op, HadamardOp):
-            res = evaluate_classical(
-                ClassicalKind.HADAMARD, op.alpha, integrand, (op.lower,), x, quad
-            )
-        else:
-            res = evaluate(op, integrand, x, quad, breakpoints)
-    except ConvergenceError:
-        return None
-    if not np.all(np.isfinite(res.value) & (res.value >= 0.0)):
-        return None
-    return [_Val(float(v), float(e)) for v, e in zip(res.value, res.error_estimate)]
-
-
 _BISECT_LEVELS = 80  # bisection steps per grid cell of the kink finder
 _BISECT_DEPTH = 7  # steps per block; a bracket's liveness is tested once per block
 _BISECT_CAP = -(-_BISECT_LEVELS // _BISECT_DEPTH) * _BISECT_DEPTH  # in whole blocks
@@ -318,12 +294,14 @@ def _sign_crossings(diff, lo: float, hi: float) -> tuple:
     """Interior points where ``diff`` changes sign (kinks of a pointwise max).
 
     ``diff`` is sampled on a _KINK_GRID-point grid.  Each grid cell whose
-    left end is nonzero and whose ends do not share a sign is bisected,
-    each midpoint being 0.5 * (left + right) of its bracket.  A cell stops
-    at the first end of a block of _BISECT_DEPTH steps where its ends are
-    adjacent doubles, or after _BISECT_LEVELS steps rounded up to whole
-    blocks, and its root is then the midpoint of its ends; a midpoint where
-    ``diff`` is exactly zero is the root itself.
+    left end has a sign and whose right end is zero or of the other sign (a
+    NaN has neither) is bisected, each midpoint being 0.5 * (left + right)
+    of its bracket.  A cell stops at the first end of a block of
+    _BISECT_DEPTH steps where its ends are adjacent doubles, or after
+    _BISECT_LEVELS steps rounded up to whole blocks, and its root is then
+    the midpoint of its ends; a midpoint where ``diff`` is exactly zero is
+    the root itself.  The scan compares signs: the product of two ends
+    underflows to zero below about 1e-162.
 
     Each round evaluates the points of every live cell in one call of
     ``diff`` and then replays the bisection with their signs.  A cell's
@@ -340,7 +318,8 @@ def _sign_crossings(diff, lo: float, hi: float) -> tuple:
     """
     t = check_grid(lo, hi, _KINK_GRID)
     d = np.asarray(diff(t), dtype=float)
-    cells = np.flatnonzero((d[:-1] != 0.0) & (d[:-1] * d[1:] <= 0.0))
+    left, right = d[:-1], d[1:]
+    cells = np.flatnonzero(((left > 0.0) & (right <= 0.0)) | ((left < 0.0) & (right >= 0.0)))
     brackets = [
         _Bracket(*ends)
         for ends in zip(t[cells].tolist(), t[cells + 1].tolist(),
@@ -397,7 +376,6 @@ class InequalityCheck:
     satisfied: bool
     mid: Optional[float] = None  # sandwich checks: the bracketed quantity
     inconclusive: bool = False
-    aux: Optional[dict] = None
 
     @property
     def margin(self) -> float:
@@ -409,26 +387,16 @@ class InequalityCheck:
         return min(self.mid - self.lhs, self.rhs - self.mid) / scale
 
 
-def _inconclusive_check(theorem: TheoremId, constant: float) -> InequalityCheck:
-    return InequalityCheck(
-        theorem_id=theorem,
-        lhs=math.nan,
-        rhs=math.nan,
-        constant=constant,
-        slack=math.nan,
-        satisfied=False,
-        inconclusive=True,
-    )
-
-
 # ---------------------------------------------------------------------------
 # theorem checks
 #
 # Each check is data: the integrands as functions of the pair's values
 # (f(t), g(t)) at the quadrature nodes, one row each, and a rule combining
-# their operator values into the compared sides.  _run_check integrates all
-# rows of a check on one node set, taking f and g from one
-# ``PositivePair.values`` call per node set.
+# their operator values into the compared sides.  One table maps each
+# theorem to the builder of its check, and every check runs in two steps:
+# _row_values integrates all rows on one node set, taking f and g from one
+# ``PositivePair.values`` call per node set, and _verdict judges the
+# inequality from those values alone.
 # ---------------------------------------------------------------------------
 
 
@@ -437,7 +405,6 @@ class _Sides:
     lhs: _Val
     rhs: _Val
     mid: Optional[_Val] = None  # sandwich checks: lhs <= mid <= rhs
-    aux: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -453,53 +420,60 @@ class _Check:
     kinks: Optional[Callable] = None
 
 
-def _run_check(check: _Check, pair: PositivePair, params, x: float,
-               cfg: CheckConfig) -> InequalityCheck:
-    """Integrate every row of ``check`` in one call and judge the inequality.
-
-    Quadrature non-convergence, or an unusable value in any row, makes the
-    trial inconclusive.  The rows and the kink finder's difference may
+def _row_values(check: _Check, pair: PositivePair, params, x: float,
+                quad: QuadratureConfig) -> Optional[list]:
+    """The operator values of ``check``'s rows on ``pair``, integrated in one
+    call; None when quadrature does not converge or a value is not finite
+    and nonnegative.  The rows and the kink finder's difference may
     overflow (f**p for a large M, say); they are sampled without numpy's
-    overflow and invalid-value warnings, as _apply_op judges every row.
+    overflow and invalid-value warnings, as every value is judged here.
     """
 
     def on_pair(fn):
         return lambda t: fn(*pair.values(t))
 
     rows = on_pair(lambda fv, gv: np.array(check.rows(fv, gv)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        breakpoints = ()
-        if check.kinks is not None and not isinstance(params, HadamardOp):
-            lo, hi = pair.f.domain
-            breakpoints = _sign_crossings(
-                on_pair(check.kinks), max(lo, params.lower), min(hi, x)
-            )
-        vals = _apply_op(params, rows, x, cfg.quad, breakpoints)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(params, HadamardOp):
+                res = evaluate_classical(ClassicalKind.HADAMARD, params.alpha, rows,
+                                         (params.lower,), x, quad)
+            else:
+                breakpoints = ()
+                if check.kinks is not None:
+                    lo, hi = pair.f.domain
+                    breakpoints = _sign_crossings(on_pair(check.kinks),
+                                                  max(lo, params.lower), min(hi, x))
+                res = evaluate(params, rows, x, quad, breakpoints)
+    except ConvergenceError:
+        return None
+    if not np.all(np.isfinite(res.value) & (res.value >= 0.0)):
+        return None
+    return [_Val(float(v), float(e)) for v, e in zip(res.value, res.error_estimate)]
+
+
+def _verdict(check: _Check, vals: Optional[list], slack_factor: float) -> InequalityCheck:
+    """Judge ``check`` from its rows' operator values ``vals`` (None: the
+    trial is inconclusive).  The slack on each compared pair of sides is
+    ``slack_factor`` times their summed errors; a sandwich's is the sum of
+    its two."""
     if vals is None:
-        return _inconclusive_check(check.theorem, check.constant)
+        return InequalityCheck(check.theorem, math.nan, math.nan, check.constant,
+                               slack=math.nan, satisfied=False, inconclusive=True)
     sides = check.combine(*vals)
     lhs, rhs, mid = sides.lhs, sides.rhs, sides.mid
-    # the slack on each compared pair is slack_factor times its summed errors
     if mid is None:
-        slack = cfg.slack_factor * (lhs.err + rhs.err)
+        slack = slack_factor * (lhs.err + rhs.err)
         satisfied = lhs.value <= rhs.value + slack
     else:
-        slack_lo = cfg.slack_factor * (lhs.err + mid.err)
-        slack_hi = cfg.slack_factor * (mid.err + rhs.err)
+        slack_lo = slack_factor * (lhs.err + mid.err)
+        slack_hi = slack_factor * (mid.err + rhs.err)
         satisfied = (lhs.value <= mid.value + slack_lo) and (
             mid.value <= rhs.value + slack_hi
         )
         slack = slack_lo + slack_hi
-    return InequalityCheck(
-        theorem_id=check.theorem,
-        lhs=lhs.value,
-        rhs=rhs.value,
-        constant=check.constant,
-        slack=slack,
-        satisfied=satisfied,
-        mid=None if mid is None else mid.value,
-        aux=sides.aux,
-    )
+    return InequalityCheck(check.theorem, lhs.value, rhs.value, check.constant, slack=slack,
+                           satisfied=satisfied, mid=None if mid is None else mid.value)
 
 
 def _root_sum(fp: _Val, gp: _Val, p: float) -> _Val:
@@ -519,13 +493,12 @@ def _sum_powers(theorem: TheoremId, const: float, p: float, forward: bool = Fals
     return _Check(theorem, const, lambda f, g: (f ** p, g ** p, (f + g) ** p), combine)
 
 
-def check_t8(pair: PositivePair, params, x: float, cfg: CheckConfig) -> InequalityCheck:
+def _t8(pair: PositivePair, cfg: CheckConfig) -> _Check:
     """Sum of p-th roots bounded by c1 times the p-th root of the sum."""
-    check = _sum_powers(TheoremId.T8, c1(pair.m, pair.M), cfg.p)
-    return _run_check(check, pair, params, x, cfg)
+    return _sum_powers(TheoremId.T8, c1(pair.m, pair.M), cfg.p)
 
 
-def check_t9(pair: PositivePair, params, x: float, cfg: CheckConfig) -> InequalityCheck:
+def _t9(pair: PositivePair, cfg: CheckConfig) -> _Check:
     """c2 times the product of p-th roots bounded by the sum of squared roots."""
     const = c2(pair.m, pair.M)
     p = cfg.p
@@ -534,48 +507,44 @@ def check_t9(pair: PositivePair, params, x: float, cfg: CheckConfig) -> Inequali
         lhs = fp.powered(1.0 / p).times(gp.powered(1.0 / p)).scaled(const)
         return _Sides(lhs, fp.powered(2.0 / p).plus(gp.powered(2.0 / p)))
 
-    check = _Check(TheoremId.T9, const, lambda f, g: (f ** p, g ** p), combine)
-    return _run_check(check, pair, params, x, cfg)
+    return _Check(TheoremId.T9, const, lambda f, g: (f ** p, g ** p), combine)
 
 
-def check_t10(pair: PositivePair, params, x: float, cfg: CheckConfig) -> InequalityCheck:
+def _t10(pair: PositivePair, cfg: CheckConfig) -> _Check:
     """Split-exponent product bound with constant (M/m)^(1/(pq)).
 
     The sound conclusion carries no outer exponent on the right-hand
-    operator term (the two proof branches contribute exponents 1/p and 1/q
-    which sum to one); the variant with a spurious outer 1/p that appears
-    in one display is recorded in ``aux`` for comparison but not asserted.
+    operator term (the two proof branches contribute exponents 1/p and 1/q,
+    which sum to one).  One display of the paper puts an outer 1/p on it;
+    ``statement_constants`` checks that variant instead.  It is not
+    homogeneous in the operator, and random pairs violate it.
     """
-    _require(cfg.p > 1.0, "T10 requires p > 1")
     p, q = cfg.p, cfg.q
     const = (pair.M / pair.m) ** (1.0 / (p * q))
+    outer = 1.0 / p if cfg.statement_constants else 1.0
 
     def combine(fi, gi, mixed):
-        return _Sides(fi.powered(1.0 / p).times(gi.powered(1.0 / q)), mixed.scaled(const),
-                      aux={"outer_exponent_rhs": const * mixed.value ** (1.0 / p)})
+        return _Sides(fi.powered(1.0 / p).times(gi.powered(1.0 / q)),
+                      mixed.powered(outer).scaled(const))
 
-    check = _Check(TheoremId.T10, const,
-                   lambda f, g: (f, g, f ** (1.0 / p) * g ** (1.0 / q)), combine)
-    return _run_check(check, pair, params, x, cfg)
+    return _Check(TheoremId.T10, const,
+                  lambda f, g: (f, g, f ** (1.0 / p) * g ** (1.0 / q)), combine)
 
 
-def check_t11(pair: PositivePair, params, x: float, cfg: CheckConfig) -> InequalityCheck:
+def _t11(pair: PositivePair, cfg: CheckConfig) -> _Check:
     """Product integral bounded by c3, c4 combinations of power sums."""
-    _require(cfg.p > 1.0, "T11 requires p > 1")
     p, q = cfg.p, cfg.q
     const3 = c3(p, pair.M)
     const4 = c4(q, pair.m, cfg.statement_constants)
 
     def combine(prod, psum, qsum):
-        return _Sides(prod, psum.scaled(const3).plus(qsum.scaled(const4)),
-                      aux={"c4": const4})
+        return _Sides(prod, psum.scaled(const3).plus(qsum.scaled(const4)))
 
-    check = _Check(TheoremId.T11, const3,
-                   lambda f, g: (f * g, f ** p + g ** p, f ** q + g ** q), combine)
-    return _run_check(check, pair, params, x, cfg)
+    return _Check(TheoremId.T11, const3,
+                  lambda f, g: (f * g, f ** p + g ** p, f ** q + g ** q), combine)
 
 
-def check_t12(pair: PositivePair, params, x: float, cfg: CheckConfig) -> InequalityCheck:
+def _t12(pair: PositivePair, cfg: CheckConfig) -> _Check:
     """Two-sided bound through the p-th power of f - c g.
 
     Implements the derivation's form with the p-th power inside the
@@ -591,20 +560,17 @@ def check_t12(pair: PositivePair, params, x: float, cfg: CheckConfig) -> Inequal
         return _Sides(root.scaled((M + 1.0) / (M - c)), root.scaled((m + 1.0) / (m - c)),
                       mid=_root_sum(fp, gp, p))
 
-    check = _Check(TheoremId.T12, c,
-                   lambda f, g: ((f - c * g) ** p, f ** p, g ** p), combine)
-    return _run_check(check, pair, params, x, cfg)
+    return _Check(TheoremId.T12, c, lambda f, g: ((f - c * g) ** p, f ** p, g ** p), combine)
 
 
-def check_t13(pair: PositivePair, params, x: float, cfg: CheckConfig) -> InequalityCheck:
+def _t13(pair: PositivePair, cfg: CheckConfig) -> _Check:
     """Box-bounded version of the reverse sum bound with constant c5."""
     _require(pair.kind is PairKind.BOX_BOUNDED and pair.box is not None,
              "T13 requires a box-bounded pair")
-    check = _sum_powers(TheoremId.T13, c5(*pair.box), cfg.p)
-    return _run_check(check, pair, params, x, cfg)
+    return _sum_powers(TheoremId.T13, c5(*pair.box), cfg.p)
 
 
-def check_t14(pair: PositivePair, params, x: float, cfg: CheckConfig) -> InequalityCheck:
+def _t14(pair: PositivePair, cfg: CheckConfig) -> _Check:
     """Sandwich of c6 times the squared-sum integral between scaled product integrals."""
     m, M = pair.m, pair.M
     const = c6(m, M)
@@ -612,11 +578,10 @@ def check_t14(pair: PositivePair, params, x: float, cfg: CheckConfig) -> Inequal
     def combine(prod, sq):
         return _Sides(prod.scaled(1.0 / M), prod.scaled(1.0 / m), mid=sq.scaled(const))
 
-    check = _Check(TheoremId.T14, const, lambda f, g: (f * g, (f + g) ** 2.0), combine)
-    return _run_check(check, pair, params, x, cfg)
+    return _Check(TheoremId.T14, const, lambda f, g: (f * g, (f + g) ** 2.0), combine)
 
 
-def check_t15(pair: PositivePair, params, x: float, cfg: CheckConfig) -> InequalityCheck:
+def _t15(pair: PositivePair, cfg: CheckConfig) -> _Check:
     """Sum of p-th roots bounded by twice the root of the max-function integral."""
     m, M = pair.m, pair.M
     p = cfg.p
@@ -636,15 +601,38 @@ def check_t15(pair: PositivePair, params, x: float, cfg: CheckConfig) -> Inequal
     def combine(fp, gp, hp):
         return _Sides(_root_sum(fp, gp, p), hp.powered(1.0 / p).scaled(2.0))
 
-    return _run_check(_Check(TheoremId.T15, 2.0, rows, combine, kinks), pair, params, x, cfg)
+    return _Check(TheoremId.T15, 2.0, rows, combine, kinks)
 
 
-def check_forward_minkowski(
-    pair: PositivePair, params, x: float, cfg: CheckConfig
-) -> InequalityCheck:
+def _forward_minkowski(pair: PositivePair, cfg: CheckConfig) -> _Check:
     """Ordinary triangle-inequality direction, used as a proof-step sanity check."""
-    check = _sum_powers(TheoremId.FORWARD_MINKOWSKI, 1.0, cfg.p, forward=True)
-    return _run_check(check, pair, params, x, cfg)
+    return _sum_powers(TheoremId.FORWARD_MINKOWSKI, 1.0, cfg.p, forward=True)
+
+
+_BUILDERS = {
+    TheoremId.T8: _t8,
+    TheoremId.T9: _t9,
+    TheoremId.T10: _t10,
+    TheoremId.T11: _t11,
+    TheoremId.T12: _t12,
+    TheoremId.T13: _t13,
+    TheoremId.T14: _t14,
+    TheoremId.T15: _t15,
+    TheoremId.FORWARD_MINKOWSKI: _forward_minkowski,
+}
+
+_NEEDS_P_GT_1 = {TheoremId.T10, TheoremId.T11}
+
+
+def check_theorem(theorem: TheoremId, pair: PositivePair, params, x: float,
+                  cfg: CheckConfig) -> InequalityCheck:
+    """Check ``theorem`` on ``pair`` under ``params`` (an ``OperatorParams``
+    or a ``HadamardOp``) at ``x``.  DomainError where the theorem does not
+    apply: T10 and T11 need p > 1, T12 0 < cfg.c < m, T13 a box pair."""
+    if not cfg.p > 1.0 and theorem in _NEEDS_P_GT_1:
+        raise DomainError("%s requires p > 1" % theorem.value)
+    check = _BUILDERS[theorem](pair, cfg)
+    return _verdict(check, _row_values(check, pair, params, x, cfg.quad), cfg.slack_factor)
 
 
 def check_scalar_lemmas(r: float, a: float, b: float) -> bool:
@@ -680,20 +668,6 @@ def check_scalar_lemmas(r: float, a: float, b: float) -> bool:
 # suite runner
 # ---------------------------------------------------------------------------
 
-
-_OPERATOR_CHECKS = {
-    TheoremId.T8: check_t8,
-    TheoremId.T9: check_t9,
-    TheoremId.T10: check_t10,
-    TheoremId.T11: check_t11,
-    TheoremId.T12: check_t12,
-    TheoremId.T13: check_t13,
-    TheoremId.T14: check_t14,
-    TheoremId.T15: check_t15,
-    TheoremId.FORWARD_MINKOWSKI: check_forward_minkowski,
-}
-
-_NEEDS_P_GT_1 = {TheoremId.T10, TheoremId.T11}
 
 DEFAULT_THEOREMS = (
     TheoremId.T8,
@@ -918,7 +892,7 @@ def _run_theorem(cfg: SuiteConfig, theorem: TheoremId, ordinal: int) -> list:
             slack_factor=cfg.slack_factor,
             statement_constants=cfg.statement_constants,
         )
-        check = _OPERATOR_CHECKS[theorem](pair, op, cfg.x, check_cfg)
+        check = check_theorem(theorem, pair, op, cfg.x, check_cfg)
         records.append(TrialRecord(
             theorem=theorem,
             index=index,
@@ -943,7 +917,7 @@ def run_suite(cfg: SuiteConfig, version: str = "0.1.0", timestamp: str = "") -> 
     its index, so a fixed master seed gives the same report on every run.
 
     An integrand row that overflows (f**p for a large M, say) makes its
-    trial inconclusive without a numpy warning (see _run_check).
+    trial inconclusive without a numpy warning (see _row_values).
     """
     ordinals = {t: k for k, t in enumerate(TheoremId)}
     records = []

@@ -23,11 +23,9 @@ from genfrac.functions import (
 from genfrac.inequalities import (
     CheckConfig,
     SuiteConfig,
+    TheoremId,
     check_scalar_lemmas,
-    check_t8,
-    check_t9,
-    check_t14,
-    check_t15,
+    check_theorem,
     run_suite,
 )
 from genfrac.operator_core import (
@@ -154,12 +152,12 @@ def test_criterion_5_equality_tightness():
     for seed in (1, 2, 3):
         pair = generate_ratio_pair(seed, 1.0, 1.0, (0.0, 1.0))
         cfg = CheckConfig(p=2.0)
-        for check in (check_t8, check_t9, check_t15):
-            chk = check(pair, params, 1.0, cfg)
+        for theorem in (TheoremId.T8, TheoremId.T9, TheoremId.T15):
+            chk = check_theorem(theorem, pair, params, 1.0, cfg)
             rel = abs(chk.lhs - chk.rhs) / abs(chk.rhs)
             worst = max(worst, rel)
             ok = ok and chk.satisfied and rel <= 1e-10
-        chk = check_t14(pair, params, 1.0, cfg)
+        chk = check_theorem(TheoremId.T14, pair, params, 1.0, cfg)
         rel = max(abs(chk.lhs - chk.mid) / abs(chk.mid),
                   abs(chk.mid - chk.rhs) / abs(chk.rhs))
         worst = max(worst, rel)

@@ -330,4 +330,11 @@ def test_oracle_bad_inputs_exit_2(capsys, flags, message):
 def test_oracle_threshold_decides_the_exit_code(capsys, threshold, code):
     # the sweep's worst error is a few ulps: above 0, below inf
     assert run_cli(["oracle", "--threshold", threshold]) == code
-    assert "max_rel_error" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "max_rel_error" in out
+    fail_lines = [line for line in out.splitlines() if line.startswith("FAIL:")]
+    if code == 1:
+        worst = out.split("max_rel_error = ")[1].split()[0]
+        assert fail_lines == ["FAIL: max_rel_error %s exceeds threshold 0" % worst]
+    else:
+        assert fail_lines == []

@@ -32,20 +32,21 @@ from genfrac.inequalities import (
     c4,
     c5,
     c6,
-    check_forward_minkowski,
     check_scalar_lemmas,
-    check_t8,
-    check_t9,
-    check_t10,
-    check_t11,
-    check_t12,
-    check_t13,
-    check_t14,
-    check_t15,
+    check_theorem,
     run_suite,
 )
 from genfrac.functions import check_grid
-from genfrac.inequalities import _BISECT_DEPTH, _BISECT_LEVELS, _KINK_GRID, _sign_crossings
+from genfrac.inequalities import (
+    _BISECT_DEPTH,
+    _BISECT_LEVELS,
+    _KINK_GRID,
+    _Check,
+    _Sides,
+    _Val,
+    _sign_crossings,
+    _verdict,
+)
 from genfrac.operator_core import OperatorParams
 from genfrac.quadrature import QuadratureConfig
 
@@ -189,7 +190,7 @@ def test_c5_constant_pair_equality():
 @pytest.mark.parametrize("params", [RL_HALF, RL_ONE, KAT, EK])
 def test_equality_tightness_t8(params):
     pair = generate_ratio_pair(5, 1.0, 1.0, DOMAIN)
-    chk = check_t8(pair, params, X, CheckConfig(p=2.0))
+    chk = check_theorem(TheoremId.T8, pair, params, X, CheckConfig(p=2.0))
     assert chk.satisfied and not chk.inconclusive
     assert abs(chk.lhs - chk.rhs) <= 1e-10 * abs(chk.rhs)
     assert chk.constant == pytest.approx(1.0)
@@ -197,7 +198,7 @@ def test_equality_tightness_t8(params):
 
 def test_equality_tightness_t9():
     pair = generate_ratio_pair(6, 1.0, 1.0, DOMAIN)
-    chk = check_t9(pair, RL_HALF, X, CheckConfig(p=3.0))
+    chk = check_theorem(TheoremId.T9, pair, RL_HALF, X, CheckConfig(p=3.0))
     assert chk.satisfied
     assert abs(chk.lhs - chk.rhs) <= 1e-10 * abs(chk.rhs)
     assert chk.constant == pytest.approx(2.0)
@@ -205,7 +206,7 @@ def test_equality_tightness_t9():
 
 def test_equality_tightness_t14():
     pair = generate_ratio_pair(8, 1.0, 1.0, DOMAIN)
-    chk = check_t14(pair, KAT, X, CheckConfig())
+    chk = check_theorem(TheoremId.T14, pair, KAT, X, CheckConfig())
     assert chk.satisfied
     assert abs(chk.lhs - chk.mid) <= 1e-10 * abs(chk.mid)
     assert abs(chk.mid - chk.rhs) <= 1e-10 * abs(chk.rhs)
@@ -213,18 +214,17 @@ def test_equality_tightness_t14():
 
 def test_equality_tightness_t15():
     pair = generate_ratio_pair(9, 1.0, 1.0, DOMAIN)
-    chk = check_t15(pair, RL_HALF, X, CheckConfig(p=2.0))
+    chk = check_theorem(TheoremId.T15, pair, RL_HALF, X, CheckConfig(p=2.0))
     assert chk.satisfied
     assert abs(chk.lhs - chk.rhs) <= 1e-10 * abs(chk.rhs)
 
 
 def test_t10_identity_case():
     pair = generate_ratio_pair(10, 1.0, 1.0, DOMAIN)
-    chk = check_t10(pair, RL_HALF, X, CheckConfig(p=2.0))
+    chk = check_theorem(TheoremId.T10, pair, RL_HALF, X, CheckConfig(p=2.0))
     assert chk.satisfied
     # both sides reduce to I f
     assert abs(chk.lhs - chk.rhs) <= 1e-10 * abs(chk.rhs)
-    assert chk.aux is not None and "outer_exponent_rhs" in chk.aux
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +235,7 @@ def test_t10_identity_case():
 def test_t9_constants_p1_equality():
     # f=2, g=1, m=M=2, p=1: both sides equal 5 (I 1)^2
     pair = _const_pair(2.0, 1.0)
-    chk = check_t9(pair, RL_ONE, X, CheckConfig(p=1.0))
+    chk = check_theorem(TheoremId.T9, pair, RL_ONE, X, CheckConfig(p=1.0))
     assert chk.satisfied
     assert chk.lhs == pytest.approx(chk.rhs, rel=1e-12)
     assert chk.constant == pytest.approx(c2(2.0, 2.0))
@@ -244,7 +244,7 @@ def test_t9_constants_p1_equality():
 def test_t11_constants_equality():
     # f=g=1, p=q=2, m=M=1, alpha=1, x=1: lhs = 1 and rhs = (c3+c4)*2 = 1
     pair = _const_pair(1.0, 1.0)
-    chk = check_t11(pair, RL_ONE, X, CheckConfig(p=2.0))
+    chk = check_theorem(TheoremId.T11, pair, RL_ONE, X, CheckConfig(p=2.0))
     assert chk.satisfied
     assert chk.lhs == pytest.approx(1.0, rel=1e-11)
     assert chk.rhs == pytest.approx(1.0, rel=1e-11)
@@ -253,7 +253,7 @@ def test_t11_constants_equality():
 def test_t12_proportional_pair_equality():
     # f = 2 g, m=M=2, c=1: f - c g = g and all three quantities coincide
     pair = _const_pair(3.0, 1.5)
-    chk = check_t12(pair, RL_HALF, X, CheckConfig(p=2.0, c=1.0))
+    chk = check_theorem(TheoremId.T12, pair, RL_HALF, X, CheckConfig(p=2.0, c=1.0))
     assert chk.satisfied
     assert chk.lhs == pytest.approx(chk.mid, rel=1e-11)
     assert chk.mid == pytest.approx(chk.rhs, rel=1e-11)
@@ -262,9 +262,9 @@ def test_t12_proportional_pair_equality():
 def test_t12_rejects_c_at_or_above_m():
     pair = _const_pair(3.0, 1.5)
     with pytest.raises(DomainError):
-        check_t12(pair, RL_HALF, X, CheckConfig(p=2.0, c=2.0))
+        check_theorem(TheoremId.T12, pair, RL_HALF, X, CheckConfig(p=2.0, c=2.0))
     with pytest.raises(DomainError):
-        check_t12(pair, RL_HALF, X, CheckConfig(p=2.0))  # c missing
+        check_theorem(TheoremId.T12, pair, RL_HALF, X, CheckConfig(p=2.0))  # c missing
 
 
 @pytest.mark.parametrize("factor", [math.inf, math.nan, 0.0])
@@ -276,7 +276,7 @@ def test_check_config_rejects_bad_slack_factor(factor):
 
 def test_t13_constant_boxes_equality():
     pair = generate_box_pair(3, 2.0, 2.0, 0.5, 0.5, DOMAIN)
-    chk = check_t13(pair, RL_HALF, X, CheckConfig(p=2.0))
+    chk = check_theorem(TheoremId.T13, pair, RL_HALF, X, CheckConfig(p=2.0))
     assert chk.satisfied
     assert chk.lhs == pytest.approx(chk.rhs, rel=1e-11)
 
@@ -284,12 +284,12 @@ def test_t13_constant_boxes_equality():
 def test_t13_requires_box_pair():
     pair = generate_ratio_pair(4, 0.5, 2.0, DOMAIN)
     with pytest.raises(DomainError):
-        check_t13(pair, RL_HALF, X, CheckConfig(p=2.0))
+        check_theorem(TheoremId.T13, pair, RL_HALF, X, CheckConfig(p=2.0))
 
 
 def test_t14_constants_equality():
     pair = _const_pair(3.0, 2.0)
-    chk = check_t14(pair, RL_ONE, X, CheckConfig())
+    chk = check_theorem(TheoremId.T14, pair, RL_ONE, X, CheckConfig())
     assert chk.satisfied
     assert chk.lhs == pytest.approx(chk.mid, rel=1e-12)
     assert chk.mid == pytest.approx(chk.rhs, rel=1e-12)
@@ -298,7 +298,7 @@ def test_t14_constants_equality():
 def test_t15_constants_arithmetic():
     # f=3, g=2, m=M=1.5: h = max(1.5*(2.5*3/1.5 - 1.5*2), (3.5*2-3)/1.5)... = 4.5
     pair = _const_pair(3.0, 2.0)
-    chk = check_t15(pair, RL_ONE, X, CheckConfig(p=2.0))
+    chk = check_theorem(TheoremId.T15, pair, RL_ONE, X, CheckConfig(p=2.0))
     assert chk.satisfied
     assert chk.lhs == pytest.approx(5.0, rel=1e-11)
     assert chk.rhs == pytest.approx(9.0, rel=1e-11)
@@ -307,7 +307,7 @@ def test_t15_constants_arithmetic():
 def test_t8_p1_ratio_is_exactly_c1():
     # at p=1 linearity makes lhs = I(f+g), so rhs/lhs equals c1
     pair = generate_ratio_pair(21, 0.5, 2.0, DOMAIN)
-    chk = check_t8(pair, RL_HALF, X, CheckConfig(p=1.0))
+    chk = check_theorem(TheoremId.T8, pair, RL_HALF, X, CheckConfig(p=1.0))
     assert chk.satisfied
     assert chk.rhs / chk.lhs == pytest.approx(c1(0.5, 2.0), rel=1e-9)
 
@@ -315,7 +315,7 @@ def test_t8_p1_ratio_is_exactly_c1():
 def test_t10_constants_arithmetic():
     # f=2, g=1, m=M=2, p=q=2: lhs = sqrt(2 I1) sqrt(I1), mixed = sqrt(2) I1
     pair = _const_pair(2.0, 1.0)
-    chk = check_t10(pair, RL_ONE, X, CheckConfig(p=2.0))
+    chk = check_theorem(TheoremId.T10, pair, RL_ONE, X, CheckConfig(p=2.0))
     assert chk.satisfied
     assert chk.constant == pytest.approx(1.0)
     assert chk.lhs == pytest.approx(math.sqrt(2.0), rel=1e-11)
@@ -324,20 +324,20 @@ def test_t10_constants_arithmetic():
 
 def test_t10_requires_p_above_one():
     pair = _const_pair(2.0, 1.0)
-    with pytest.raises(DomainError):
-        check_t10(pair, RL_ONE, X, CheckConfig(p=1.0))
-    with pytest.raises(DomainError):
-        check_t11(pair, RL_ONE, X, CheckConfig(p=1.0))
+    with pytest.raises(DomainError, match="T10 requires p > 1"):
+        check_theorem(TheoremId.T10, pair, RL_ONE, X, CheckConfig(p=1.0))
+    with pytest.raises(DomainError, match="T11 requires p > 1"):
+        check_theorem(TheoremId.T11, pair, RL_ONE, X, CheckConfig(p=1.0))
 
 
 def test_forward_minkowski_equality_and_linearity():
     pair = generate_ratio_pair(12, 1.0, 1.0, DOMAIN)
-    chk = check_forward_minkowski(pair, RL_HALF, X, CheckConfig(p=2.0))
+    chk = check_theorem(TheoremId.FORWARD_MINKOWSKI, pair, RL_HALF, X, CheckConfig(p=2.0))
     assert chk.satisfied
     assert abs(chk.lhs - chk.rhs) <= 1e-10 * abs(chk.rhs)
     # p = 1 is exact equality by linearity of the operator
     pair = generate_ratio_pair(13, 0.5, 2.0, DOMAIN)
-    chk = check_forward_minkowski(pair, RL_HALF, X, CheckConfig(p=1.0))
+    chk = check_theorem(TheoremId.FORWARD_MINKOWSKI, pair, RL_HALF, X, CheckConfig(p=1.0))
     assert chk.satisfied
     assert abs(chk.lhs - chk.rhs) <= 1e-9 * abs(chk.rhs)
 
@@ -349,25 +349,25 @@ def test_forward_minkowski_equality_and_linearity():
 ALL_PARAMS = [RL_HALF, RL_ONE, KAT, EK]
 
 
-@pytest.mark.parametrize("theorem_check, needs_c", [
-    (check_t8, False), (check_t9, False), (check_t10, False),
-    (check_t11, False), (check_t12, True), (check_t14, False),
-    (check_t15, False), (check_forward_minkowski, False),
+@pytest.mark.parametrize("theorem, needs_c", [
+    (TheoremId.T8, False), (TheoremId.T9, False), (TheoremId.T10, False),
+    (TheoremId.T11, False), (TheoremId.T12, True), (TheoremId.T14, False),
+    (TheoremId.T15, False), (TheoremId.FORWARD_MINKOWSKI, False),
 ])
-def test_random_trials_hold(theorem_check, needs_c):
+def test_random_trials_hold(theorem, needs_c):
     for seed in range(6):
         params = ALL_PARAMS[seed % len(ALL_PARAMS)]
         pair = generate_ratio_pair(100 + seed, 0.5, 2.0, DOMAIN)
         cfg = CheckConfig(p=2.0, c=0.25 if needs_c else None)
-        chk = theorem_check(pair, params, X, cfg)
+        chk = check_theorem(theorem, pair, params, X, cfg)
         assert not chk.inconclusive
-        assert chk.satisfied, (theorem_check.__name__, seed, chk)
+        assert chk.satisfied, (theorem, seed, chk)
 
 
 def test_random_box_trials_hold():
     for seed in range(6):
         pair = generate_box_pair(200 + seed, 1.0, 2.0, 1.0, 3.0, DOMAIN)
-        chk = check_t13(pair, ALL_PARAMS[seed % len(ALL_PARAMS)], X, CheckConfig(p=3.0))
+        chk = check_theorem(TheoremId.T13, pair, ALL_PARAMS[seed % len(ALL_PARAMS)], X, CheckConfig(p=3.0))
         assert chk.satisfied and not chk.inconclusive
 
 
@@ -387,22 +387,23 @@ def test_checks_identical_with_and_without_shared_g_tree():
             assert pair.f.expr.factors[1] is pair.g.expr
             twin = _unshared(pair)
             assert twin.f == pair.f and twin.f.expr.factors[1] is not twin.g.expr
-            for check, c in ((check_t8, None), (check_t9, None), (check_t10, None),
-                             (check_t11, None), (check_t12, 0.5 * m), (check_t14, None),
-                             (check_t15, None), (check_forward_minkowski, None)):
-                cases.append((check, pair, twin, c))
+            for theorem in TheoremId:
+                if theorem is not TheoremId.T13:
+                    c = 0.5 * m if theorem is TheoremId.T12 else None
+                    cases.append((theorem, pair, twin, c))
     for seed in range(4):
         box = generate_box_pair(400 + seed, 1.0, 2.0, 1.0, 3.0, DOMAIN)
-        cases.append((check_t13, box, box, None))
-        cases.append((check_t15, box, box, None))
-    for k, (check, pair, twin, c) in enumerate(cases):
+        cases.append((TheoremId.T13, box, box, None))
+        cases.append((TheoremId.T15, box, box, None))
+    for k, (theorem, pair, twin, c) in enumerate(cases):
         params, x = ALL_PARAMS[k % 4], X
-        if k % 5 == 4 and check is not check_t15:  # T15's kinks need the generalized path
+        if k % 5 == 4 and theorem is not TheoremId.T15:  # T15's kinks need the generalized path
             params, x = HadamardOp(alpha=0.5), 2.0  # integrates over [1, 2]
         cfg = CheckConfig(p=(2.0, 3.0)[k % 2], c=c)
-        shared, fallback = check(pair, params, x, cfg), check(twin, params, x, cfg)
+        shared = check_theorem(theorem, pair, params, x, cfg)
+        fallback = check_theorem(theorem, twin, params, x, cfg)
         assert not shared.inconclusive
-        assert repr(shared) == repr(fallback), (check.__name__, k)
+        assert repr(shared) == repr(fallback), (theorem, k)
 
 
 def test_t13_degenerate_box_matches_t8_on_constants():
@@ -417,9 +418,9 @@ def test_constant_monotonicity_widening_bounds():
     pair = generate_ratio_pair(77, 0.9, 1.1, DOMAIN)
     assert c1(0.5, 2.0) >= c1(0.9, 1.1)
     widened = dataclasses.replace(pair, m=0.5, M=2.0)
-    for check in (check_t8, check_t9, check_t14, check_t15):
-        chk = check(widened, RL_HALF, X, CheckConfig(p=2.0))
-        assert chk.satisfied, check.__name__
+    for theorem in (TheoremId.T8, TheoremId.T9, TheoremId.T14, TheoremId.T15):
+        chk = check_theorem(theorem, widened, RL_HALF, X, CheckConfig(p=2.0))
+        assert chk.satisfied, theorem
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +432,16 @@ def test_riemann_case_alpha_one():
     # alpha=1, rho=1 reduces the operator to the plain integral
     for seed in range(3):
         pair = generate_ratio_pair(300 + seed, 0.5, 2.0, DOMAIN)
-        assert check_t8(pair, RL_ONE, X, CheckConfig(p=2.0)).satisfied
-        assert check_t9(pair, RL_ONE, X, CheckConfig(p=2.0)).satisfied
+        assert check_theorem(TheoremId.T8, pair, RL_ONE, X, CheckConfig(p=2.0)).satisfied
+        assert check_theorem(TheoremId.T9, pair, RL_ONE, X, CheckConfig(p=2.0)).satisfied
 
 
 def test_hadamard_direct_coverage():
     op = HadamardOp(alpha=0.6, lower=1.0)
     for seed in range(3):
         pair = generate_ratio_pair(400 + seed, 0.5, 2.0, (1.0, 2.0))
-        assert check_t8(pair, op, 2.0, CheckConfig(p=2.0)).satisfied
-        assert check_t9(pair, op, 2.0, CheckConfig(p=3.0)).satisfied
+        assert check_theorem(TheoremId.T8, pair, op, 2.0, CheckConfig(p=2.0)).satisfied
+        assert check_theorem(TheoremId.T9, pair, op, 2.0, CheckConfig(p=3.0)).satisfied
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +479,7 @@ def test_inconclusive_marked_not_passed():
         p=3.0,
         quad=QuadratureConfig(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=40),
     )
-    chk = check_t8(pair, OperatorParams(0.35, 0.0, 1.0, 0.9, 0.0), X, tight)
+    chk = check_theorem(TheoremId.T8, pair, OperatorParams(0.35, 0.0, 1.0, 0.9, 0.0), X, tight)
     assert chk.inconclusive
     assert not chk.satisfied
 
@@ -530,15 +531,62 @@ def test_suite_records_in_theorem_then_index_order():
 def test_suite_records_allow_exact_replay():
     cfg = SuiteConfig(trials=6, seed=11)
     report = run_suite(cfg, timestamp="fixed")
-    for theorem, check in ((TheoremId.T8, check_t8), (TheoremId.T11, check_t11),
-                           (TheoremId.T15, check_t15)):
-        for record in (r for r in report.records if r.theorem is theorem):
-            pair = generate_ratio_pair(record.pair_seed, record.m, record.M,
-                                       (record.params.lower, record.x))
-            chk = check(pair, record.params, record.x,
-                        CheckConfig(p=record.p, slack_factor=cfg.slack_factor))
-            assert chk.lhs == record.check.lhs
-            assert chk.rhs == record.check.rhs
+    assert {r.theorem for r in report.records} == set(cfg.theorems)
+    for record in report.records:
+        domain = (record.params.lower, record.x)
+        if record.theorem is TheoremId.T13:
+            pair = generate_box_pair(record.pair_seed, record.m, record.M,
+                                     record.m, record.M, domain)
+        else:
+            pair = generate_ratio_pair(record.pair_seed, record.m, record.M, domain)
+        chk = check_theorem(record.theorem, pair, record.params, record.x,
+                            CheckConfig(p=record.p, c=record.c, slack_factor=cfg.slack_factor))
+        got = (chk.lhs, chk.mid, chk.rhs, chk.slack, chk.constant)
+        assert got == (record.check.lhs, record.check.mid, record.check.rhs,
+                       record.check.slack, record.check.constant), record
+
+
+def _one_sided():
+    return _Check(TheoremId.T8, 1.0, None, lambda lhs, rhs: _Sides(lhs, rhs))
+
+
+def test_verdict_one_sided_passes_at_the_slack_and_fails_one_ulp_above():
+    lhs_err, rhs_err, rhs = 1e-12, 3e-12, 2.0
+    slack = 2.0 * (lhs_err + rhs_err)
+    edge = rhs + slack
+    chk = _verdict(_one_sided(), [_Val(edge, lhs_err), _Val(rhs, rhs_err)], 2.0)
+    assert chk.satisfied and not chk.inconclusive
+    assert (chk.lhs, chk.rhs, chk.slack, chk.mid) == (edge, rhs, slack, None)
+    above = math.nextafter(edge, math.inf)
+    assert not _verdict(_one_sided(), [_Val(above, lhs_err), _Val(rhs, rhs_err)], 2.0).satisfied
+
+
+def test_verdict_sandwich_slack_is_the_sum_of_its_two():
+    check = _Check(TheoremId.T14, 0.5, None, lambda lo, mid, hi: _Sides(lo, hi, mid=mid))
+    lo_err, mid_err, hi_err, factor = 1e-12, 2e-12, 4e-12, 3.0
+    slack_lo, slack_hi = factor * (lo_err + mid_err), factor * (mid_err + hi_err)
+    hi = 1.0
+    mid = hi + slack_hi  # both pairs exactly at their slack
+    lo = mid + slack_lo
+
+    def judged(lo_value, mid_value):
+        vals = [_Val(lo_value, lo_err), _Val(mid_value, mid_err), _Val(hi, hi_err)]
+        return _verdict(check, vals, factor)
+
+    chk = judged(lo, mid)
+    assert chk.satisfied and (chk.lhs, chk.mid, chk.rhs) == (lo, mid, hi)
+    assert chk.slack == slack_lo + slack_hi
+    assert not judged(math.nextafter(lo, math.inf), mid).satisfied  # the lower pair fails
+    assert not judged(lo, math.nextafter(mid, math.inf)).satisfied  # the upper pair fails
+
+
+def test_t10_paper_display_fails_only_under_statement_constants():
+    # the display with an outer 1/p on the right-hand side is not
+    # homogeneous in the operator, and random pairs violate it
+    base = dict(theorems=(TheoremId.T10,), trials=200, seed=1, p_values=(1.5,),
+                ratio_bounds=((0.5, 2.0),))
+    assert run_suite(SuiteConfig(**base, statement_constants=True)).total_failures > 0
+    assert run_suite(SuiteConfig(**base)).total_failures == 0
 
 
 def test_suite_csv_shape():
@@ -629,7 +677,8 @@ def _k_section_crossings(diff, lo, hi):
     _BISECT_DEPTH steps of every live cell in one call of ``diff``."""
     t = check_grid(lo, hi, _KINK_GRID)
     d = np.asarray(diff(t), dtype=float)
-    cells = np.flatnonzero((d[:-1] != 0.0) & (d[:-1] * d[1:] <= 0.0))
+    left, right = d[:-1], d[1:]
+    cells = np.flatnonzero(((left > 0.0) & (right <= 0.0)) | ((left < 0.0) & (right >= 0.0)))
     ends = np.stack([t[cells], t[cells + 1]], axis=1)  # one bracket per row
     positive = (d[cells] > 0.0).tolist()
     k = 2 ** _BISECT_DEPTH
@@ -717,7 +766,7 @@ def _nan_patch(sign):
         (lambda t: np.where(t < 0.4123, 1.0, -1.0), 0.0, 1.0, 1),  # a step
         (_nan_patch(1.0), 0.0, 1.0, 1),
         (_nan_patch(-1.0), 0.0, 1.0, 1),
-        (lambda t: 1e-300 * (t - 0.37), 0.0, 1.0, 511),  # d * d underflows in every cell
+        (lambda t: 1e-300 * (t - 0.37), 0.0, 1.0, 1),  # d * d would underflow in every cell
     ],
     ids=["level-cap", "zero-on-node", "sin20", "sin1e5", "cube", "step",
          "nan-with-left-sign", "nan-with-right-sign", "tiny-line"],
