@@ -16,7 +16,6 @@ from .functions import (
     PairKind,
     PositivePair,
     TestFunction,
-    eval_fn,
     generate_box_pair,
     generate_ratio_pair,
     parse_function_spec,
@@ -58,7 +57,6 @@ __all__ = [
     "PairKind",
     "PositivePair",
     "TestFunction",
-    "eval_fn",
     "generate_box_pair",
     "generate_ratio_pair",
     "parse_function_spec",

@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import BoundsError, DomainError, FunctionSpecError
+from .errors import BoundsError, FunctionSpecError
 
 __all__ = [
     "Expr",
@@ -33,7 +33,6 @@ __all__ = [
     "PositivePair",
     "generate_ratio_pair",
     "generate_box_pair",
-    "eval_fn",
     "parse_function_spec",
 ]
 
@@ -172,16 +171,6 @@ class TestFunction:
         return self.expr(t)
 
 
-def eval_fn(f: TestFunction, t: float) -> float:
-    """Evaluate at a point, rejecting points outside the domain."""
-    lo, hi = f.domain
-    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < lo - tol) or np.any(t_arr > hi + tol):
-        raise DomainError("point %r outside domain [%r, %r]" % (t, lo, hi))
-    return f(t)
-
-
 # ---------------------------------------------------------------------------
 # constrained pairs
 # ---------------------------------------------------------------------------
@@ -242,8 +231,8 @@ _RATIO_STREAM = 0x67656E66  # namespace tags keep generator streams apart
 _BOX_STREAM = 0x67656E67
 
 
-def _bounded_exp_poly(rng: np.random.Generator, domain: tuple, complexity: int) -> ExpPoly:
-    degree = int(rng.integers(0, min(3, max(1, complexity)) + 1))
+def _bounded_exp_poly(rng: np.random.Generator, domain: tuple) -> ExpPoly:
+    degree = int(rng.integers(0, 3))  # 0, 1 or 2
     coeffs = rng.uniform(-1.0, 1.0, size=degree + 1)
     peak = float(np.max(np.abs(_horner(coeffs, check_grid(domain[0], domain[1], 256)))))
     if peak > 1.5:
@@ -251,12 +240,10 @@ def _bounded_exp_poly(rng: np.random.Generator, domain: tuple, complexity: int) 
     return ExpPoly(tuple(float(c) for c in coeffs))
 
 
-def _unit_profile(rng: np.random.Generator, lo: float, hi: float, complexity: int) -> SinPos:
-    w = float(rng.uniform(0.5, 2.0 + complexity))
+def _unit_profile(rng: np.random.Generator, lo: float, hi: float) -> SinPos:
+    w = float(rng.uniform(0.5, 4.0))
     phi = float(rng.uniform(0.0, 2.0 * math.pi))
-    shift = None
-    if complexity >= 2:
-        shift = tuple(float(c) for c in rng.uniform(-1.0, 1.0, size=3))
+    shift = tuple(float(c) for c in rng.uniform(-1.0, 1.0, size=3))
     return SinPos(w, phi, lo, hi, shift)
 
 
@@ -265,7 +252,6 @@ def generate_ratio_pair(
     m: float,
     M: float,
     domain: tuple,
-    complexity: int = 2,
 ) -> PositivePair:
     """Seeded pair (f, g) with m <= f/g <= M guaranteed by construction.
 
@@ -279,8 +265,8 @@ def generate_ratio_pair(
     if not lo < hi:
         raise BoundsError("degenerate domain [%r, %r]" % (lo, hi))
     rng = np.random.default_rng([_RATIO_STREAM, int(seed)])
-    g_expr = _bounded_exp_poly(rng, (lo, hi), complexity)
-    ratio = _unit_profile(rng, m, M, complexity)
+    g_expr = _bounded_exp_poly(rng, (lo, hi))
+    ratio = _unit_profile(rng, m, M)
     f_expr = Product((ratio, g_expr))
     f = TestFunction(f_expr, (lo, hi))
     g = TestFunction(g_expr, (lo, hi))
@@ -300,7 +286,6 @@ def generate_box_pair(
     b_lo: float,
     B_hi: float,
     domain: tuple,
-    complexity: int = 2,
 ) -> PositivePair:
     """Seeded pair with a_lo <= f <= A_hi and b_lo <= g <= B_hi.
 
@@ -315,8 +300,8 @@ def generate_box_pair(
     if not lo < hi:
         raise BoundsError("degenerate domain [%r, %r]" % (lo, hi))
     rng = np.random.default_rng([_BOX_STREAM, int(seed)])
-    f = TestFunction(_unit_profile(rng, a_lo, A_hi, complexity), (lo, hi))
-    g = TestFunction(_unit_profile(rng, b_lo, B_hi, complexity), (lo, hi))
+    f = TestFunction(_unit_profile(rng, a_lo, A_hi), (lo, hi))
+    g = TestFunction(_unit_profile(rng, b_lo, B_hi), (lo, hi))
     pair = PositivePair(
         f,
         g,
@@ -355,8 +340,12 @@ def parse_function_spec(spec: str, domain: tuple) -> TestFunction:
         raise FunctionSpecError("missing ':' in function spec %r" % (spec,))
     head = head.strip().lower()
     if head == "const":
-        (value,) = _parse_floats(body, spec)
-        return TestFunction(Const(value), domain)
+        vals = _parse_floats(body, spec)
+        if len(vals) != 1:
+            raise FunctionSpecError(
+                "const needs one value (got %d values) in %r" % (len(vals), spec)
+            )
+        return TestFunction(Const(vals[0]), domain)
     if head == "mono":
         tok = body.strip()
         if tok.startswith("sigma="):

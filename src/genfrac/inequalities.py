@@ -43,7 +43,6 @@ __all__ = [
     "c5",
     "c6",
     "check_theorem",
-    "check_scalar_lemmas",
     "SuiteConfig",
     "TrialRecord",
     "SuiteReport",
@@ -61,7 +60,6 @@ class TheoremId(Enum):
     T13 = "T13"
     T14 = "T14"
     T15 = "T15"
-    FORWARD_MINKOWSKI = "ForwardMinkowski"
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +366,6 @@ class CheckConfig:
 
 @dataclass(frozen=True)
 class InequalityCheck:
-    theorem_id: TheoremId
     lhs: float
     rhs: float
     constant: float
@@ -413,7 +410,6 @@ class _Check:
     their operator values, in row order, to ``_Sides``.  ``kinks(fv, gv)``,
     when set, is a function whose sign changes are the kinks of the rows."""
 
-    theorem: TheoremId
     constant: float
     rows: Callable
     combine: Callable
@@ -458,8 +454,8 @@ def _verdict(check: _Check, vals: Optional[list], slack_factor: float) -> Inequa
     ``slack_factor`` times their summed errors; a sandwich's is the sum of
     its two."""
     if vals is None:
-        return InequalityCheck(check.theorem, math.nan, math.nan, check.constant,
-                               slack=math.nan, satisfied=False, inconclusive=True)
+        return InequalityCheck(math.nan, math.nan, check.constant, slack=math.nan,
+                               satisfied=False, inconclusive=True)
     sides = check.combine(*vals)
     lhs, rhs, mid = sides.lhs, sides.rhs, sides.mid
     if mid is None:
@@ -472,7 +468,7 @@ def _verdict(check: _Check, vals: Optional[list], slack_factor: float) -> Inequa
             mid.value <= rhs.value + slack_hi
         )
         slack = slack_lo + slack_hi
-    return InequalityCheck(check.theorem, lhs.value, rhs.value, check.constant, slack=slack,
+    return InequalityCheck(lhs.value, rhs.value, check.constant, slack=slack,
                            satisfied=satisfied, mid=None if mid is None else mid.value)
 
 
@@ -480,22 +476,19 @@ def _root_sum(fp: _Val, gp: _Val, p: float) -> _Val:
     return fp.powered(1.0 / p).plus(gp.powered(1.0 / p))
 
 
-def _sum_powers(theorem: TheoremId, const: float, p: float, forward: bool = False) -> _Check:
-    """Rows f^p, g^p, (f+g)^p: the reverse bound puts the sum of p-th roots
-    below const times the p-th root of the sum; ``forward`` flips it."""
+def _sum_powers(const: float, p: float) -> _Check:
+    """Rows f^p, g^p, (f+g)^p: the sum of p-th roots below const times the
+    p-th root of the sum."""
 
     def combine(fp, gp, spp):
-        root = spp.powered(1.0 / p)
-        if forward:
-            return _Sides(root, _root_sum(fp, gp, p))
-        return _Sides(_root_sum(fp, gp, p), root.scaled(const))
+        return _Sides(_root_sum(fp, gp, p), spp.powered(1.0 / p).scaled(const))
 
-    return _Check(theorem, const, lambda f, g: (f ** p, g ** p, (f + g) ** p), combine)
+    return _Check(const, lambda f, g: (f ** p, g ** p, (f + g) ** p), combine)
 
 
 def _t8(pair: PositivePair, cfg: CheckConfig) -> _Check:
     """Sum of p-th roots bounded by c1 times the p-th root of the sum."""
-    return _sum_powers(TheoremId.T8, c1(pair.m, pair.M), cfg.p)
+    return _sum_powers(c1(pair.m, pair.M), cfg.p)
 
 
 def _t9(pair: PositivePair, cfg: CheckConfig) -> _Check:
@@ -507,7 +500,7 @@ def _t9(pair: PositivePair, cfg: CheckConfig) -> _Check:
         lhs = fp.powered(1.0 / p).times(gp.powered(1.0 / p)).scaled(const)
         return _Sides(lhs, fp.powered(2.0 / p).plus(gp.powered(2.0 / p)))
 
-    return _Check(TheoremId.T9, const, lambda f, g: (f ** p, g ** p), combine)
+    return _Check(const, lambda f, g: (f ** p, g ** p), combine)
 
 
 def _t10(pair: PositivePair, cfg: CheckConfig) -> _Check:
@@ -527,8 +520,7 @@ def _t10(pair: PositivePair, cfg: CheckConfig) -> _Check:
         return _Sides(fi.powered(1.0 / p).times(gi.powered(1.0 / q)),
                       mixed.powered(outer).scaled(const))
 
-    return _Check(TheoremId.T10, const,
-                  lambda f, g: (f, g, f ** (1.0 / p) * g ** (1.0 / q)), combine)
+    return _Check(const, lambda f, g: (f, g, f ** (1.0 / p) * g ** (1.0 / q)), combine)
 
 
 def _t11(pair: PositivePair, cfg: CheckConfig) -> _Check:
@@ -540,8 +532,7 @@ def _t11(pair: PositivePair, cfg: CheckConfig) -> _Check:
     def combine(prod, psum, qsum):
         return _Sides(prod, psum.scaled(const3).plus(qsum.scaled(const4)))
 
-    return _Check(TheoremId.T11, const3,
-                  lambda f, g: (f * g, f ** p + g ** p, f ** q + g ** q), combine)
+    return _Check(const3, lambda f, g: (f * g, f ** p + g ** p, f ** q + g ** q), combine)
 
 
 def _t12(pair: PositivePair, cfg: CheckConfig) -> _Check:
@@ -560,14 +551,14 @@ def _t12(pair: PositivePair, cfg: CheckConfig) -> _Check:
         return _Sides(root.scaled((M + 1.0) / (M - c)), root.scaled((m + 1.0) / (m - c)),
                       mid=_root_sum(fp, gp, p))
 
-    return _Check(TheoremId.T12, c, lambda f, g: ((f - c * g) ** p, f ** p, g ** p), combine)
+    return _Check(c, lambda f, g: ((f - c * g) ** p, f ** p, g ** p), combine)
 
 
 def _t13(pair: PositivePair, cfg: CheckConfig) -> _Check:
     """Box-bounded version of the reverse sum bound with constant c5."""
     _require(pair.kind is PairKind.BOX_BOUNDED and pair.box is not None,
              "T13 requires a box-bounded pair")
-    return _sum_powers(TheoremId.T13, c5(*pair.box), cfg.p)
+    return _sum_powers(c5(*pair.box), cfg.p)
 
 
 def _t14(pair: PositivePair, cfg: CheckConfig) -> _Check:
@@ -578,7 +569,7 @@ def _t14(pair: PositivePair, cfg: CheckConfig) -> _Check:
     def combine(prod, sq):
         return _Sides(prod.scaled(1.0 / M), prod.scaled(1.0 / m), mid=sq.scaled(const))
 
-    return _Check(TheoremId.T14, const, lambda f, g: (f * g, (f + g) ** 2.0), combine)
+    return _Check(const, lambda f, g: (f * g, (f + g) ** 2.0), combine)
 
 
 def _t15(pair: PositivePair, cfg: CheckConfig) -> _Check:
@@ -601,12 +592,7 @@ def _t15(pair: PositivePair, cfg: CheckConfig) -> _Check:
     def combine(fp, gp, hp):
         return _Sides(_root_sum(fp, gp, p), hp.powered(1.0 / p).scaled(2.0))
 
-    return _Check(TheoremId.T15, 2.0, rows, combine, kinks)
-
-
-def _forward_minkowski(pair: PositivePair, cfg: CheckConfig) -> _Check:
-    """Ordinary triangle-inequality direction, used as a proof-step sanity check."""
-    return _sum_powers(TheoremId.FORWARD_MINKOWSKI, 1.0, cfg.p, forward=True)
+    return _Check(2.0, rows, combine, kinks)
 
 
 _BUILDERS = {
@@ -618,7 +604,6 @@ _BUILDERS = {
     TheoremId.T13: _t13,
     TheoremId.T14: _t14,
     TheoremId.T15: _t15,
-    TheoremId.FORWARD_MINKOWSKI: _forward_minkowski,
 }
 
 _NEEDS_P_GT_1 = {TheoremId.T10, TheoremId.T11}
@@ -635,50 +620,12 @@ def check_theorem(theorem: TheoremId, pair: PositivePair, params, x: float,
     return _verdict(check, _row_values(check, pair, params, x, cfg.quad), cfg.slack_factor)
 
 
-def check_scalar_lemmas(r: float, a: float, b: float) -> bool:
-    """Pointwise lemmas used inside the derivations.
-
-    Checks a*b <= a^r/r + b^s/s with s conjugate to r, and the power-mean
-    bound (a+b)^r <= 2^(r-1) (a^r + b^r); the exponent is r-1 (the value a
-    dimension check forces), not the constant p-1 printed alongside it.
-    Requires r > 1 and a, b >= 0.  A few-ulp guard absorbs float rounding.
-    """
-    _require(r > 1.0, "require r > 1")
-    _require(a >= 0.0 and b >= 0.0, "require a, b >= 0")
-    s = r / (r - 1.0)
-
-    def pw(base, expo):
-        # conjugate exponents blow up as r -> 1+; overflow means the bound
-        # side is huge, not that the inequality fails
-        try:
-            return base ** expo
-        except OverflowError:
-            return math.inf
-
-    young_rhs = pw(a, r) / r + pw(b, s) / s
-    guard = 8.0 * 2.220446049250313e-16
-    young_ok = a * b <= young_rhs + guard * max(a * b, young_rhs, 1e-300)
-    pm_lhs = pw(a + b, r)
-    pm_rhs = pw(2.0, r - 1.0) * (pw(a, r) + pw(b, r))
-    pm_ok = pm_lhs <= pm_rhs + guard * max(pm_lhs, pm_rhs, 1e-300)
-    return young_ok and pm_ok
-
-
 # ---------------------------------------------------------------------------
 # suite runner
 # ---------------------------------------------------------------------------
 
 
-DEFAULT_THEOREMS = (
-    TheoremId.T8,
-    TheoremId.T9,
-    TheoremId.T10,
-    TheoremId.T11,
-    TheoremId.T12,
-    TheoremId.T13,
-    TheoremId.T14,
-    TheoremId.T15,
-)
+DEFAULT_THEOREMS = tuple(TheoremId)
 
 
 def default_operator_grid() -> tuple:

@@ -1,6 +1,8 @@
 """Acceptance gate: one test per criterion, one printed verdict line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
+Criterion 6 checks the pointwise lemmas with ``check_scalar_lemmas``, which
+lives here with its own tests.
 """
 
 import json
@@ -11,7 +13,11 @@ import sys
 import time
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from genfrac.errors import DomainError
 from genfrac.functions import (
     Const,
     ExpPoly,
@@ -24,7 +30,7 @@ from genfrac.inequalities import (
     CheckConfig,
     SuiteConfig,
     TheoremId,
-    check_scalar_lemmas,
+    _require,
     check_theorem,
     run_suite,
 )
@@ -163,6 +169,54 @@ def test_criterion_5_equality_tightness():
         worst = max(worst, rel)
         ok = ok and chk.satisfied and rel <= 1e-10
     _verdict(5, ok, "worst equality-case relative margin %.3e" % worst)
+
+
+def check_scalar_lemmas(r: float, a: float, b: float) -> bool:
+    """Pointwise lemmas used inside the derivations.
+
+    Checks a*b <= a^r/r + b^s/s with s conjugate to r, and the power-mean
+    bound (a+b)^r <= 2^(r-1) (a^r + b^r); the exponent is r-1 (the value a
+    dimension check forces), not the constant p-1 printed alongside it.
+    Requires r > 1 and a, b >= 0.  A few-ulp guard absorbs float rounding.
+    """
+    _require(r > 1.0, "require r > 1")
+    _require(a >= 0.0 and b >= 0.0, "require a, b >= 0")
+    s = r / (r - 1.0)
+
+    def pw(base, expo):
+        # conjugate exponents blow up as r -> 1+; overflow means the bound
+        # side is huge, not that the inequality fails
+        try:
+            return base ** expo
+        except OverflowError:
+            return math.inf
+
+    young_rhs = pw(a, r) / r + pw(b, s) / s
+    guard = 8.0 * 2.220446049250313e-16
+    young_ok = a * b <= young_rhs + guard * max(a * b, young_rhs, 1e-300)
+    pm_lhs = pw(a + b, r)
+    pm_rhs = pw(2.0, r - 1.0) * (pw(a, r) + pw(b, r))
+    pm_ok = pm_lhs <= pm_rhs + guard * max(pm_lhs, pm_rhs, 1e-300)
+    return young_ok and pm_ok
+
+
+def test_scalar_lemma_examples():
+    assert check_scalar_lemmas(2.0, 1.0, 1.0)  # 1 <= 1/2 + 1/2
+    assert check_scalar_lemmas(2.0, 0.0, 5.0)  # 0 <= b^q/q
+    with pytest.raises(DomainError):
+        check_scalar_lemmas(1.0, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        check_scalar_lemmas(2.0, -1.0, 1.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(min_value=1.0 + 1e-6, max_value=5.0),
+)
+def test_scalar_lemma_fuzz(a, b, r):
+    assert check_scalar_lemmas(r, a, b)
 
 
 def test_criterion_6_scalar_lemma_fuzz():

@@ -116,6 +116,14 @@ def test_eval_bad_fn_spec_exits_2(capsys):
     assert "wat" in capsys.readouterr().err
 
 
+def test_eval_const_with_two_values_exits_2(capsys):
+    code = run_cli(["eval", *RL_FLAGS, "--a", "0", "--x", "2", "--fn", "const:1,2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: const needs one value (got 2 values) in 'const:1,2'\n"
+    assert captured.out == ""
+
+
 def test_eval_nonconvergence_exits_3(capsys):
     # constant function has no decay: the truncated -inf form cannot converge
     code = run_cli(["eval", *RL_FLAGS, "--a=-inf", "--x", "1", "--fn", "const:1"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genfrac.errors import BoundsError, DomainError, FunctionSpecError
+from genfrac.errors import BoundsError, FunctionSpecError
 from genfrac.functions import (
     Const,
     ExpPoly,
@@ -17,7 +17,6 @@ from genfrac.functions import (
     SinPos,
     TestFunction,
     check_grid,
-    eval_fn,
     generate_box_pair,
     generate_ratio_pair,
     parse_function_spec,
@@ -28,15 +27,9 @@ DOMAIN = (0.0, 1.0)
 
 
 def test_eval_examples():
-    assert eval_fn(TestFunction(Const(3.0), DOMAIN), 0.5) == 3.0
-    assert eval_fn(TestFunction(Monomial(2.0), (0.0, 5.0)), 3.0) == 9.0
-    assert eval_fn(TestFunction(ExpPoly((0.0, 0.0)), DOMAIN), 0.7) == 1.0
-
-
-def test_eval_fn_domain_error():
-    f = TestFunction(Const(1.0), DOMAIN)
-    with pytest.raises(DomainError):
-        eval_fn(f, 1.5)
+    assert TestFunction(Const(3.0), DOMAIN)(0.5) == 3.0
+    assert TestFunction(Monomial(2.0), (0.0, 5.0))(3.0) == 9.0
+    assert TestFunction(ExpPoly((0.0, 0.0)), DOMAIN)(0.7) == 1.0
 
 
 def test_vectorized_evaluation():
@@ -267,11 +260,11 @@ def test_composition_closure():
 
 
 def test_parse_function_specs():
-    assert eval_fn(parse_function_spec("const:3", DOMAIN), 0.1) == 3.0
-    assert eval_fn(parse_function_spec("mono:sigma=2", (0.0, 5.0)), 3.0) == 9.0
-    assert eval_fn(parse_function_spec("poly:1,0,2", DOMAIN), 0.5) == pytest.approx(1.5)
-    assert eval_fn(parse_function_spec("expoly:0", DOMAIN), 0.9) == 1.0
-    v = eval_fn(parse_function_spec("sinpos:2,0,0.5,1.5", DOMAIN), 0.3)
+    assert parse_function_spec("const:3", DOMAIN)(0.1) == 3.0
+    assert parse_function_spec("mono:sigma=2", (0.0, 5.0))(3.0) == 9.0
+    assert parse_function_spec("poly:1,0,2", DOMAIN)(0.5) == pytest.approx(1.5)
+    assert parse_function_spec("expoly:0", DOMAIN)(0.9) == 1.0
+    v = parse_function_spec("sinpos:2,0,0.5,1.5", DOMAIN)(0.3)
     assert 0.5 <= v <= 1.5
 
 

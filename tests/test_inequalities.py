@@ -32,7 +32,6 @@ from genfrac.inequalities import (
     c4,
     c5,
     c6,
-    check_scalar_lemmas,
     check_theorem,
     run_suite,
 )
@@ -330,18 +329,6 @@ def test_t10_requires_p_above_one():
         check_theorem(TheoremId.T11, pair, RL_ONE, X, CheckConfig(p=1.0))
 
 
-def test_forward_minkowski_equality_and_linearity():
-    pair = generate_ratio_pair(12, 1.0, 1.0, DOMAIN)
-    chk = check_theorem(TheoremId.FORWARD_MINKOWSKI, pair, RL_HALF, X, CheckConfig(p=2.0))
-    assert chk.satisfied
-    assert abs(chk.lhs - chk.rhs) <= 1e-10 * abs(chk.rhs)
-    # p = 1 is exact equality by linearity of the operator
-    pair = generate_ratio_pair(13, 0.5, 2.0, DOMAIN)
-    chk = check_theorem(TheoremId.FORWARD_MINKOWSKI, pair, RL_HALF, X, CheckConfig(p=1.0))
-    assert chk.satisfied
-    assert abs(chk.lhs - chk.rhs) <= 1e-9 * abs(chk.rhs)
-
-
 # ---------------------------------------------------------------------------
 # random trials
 # ---------------------------------------------------------------------------
@@ -352,7 +339,7 @@ ALL_PARAMS = [RL_HALF, RL_ONE, KAT, EK]
 @pytest.mark.parametrize("theorem, needs_c", [
     (TheoremId.T8, False), (TheoremId.T9, False), (TheoremId.T10, False),
     (TheoremId.T11, False), (TheoremId.T12, True), (TheoremId.T14, False),
-    (TheoremId.T15, False), (TheoremId.FORWARD_MINKOWSKI, False),
+    (TheoremId.T15, False),
 ])
 def test_random_trials_hold(theorem, needs_c):
     for seed in range(6):
@@ -445,36 +432,13 @@ def test_hadamard_direct_coverage():
 
 
 # ---------------------------------------------------------------------------
-# scalar lemmas
-# ---------------------------------------------------------------------------
-
-
-def test_scalar_lemma_examples():
-    assert check_scalar_lemmas(2.0, 1.0, 1.0)  # 1 <= 1/2 + 1/2
-    assert check_scalar_lemmas(2.0, 0.0, 5.0)  # 0 <= b^q/q
-    with pytest.raises(DomainError):
-        check_scalar_lemmas(1.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        check_scalar_lemmas(2.0, -1.0, 1.0)
-
-
-@settings(max_examples=500, deadline=None)
-@given(
-    st.floats(min_value=0.0, max_value=10.0),
-    st.floats(min_value=0.0, max_value=10.0),
-    st.floats(min_value=1.0 + 1e-6, max_value=5.0),
-)
-def test_scalar_lemma_fuzz(a, b, r):
-    assert check_scalar_lemmas(r, a, b)
-
-
-# ---------------------------------------------------------------------------
 # inconclusive handling
 # ---------------------------------------------------------------------------
 
 
 def test_inconclusive_marked_not_passed():
-    pair = generate_ratio_pair(501, 0.5, 2.0, DOMAIN, complexity=4)
+    # a 40-node budget is below the nodes of levels 0-3, so no integral converges
+    pair = generate_ratio_pair(501, 0.5, 2.0, DOMAIN)
     tight = CheckConfig(
         p=3.0,
         quad=QuadratureConfig(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=40),
@@ -547,7 +511,7 @@ def test_suite_records_allow_exact_replay():
 
 
 def _one_sided():
-    return _Check(TheoremId.T8, 1.0, None, lambda lhs, rhs: _Sides(lhs, rhs))
+    return _Check(1.0, None, lambda lhs, rhs: _Sides(lhs, rhs))
 
 
 def test_verdict_one_sided_passes_at_the_slack_and_fails_one_ulp_above():
@@ -562,7 +526,7 @@ def test_verdict_one_sided_passes_at_the_slack_and_fails_one_ulp_above():
 
 
 def test_verdict_sandwich_slack_is_the_sum_of_its_two():
-    check = _Check(TheoremId.T14, 0.5, None, lambda lo, mid, hi: _Sides(lo, hi, mid=mid))
+    check = _Check(0.5, None, lambda lo, mid, hi: _Sides(lo, hi, mid=mid))
     lo_err, mid_err, hi_err, factor = 1e-12, 2e-12, 4e-12, 3.0
     slack_lo, slack_hi = factor * (lo_err + mid_err), factor * (mid_err + hi_err)
     hi = 1.0

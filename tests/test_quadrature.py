@@ -1,6 +1,9 @@
 """Kernel quadrature against the closed-form monomial oracle."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -361,21 +364,39 @@ def _level_sizes(one_minus_u_pow, u_pow):
 
 
 def _per_level_reference(g, one_minus_u_pow, u_pow, cfg):
-    """The refinement loop with one integrand call per level.
+    """The refinement loop, level by level, with a stop test at every level.
+
+    Levels 0.._BLOCK_LEVEL are laid out as one array of nodes, weights and g
+    values, and each level sums its slice of it, as weighted_unit_integral
+    does: a BLAS dot kernel may round a sum differently at another offset in
+    memory.  Deeper levels call g once each.
 
     Returns (outcome, value, error estimate, evaluations); the outcome names
     the ConvergenceError that weighted_unit_integral raises, if any.
     """
+
+    def weights(log_u, log_1mu, log_jac):
+        return np.exp(log_jac + (u_pow + 1.0) * log_u + (one_minus_u_pow + 1.0) * log_1mu)
+
     t_max = quadrature._pick_t_max(one_minus_u_pow, u_pow)
     min_level = quadrature._MIN_LEVEL
+    block = [quadrature._compute_level_nodes(t_max, level)
+             for level in range(quadrature._BLOCK_LEVEL + 1)]
+    offsets = np.cumsum([0] + [nodes[0].size for nodes in block]).tolist()
+    u, log_u, log_1mu, log_jac = (np.concatenate(parts) for parts in zip(*block))
+    block_g, block_w = g(u), weights(log_u, log_1mu, log_jac)
     evals, total, value, prev, estimate = 0, 0.0, 0.0, None, math.inf
     for level in range(quadrature._MAX_LEVEL + 1):
-        u, log_u, log_1mu, log_jac = quadrature._compute_level_nodes(t_max, level)
-        if level >= min_level and evals + u.size > cfg.max_subdivisions:
+        if level < len(block):
+            lo, hi = offsets[level], offsets[level + 1]
+            level_g, w = block_g[..., lo:hi], block_w[lo:hi]
+        else:
+            u, log_u, log_1mu, log_jac = quadrature._compute_level_nodes(t_max, level)
+            level_g, w = g(u), weights(log_u, log_1mu, log_jac)
+        if level >= min_level and evals + w.size > cfg.max_subdivisions:
             return "budget", value, estimate, evals
-        w = np.exp(log_jac + (u_pow + 1.0) * log_u + (one_minus_u_pow + 1.0) * log_1mu)
-        total = total + np.dot(g(u), w)
-        evals += u.size
+        total = total + np.dot(level_g, w)
+        evals += w.size
         value = 2.0 ** (-level) * total
         if prev is not None:
             estimate = np.abs(value - prev)
@@ -502,6 +523,31 @@ def test_budget_below_the_block_reports_the_level_2_estimate(g):
     assert want[0] == "budget"
     assert _bits(best.value) == _bits(want[1])
     assert _bits(best.error_estimate) == _bits(want[2])
+
+
+def _dynamic_arch_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, whose
+    kernel the OPENBLAS_CORETYPE variable picks per process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(),
+                    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, "
+                           "so OPENBLAS_CORETYPE cannot pick another kernel")
+def test_block_sums_agree_with_the_reference_under_the_generic_openblas_kernel():
+    # the bit-for-bit tests above, in a child process on the generic kernel
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "matches_per_level_loop or reports_the_level_2_estimate"],
+        env=dict(os.environ, OPENBLAS_CORETYPE="Prescott"),
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # ---------------------------------------------------------------------------
