@@ -19,6 +19,8 @@ import math
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .errors import (
     BoundsError,
@@ -116,7 +118,9 @@ def cmd_eval(args) -> int:
     domain = (args.x, args.upper) if side is Side.RIGHT else (args.a, args.x)
     f = parse_function_spec(args.fn, domain)
     cfg = QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    result = evaluate(params, f, args.x, cfg)
+    # an overflowing integrand is reported by evaluate, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = evaluate(params, f, args.x, cfg)
     print("value = %.17g" % result.value)
     print("error_estimate = %.3g" % result.error_estimate)
     print("evaluations = %d" % result.evaluations)

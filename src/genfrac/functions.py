@@ -322,19 +322,27 @@ def generate_box_pair(
 # ---------------------------------------------------------------------------
 
 
+def _parse_float(tok: str, what: str, spec: str) -> float:
+    # a NaN or infinite value would reach quadrature as a non-finite integrand
+    try:
+        val = float(tok)
+    except ValueError:
+        raise FunctionSpecError("bad %s token %r in %r" % (what, tok, spec)) from None
+    if not math.isfinite(val):
+        raise FunctionSpecError("non-finite %s token %r in %r" % (what, tok, spec))
+    return val
+
+
 def _parse_floats(body: str, spec: str) -> tuple:
-    out = []
-    for tok in body.split(","):
-        tok = tok.strip()
-        try:
-            out.append(float(tok))
-        except ValueError:
-            raise FunctionSpecError("bad numeric token %r in %r" % (tok, spec)) from None
-    return tuple(out)
+    return tuple(_parse_float(tok.strip(), "numeric", spec) for tok in body.split(","))
 
 
 def parse_function_spec(spec: str, domain: tuple) -> TestFunction:
-    """Parse ``const:3``, ``mono:sigma=2``, ``poly:...``, ``expoly:...``, ``sinpos:w,phi,lo,hi``."""
+    """Parse ``const:3``, ``mono:sigma=2``, ``poly:...``, ``expoly:...``, ``sinpos:w,phi,lo,hi``.
+
+    Every value must be a finite number; FunctionSpecError names the first
+    token that is not.
+    """
     head, sep, body = spec.partition(":")
     if not sep:
         raise FunctionSpecError("missing ':' in function spec %r" % (spec,))
@@ -350,11 +358,7 @@ def parse_function_spec(spec: str, domain: tuple) -> TestFunction:
         tok = body.strip()
         if tok.startswith("sigma="):
             tok = tok[len("sigma="):]
-        try:
-            sigma = float(tok)
-        except ValueError:
-            raise FunctionSpecError("bad sigma token %r in %r" % (tok, spec)) from None
-        return TestFunction(Monomial(sigma), domain)
+        return TestFunction(Monomial(_parse_float(tok, "sigma", spec)), domain)
     if head == "poly":
         return TestFunction(Polynomial(_parse_floats(body, spec)), domain)
     if head == "expoly":

@@ -613,10 +613,15 @@ def check_theorem(theorem: TheoremId, pair: PositivePair, params, x: float,
                   cfg: CheckConfig) -> InequalityCheck:
     """Check ``theorem`` on ``pair`` under ``params`` (an ``OperatorParams``
     or a ``HadamardOp``) at ``x``.  DomainError where the theorem does not
-    apply: T10 and T11 need p > 1, T12 0 < cfg.c < m, T13 a box pair."""
+    apply: T10 and T11 need p > 1, T12 0 < cfg.c < m, T13 a box pair; and
+    T15 cannot run under a ``HadamardOp``, whose direct form takes no
+    breakpoints at the kinks of T15's max-function row."""
     if not cfg.p > 1.0 and theorem in _NEEDS_P_GT_1:
         raise DomainError("%s requires p > 1" % theorem.value)
     check = _BUILDERS[theorem](pair, cfg)
+    if check.kinks is not None and isinstance(params, HadamardOp):
+        raise DomainError("%s needs breakpoints at its kinks, which the direct "
+                          "Hadamard form does not take" % theorem.value)
     return _verdict(check, _row_values(check, pair, params, x, cfg.quad), cfg.slack_factor)
 
 

@@ -179,21 +179,19 @@ def evaluate(
     validate(params)
     _require_finite_point(x)
     if params.side is Side.RIGHT:
-        res = _evaluate_right(params, f, x, cfg)
+        if not 0.0 < x < params.upper:
+            raise DomainError("right-sided evaluation requires 0 < x < upper")
+        # kernel t^(kappa+rho-1) (t^rho - x^rho)^(alpha-1) on [x, upper]
+        pref = _prefactor(params, params.rho * params.eta, x)
+        res = _kernel_segment(f, x, params.upper, x, params.rho,
+                              params.kappa / params.rho, params.alpha, cfg, pref)
     elif math.isinf(params.lower):
-        res = scaled_integral(
-            math.exp(-log_gamma(params.alpha)),
-            _truncated_power_kernel, params.alpha, f, x, cfg,
-        )
+        res = _truncated_power_kernel(params.alpha, f, x, cfg)
     else:
         if not x > params.lower:
             raise DomainError("evaluation point must exceed the lower bound")
-        log_pref = (
-            (1.0 - params.beta) * math.log(params.rho)
-            + params.kappa * math.log(x)
-            - log_gamma(params.alpha)
-        )
-        res = _left_kernel(f, params, x, cfg, breakpoints, _prefactor(log_pref))
+        pref = _prefactor(params, params.kappa, x)
+        res = _left_kernel(f, params, x, cfg, breakpoints, pref)
     # one integrand: its integral converged, so a value past the float range
     # means prefactor times integral overflowed; rows are left to the
     # caller, which judges each one
@@ -207,27 +205,18 @@ def _require_finite_point(x: float) -> None:
         raise DomainError("evaluation point must be finite, got %r" % (x,))
 
 
-def _prefactor(log_pref: float) -> float:
+def _prefactor(params: OperatorParams, x_power: float, x: float) -> float:
+    """rho^(1-beta) x^x_power / Gamma(alpha): x^kappa on the left side,
+    x^(rho*eta) on the right."""
+    log_pref = (
+        (1.0 - params.beta) * math.log(params.rho)
+        + x_power * math.log(x)
+        - log_gamma(params.alpha)
+    )
     try:
         return math.exp(log_pref)
     except OverflowError:
         raise DomainError("operator prefactor is beyond the float range") from None
-
-
-def _evaluate_right(params, f, x, cfg) -> IntegralResult:
-    b = params.upper
-    if not (0.0 < x < b):
-        raise DomainError("right-sided evaluation requires 0 < x < upper")
-    # kernel t^(kappa+rho-1) (t^rho - x^rho)^(alpha-1) on [x, b]
-    log_pref = (
-        (1.0 - params.beta) * math.log(params.rho)
-        + params.rho * params.eta * math.log(x)
-        - log_gamma(params.alpha)
-    )
-    return _kernel_segment(
-        f, x, b, x, params.rho, params.kappa / params.rho, params.alpha, cfg,
-        _prefactor(log_pref),
-    )
 
 
 def _truncated_power_kernel(
@@ -237,26 +226,28 @@ def _truncated_power_kernel(
     cfg: QuadratureConfig,
     start_width: float = 1.0,
 ) -> IntegralResult:
-    """int_{-inf}^x (x-t)^(alpha-1) f(t) dt by geometric truncation.
+    """int_{-inf}^x (x-t)^(alpha-1) f(t) dt / Gamma(alpha) by geometric
+    truncation.
 
     Segments [x - 2^(k+1) T, x - 2^k T] are added until their contribution
     falls below tolerance; that requires f to decay and is intended for the
     built-in decaying test functions.  The last segment (doubled) is folded
     into the error estimate as the tail bound.  For an f with several rows
     every row must meet the tolerance, and the divergence test follows the
-    largest row.
+    largest row.  The summed segments are scaled by 1/Gamma(alpha) last.
 
     When a segment does not converge, or f does not decay, the
-    ConvergenceError carries the sum so far with an infinite error
-    estimate: the tail beyond it was never bounded.
+    ConvergenceError carries the sum so far, scaled alike, with an infinite
+    error estimate: the tail beyond it was never bounded.
     """
-    t0 = start_width
+    scale = math.exp(-log_gamma(alpha))
+    # x, x - T, x - 2T, x - 4T, ...: [x - T, x] first, then 48 doublings
+    edges = [x] + [x - 2.0 ** k * start_width for k in range(49)]
     total = 0.0
     err = 0.0
     evals = 0
-
-    def add(lo, hi):
-        nonlocal total, err, evals
+    history = []
+    for k, (hi, lo) in enumerate(zip(edges, edges[1:]), start=-1):
         try:
             # (x - t)^(alpha-1) is the rho = 1 kernel, shifted to start at 0
             seg = _kernel_segment(
@@ -269,30 +260,26 @@ def _truncated_power_kernel(
                 total + best.value,
                 err + best.error_estimate + math.inf,
                 evals + best.evaluations,
-            )
+            ).scaled(scale)
             raise
         total += seg.value
         err += seg.error_estimate
         evals += seg.evaluations
-        return seg
-
-    add(x - t0, x)
-    history = []
-    for k in range(48):
-        seg = add(x - 2.0 ** (k + 1) * t0, x - 2.0 ** k * t0)
+        if k < 0:
+            continue
         size = np.abs(seg.value)
         history.append(float(np.max(size)))
         if np.all(size <= 0.25 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))):
             err += 2.0 * size  # tail bound
-            return IntegralResult(total, err, evals)
+            return IntegralResult(total, err, evals).scaled(scale)
         if k >= 6 and history[-1] > history[-3]:
             raise ConvergenceError(
                 "integrand does not decay; truncated evaluation diverges",
-                result=IntegralResult(total, err + math.inf, evals),
+                result=IntegralResult(total, err + math.inf, evals).scaled(scale),
             )
     raise ConvergenceError(
         "truncated evaluation did not reach tolerance within 48 doublings",
-        result=IntegralResult(total, err, evals),
+        result=IntegralResult(total, err, evals).scaled(scale),
     )
 
 
@@ -326,10 +313,7 @@ def evaluate_classical(
 
     if kind in (ClassicalKind.WEYL, ClassicalKind.LIOUVILLE):
         # same printed form, truncated lower limit
-        return scaled_integral(
-            math.exp(-log_gamma(alpha)),
-            _truncated_power_kernel, alpha, f, x, cfg, truncation_start,
-        )
+        return _truncated_power_kernel(alpha, f, x, cfg, truncation_start)
 
     # each kind below integrates g against (1-u)^a_pow u^u_pow, times factor
     a_pow, u_pow = alpha - 1.0, 0.0
@@ -339,7 +323,7 @@ def evaluate_classical(
         width = x - a
 
         def g(u):
-            return np.asarray(f(a + width * u), dtype=float)
+            return f(a + width * u)
 
         factor = width ** alpha * math.exp(-log_gamma(alpha))
 
@@ -349,66 +333,60 @@ def evaluate_classical(
         big_w = math.log(x / a)
 
         def g(u):
-            return np.asarray(f(x * np.exp(-big_w * u)), dtype=float)
+            return f(x * np.exp(-big_w * u))
 
         a_pow, u_pow = 0.0, alpha - 1.0
         factor = big_w ** alpha * math.exp(-log_gamma(alpha))
 
-    elif kind is ClassicalKind.KATUGAMPOLA:
+    else:
+        # KATUGAMPOLA (s = rho, eta = 0) and ERDELYI_KOBER (s = sigma, with
+        # the weight (t^s)^eta) substitute t^s = a^s + u (x^s - a^s)
         if not x > a >= 0.0:
             raise DomainError("requires 0 <= a < x")
-        if not 0.0 < rho < math.inf:
-            raise ParameterError("rho must be positive and finite")
-        if a == 0.0:
-            d = x ** rho
-            inv_rho = 1.0 / rho
-
-            def g(u):
-                return np.asarray(f(x * u ** inv_rho), dtype=float)
-        else:
-            a_rho = a ** rho
-            d = a_rho * math.expm1(rho * math.log(x / a))
-            ratio = d / a_rho
-            inv_rho = 1.0 / rho
-
-            def g(u):
-                return np.asarray(f(a * np.exp(inv_rho * np.log1p(u * ratio))), dtype=float)
-
-        factor = rho ** (-alpha) * d ** alpha * math.exp(-log_gamma(alpha))
-
-    else:  # ERDELYI_KOBER
-        if not x > a >= 0.0:
-            raise DomainError("requires 0 <= a < x")
-        if not 0.0 < sigma < math.inf:
-            raise ParameterError("sigma must be positive and finite")
-        if not math.isfinite(eta):
+        katugampola = kind is ClassicalKind.KATUGAMPOLA
+        s = rho if katugampola else sigma
+        if not 0.0 < s < math.inf:
+            raise ParameterError("%s must be positive and finite"
+                                 % ("rho" if katugampola else "sigma"))
+        if katugampola:
+            eta = 0.0
+        elif not math.isfinite(eta):
             raise ParameterError("eta must be finite")
+        inv_s = 1.0 / s
         if a == 0.0:
-            # x powers cancel exactly in the dimensionless form
+            # t = x u^(1/s); (t^s)^eta is x^(s eta) times the weight u^eta
             if eta <= -1.0:
                 raise DomainError("eta must exceed -1 when a=0")
-            inv_sigma = 1.0 / sigma
+            if katugampola:
+                d = x ** s  # Erdelyi-Kober's x powers cancel, so never form it
 
             def g(u):
-                return np.asarray(f(x * u ** inv_sigma), dtype=float)
+                return f(x * u ** inv_s)
 
             u_pow = eta
+        else:
+            # t = a (1 + u D/a^s)^(1/s), stable for s -> 0+
+            a_s = a ** s
+            d = a_s * math.expm1(s * math.log(x / a))
+            ratio = d / a_s
+            if eta == 0.0:
+
+                def g(u):
+                    return f(a * np.exp(inv_s * np.log1p(u * ratio)))
+            else:
+                log_a_s = s * math.log(a)
+
+                def g(u):
+                    z = np.log1p(u * ratio)
+                    return np.exp(eta * (log_a_s + z)) * f(a * np.exp(inv_s * z))
+
+        if katugampola:
+            factor = s ** (-alpha) * d ** alpha * math.exp(-log_gamma(alpha))
+        elif a == 0.0:
             factor = math.exp(-log_gamma(alpha))
         else:
-            a_sig = a ** sigma
-            d = a_sig * math.expm1(sigma * math.log(x / a))
-            ratio = d / a_sig
-            log_a_sig = sigma * math.log(a)
-            inv_sigma = 1.0 / sigma
-
-            def g(u):
-                z = np.log1p(u * ratio)
-                t = a * np.exp(inv_sigma * z)
-                w = np.exp(eta * (log_a_sig + z)) if eta != 0.0 else 1.0
-                return w * np.asarray(f(t), dtype=float)
-
             factor = math.exp(
-                -sigma * (alpha + eta) * math.log(x) + alpha * math.log(d) - log_gamma(alpha)
+                -s * (alpha + eta) * math.log(x) + alpha * math.log(d) - log_gamma(alpha)
             )
 
     return scaled_integral(factor, weighted_unit_integral, g, a_pow, u_pow, cfg)

@@ -254,6 +254,14 @@ def _out_of_budget(cfg: QuadratureConfig, best: IntegralResult) -> ConvergenceEr
     )
 
 
+def _not_finite(best: IntegralResult) -> ConvergenceError:
+    return ConvergenceError(
+        "integrand is not finite at the quadrature nodes (%d evaluations made)"
+        % best.evaluations,
+        result=best,
+    )
+
+
 def _out_of_levels(best: IntegralResult) -> ConvergenceError:
     return ConvergenceError(
         "quadrature did not converge within refinement level %d" % _MAX_LEVEL,
@@ -277,7 +285,10 @@ def weighted_unit_integral(
     Refinement halves the tanh-sinh step until the last two passes agree
     within tolerance, at level _MIN_LEVEL at the earliest; the reported
     error estimate is that last difference, which in practice
-    overestimates the true error of the final pass.
+    overestimates the true error of the final pass.  A pass whose value is
+    not finite (g returned NaN or inf, or its sum overflowed) stops
+    refinement with a ConvergenceError at once, since no deeper level can
+    make it finite; the test runs only when the stop test fails.
 
     The first call samples g at the nodes of levels 0.._BLOCK_LEVEL (0-3)
     at once, and those levels are summed straight through, with no stop
@@ -328,6 +339,8 @@ def weighted_unit_integral(
     prev, value = value, 0.125 * total
     estimate = abs(value - prev)
     while not estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+        if not math.isfinite(value):
+            raise _not_finite(IntegralResult(value, estimate, evals))
         if level == _MAX_LEVEL:
             raise _out_of_levels(IntegralResult(value, estimate, evals))
         level += 1
@@ -378,6 +391,8 @@ def _rows_integral(g, vals, offsets, levels, t_max, a1, b1, cfg) -> IntegralResu
     while not all(
         e <= max(cfg.abs_tol, cfg.rel_tol * abs(v)) for e, v in zip(estimate, value)
     ):
+        if not all(math.isfinite(v) for v in value):
+            raise _not_finite(_rows_result(shape, value, estimate, evals))
         if level == _MAX_LEVEL:
             raise _out_of_levels(_rows_result(shape, value, estimate, evals))
         level += 1

@@ -124,6 +124,29 @@ def test_eval_const_with_two_values_exits_2(capsys):
     assert captured.out == ""
 
 
+def test_eval_non_finite_fn_value_exits_2(capsys):
+    code = run_cli(["eval", *RL_FLAGS, "--a", "0", "--x", "2", "--fn", "const:nan"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: non-finite numeric token 'nan' in 'const:nan'\n"
+    assert captured.out == ""
+
+
+def test_eval_non_finite_integrand_exits_3_without_warning():
+    # exp(1e308 + 1e308 t) overflows at every node; in a subprocess, where
+    # numpy's overflow warning would reach stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "genfrac.cli", "eval", *RL_FLAGS, "--a", "0", "--x", "1",
+         "--fn", "expoly:1e308,1e308"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines()[0] == (
+        "error: integrand is not finite at the quadrature nodes (65 evaluations made)")
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_eval_nonconvergence_exits_3(capsys):
     # constant function has no decay: the truncated -inf form cannot converge
     code = run_cli(["eval", *RL_FLAGS, "--a=-inf", "--x", "1", "--fn", "const:1"])

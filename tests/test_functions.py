@@ -277,3 +277,19 @@ def test_parse_errors_name_token():
         parse_function_spec("const", DOMAIN)
     with pytest.raises(FunctionSpecError, match="sinpos"):
         parse_function_spec("sinpos:1,2", DOMAIN)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("const:nan", "non-finite numeric token 'nan' in 'const:nan'"),
+    ("const:1e400", "non-finite numeric token '1e400' in 'const:1e400'"),
+    ("mono:sigma=nan", "non-finite sigma token 'nan' in 'mono:sigma=nan'"),
+    ("mono:-inf", "non-finite sigma token '-inf' in 'mono:-inf'"),
+    ("poly:1,inf,2", "non-finite numeric token 'inf' in 'poly:1,inf,2'"),
+    ("expoly:0,-inf", "non-finite numeric token '-inf' in 'expoly:0,-inf'"),
+    ("sinpos:2,nan,0.5,1.5", "non-finite numeric token 'nan' in 'sinpos:2,nan,0.5,1.5'"),
+])
+def test_parse_rejects_non_finite_tokens(spec, message):
+    # these used to parse, and quadrature then ran to its node budget
+    with pytest.raises(FunctionSpecError) as exc_info:
+        parse_function_spec(spec, DOMAIN)
+    assert str(exc_info.value) == message

@@ -431,6 +431,16 @@ def test_hadamard_direct_coverage():
         assert check_theorem(TheoremId.T9, pair, op, 2.0, CheckConfig(p=3.0)).satisfied
 
 
+def test_t15_under_the_hadamard_form_is_a_domain_error():
+    # the direct form takes no breakpoints, so T15's kinks made 18 of these
+    # 40 trials inconclusive; no integral runs now
+    op = HadamardOp(alpha=0.5, lower=1.0)
+    for seed in range(40):
+        pair = generate_ratio_pair(seed, 0.5, 2.0, (1.0, 2.0))
+        with pytest.raises(DomainError, match="T15 needs breakpoints at its kinks"):
+            check_theorem(TheoremId.T15, pair, op, 2.0, CheckConfig(p=2.0))
+
+
 # ---------------------------------------------------------------------------
 # inconclusive handling
 # ---------------------------------------------------------------------------

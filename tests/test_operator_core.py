@@ -347,6 +347,32 @@ def test_classical_erdelyi_kober_frozen_reference():
     assert res.value == pytest.approx(0.88445440056480686, rel=1e-10)
 
 
+def test_classical_erdelyi_kober_at_a_huge_x_never_forms_x_to_the_sigma():
+    # at a = 0 the value of 1 is Gamma(eta+1)/Gamma(eta+alpha+1) for every x;
+    # x^sigma = 1e400 is past the float range
+    res = evaluate_classical(
+        ClassicalKind.ERDELYI_KOBER, 0.7, ONE, (0.0,), 1e200, sigma=2.0, eta=0.5
+    )
+    assert res.value == pytest.approx(math.gamma(1.5) / math.gamma(2.2), rel=2e-15)
+
+
+@pytest.mark.parametrize("alpha, rho, x", [(0.6, 2.0, 1.5), (1.3, 0.5, 2.7), (0.25, 3.0, 0.8)])
+def test_classical_katugampola_of_one_at_zero(alpha, rho, x):
+    res = evaluate_classical(ClassicalKind.KATUGAMPOLA, alpha, ONE, (0.0,), x, rho=rho)
+    want = rho ** -alpha * x ** (rho * alpha) / math.gamma(alpha + 1.0)
+    assert res.value == pytest.approx(want, rel=2e-15)
+
+
+def test_classical_erdelyi_kober_frozen_reference_above_zero_without_weight():
+    # x^(-sigma alpha)/Gamma(alpha) int_a^x sigma t^(sigma-1) (x^sigma - t^sigma)^(alpha-1)
+    # f(t) dt by 30-digit mpmath quadrature: 1.332495209249859103784884
+    f = _fn(ExpPoly((0.1, 0.4, -0.2)), (0.0, 2.0))
+    res = evaluate_classical(
+        ClassicalKind.ERDELYI_KOBER, 0.6, f, (0.4,), 1.3, sigma=1.5, eta=0.0
+    )
+    assert res.value == pytest.approx(1.3324952092498591, rel=2e-15)
+
+
 @pytest.mark.parametrize("a", [0.0, 0.4])
 def test_classical_erdelyi_kober_rejects_non_finite_eta(a):
     # a NaN eta used to run to the node budget and raise ConvergenceError

@@ -643,3 +643,25 @@ def test_rows_keep_leading_dimensions():
     assert _bits(got.value) == _bits(want.value)
     assert _bits(got.error_estimate) == _bits(want.error_estimate)
     assert got.evaluations == want.evaluations
+
+
+@pytest.mark.parametrize("rows", [False, True])
+def test_a_non_finite_integrand_stops_at_level_3(rows):
+    # a NaN row used to refine to the node budget: 1153 evaluations
+    def g(u):
+        nan = np.full_like(u, np.nan)
+        return np.stack([np.exp(u), nan]) if rows else nan
+
+    with pytest.raises(ConvergenceError) as exc_info:
+        weighted_unit_integral(g, -0.5, 0.0)
+    levels_0_to_3 = sum(_level_sizes(-0.5, 0.0)[:4])
+    assert str(exc_info.value) == (
+        "integrand is not finite at the quadrature nodes (%d evaluations made)" % levels_0_to_3
+    )
+    best = exc_info.value.result
+    assert best.evaluations == levels_0_to_3
+    if rows:
+        assert best.value.shape == best.error_estimate.shape == (2,)
+        assert math.isfinite(best.value[0]) and math.isnan(best.value[1])
+    else:
+        assert math.isnan(best.value) and math.isnan(best.error_estimate)
