@@ -208,7 +208,7 @@ class _Bracket:
     grid's right end may also be an exact zero), so fb - fa is never zero.
     """
 
-    __slots__ = ("a", "b", "fa", "fb", "positive", "level", "guided", "points", "root")
+    __slots__ = ("a", "b", "fa", "fb", "positive", "level", "guided")
 
     def __init__(self, a: float, b: float, fa: float, fb: float):
         self.a, self.b, self.fa, self.fb = a, b, fa, fb
@@ -228,9 +228,9 @@ class _Bracket:
         """
         a, b, level = self.a, self.b, self.level
         if self.guided:
-            self.root = root = a - self.fa * (b - a) / (self.fb - self.fa)
-            self.points = path = []
-            while True:
+            root = a - self.fa * (b - a) / (self.fb - self.fa)
+            path = []
+            while not _bisection_stops(a, b, level):
                 mid = 0.5 * (a + b)
                 path.append(mid)
                 if mid < root:
@@ -238,8 +238,7 @@ class _Bracket:
                 else:
                     b = mid
                 level += 1
-                if _bisection_stops(a, b, level):
-                    return path
+            return path
         # column i holds the dyadic point a + (b - a) * i / k, built from its parents
         k = 2 ** (_BISECT_DEPTH - level % _BISECT_DEPTH)
         pts = np.empty(k + 1)
@@ -248,44 +247,28 @@ class _Bracket:
         while h:
             pts[h::2 * h] = 0.5 * (pts[0:k:2 * h] + pts[2 * h::2 * h])
             h //= 2
-        self.points = pts.tolist()
-        return self.points[1:k]
+        return pts[1:k].tolist()
 
-    def replay(self, vals: list) -> None:
-        """Bisect with the difference ``vals`` at ``plan()``'s points."""
-        if self.guided:
-            for i, (mid, dm) in enumerate(zip(self.points, vals)):
-                if dm == 0.0:
-                    self._zero(mid)
-                    return
-                left = (dm > 0.0) == self.positive
-                if left:
-                    self.a, self.fa = mid, dm
-                else:
-                    self.b, self.fb = mid, dm
-                self.level += 1
-                if left != (mid < self.root):  # the rest of the path is off
-                    # a round that advanced less than a block k-sections from now on
-                    self.guided = i + 1 >= _BISECT_DEPTH
-                    return
-            return
-        # vals[i - 1] is the value at column i
-        pts, pos = self.points, 0
-        h = (len(pts) - 1) // 2
-        while h:
-            dm = vals[pos + h - 1]
+    def bisect(self, table: dict) -> bool:
+        """Bisect for as long as ``table`` maps the next midpoint to the
+        difference there; whether bisection goes on after that."""
+        start = self.level
+        while not _bisection_stops(self.a, self.b, self.level):
+            mid = 0.5 * (self.a + self.b)
+            dm = table.get(mid)
+            if dm is None:
+                # a round that advanced less than a block k-sections from now on
+                self.guided = self.guided and self.level - start >= _BISECT_DEPTH
+                return True
             if dm == 0.0:
-                self._zero(pts[pos + h])
-                return
+                self.a = self.b = mid
+                return False
             if (dm > 0.0) == self.positive:
-                pos += h
-            h //= 2
-        self.a, self.b = pts[pos], pts[pos + 1]
-        self.level += _BISECT_DEPTH - self.level % _BISECT_DEPTH
-
-    def _zero(self, t: float) -> None:
-        self.a = self.b = t
-        self.level = _BISECT_CAP  # bisection stops here
+                self.a, self.fa = mid, dm
+            else:
+                self.b, self.fb = mid, dm
+            self.level += 1
+        return False
 
 
 def _sign_crossings(diff, lo: float, hi: float) -> tuple:
@@ -301,18 +284,18 @@ def _sign_crossings(diff, lo: float, hi: float) -> tuple:
     the root itself.  The scan compares signs: the product of two ends
     underflows to zero below about 1e-162.
 
-    Each round evaluates the points of every live cell in one call of
-    ``diff`` and then replays the bisection with their signs.  A cell's
-    points are the bisection path that the secant through its ends
-    predicts; the replay keeps every step up to and including the first
-    whose sign disagrees, and the next round starts from there.  A cell
-    whose round advanced less than one block, because the secant
-    mispredicted early, evaluates every midpoint of the steps to its next
-    block end from then on (a k-section: 2^j - 1 points for j steps).
-    Every midpoint is the one plain bisection computes, so the roots are
-    too.  No input takes more than one call of ``diff`` more than
-    k-sections of whole blocks alone: each round before a cell's switch
-    advances it at least a block, and the switch round at least one step.
+    Each round evaluates the points that every live cell plans in one call
+    of ``diff``, and each cell then bisects for as long as that call holds
+    the value at its next midpoint.  A cell plans the bisection path that
+    the secant through its ends predicts; one whose round advanced less
+    than a block, because the secant mispredicted early, plans every
+    midpoint of the steps to its next block end from then on (a k-section:
+    2^j - 1 points for j steps).  Every value read is ``diff`` at exactly
+    the midpoint plain bisection computes, so the roots are plain
+    bisection's whatever a plan predicted.  No input takes more than one
+    call of ``diff`` more than k-sections of whole blocks alone: each round
+    before a cell's switch advances it at least a block, and the switch
+    round at least one step.
     """
     t = check_grid(lo, hi, _KINK_GRID)
     d = np.asarray(diff(t), dtype=float)
@@ -323,17 +306,11 @@ def _sign_crossings(diff, lo: float, hi: float) -> tuple:
         for ends in zip(t[cells].tolist(), t[cells + 1].tolist(),
                         d[cells].tolist(), d[cells + 1].tolist())
     ]
-    live = brackets
-    while True:
-        live = [c for c in live if not _bisection_stops(c.a, c.b, c.level)]
-        if not live:
-            break
-        plans = [c.plan() for c in live]
-        vals = np.asarray(diff(np.array([x for p in plans for x in p])), dtype=float).tolist()
-        start = 0
-        for c, p in zip(live, plans):
-            c.replay(vals[start:start + len(p)])
-            start += len(p)
+    live = [c for c in brackets if not _bisection_stops(c.a, c.b, c.level)]
+    while live:
+        points = [x for c in live for x in c.plan()]
+        table = dict(zip(points, np.asarray(diff(np.array(points)), dtype=float).tolist()))
+        live = [c for c in live if c.bisect(table)]
     return tuple(0.5 * (c.a + c.b) for c in brackets)
 
 
@@ -350,7 +327,6 @@ class CheckConfig:
     c: Optional[float] = None  # 0 < c < m, consulted by the sandwich check T12
     slack_factor: float = 2.0
     statement_constants: bool = False
-    quad: QuadratureConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
         _require(self.p >= 1.0, "require p >= 1")
@@ -622,7 +598,7 @@ def check_theorem(theorem: TheoremId, pair: PositivePair, params, x: float,
     if check.kinks is not None and isinstance(params, HadamardOp):
         raise DomainError("%s needs breakpoints at its kinks, which the direct "
                           "Hadamard form does not take" % theorem.value)
-    return _verdict(check, _row_values(check, pair, params, x, cfg.quad), cfg.slack_factor)
+    return _verdict(check, _row_values(check, pair, params, x, DEFAULT_CONFIG), cfg.slack_factor)
 
 
 # ---------------------------------------------------------------------------

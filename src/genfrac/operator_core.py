@@ -315,78 +315,82 @@ def evaluate_classical(
         # same printed form, truncated lower limit
         return _truncated_power_kernel(alpha, f, x, cfg, truncation_start)
 
-    # each kind below integrates g against (1-u)^a_pow u^u_pow, times factor
-    a_pow, u_pow = alpha - 1.0, 0.0
-    if kind is ClassicalKind.RIEMANN_LIOUVILLE:
-        if not x > a:
-            raise DomainError("evaluation point must exceed the lower bound")
-        width = x - a
-
-        def g(u):
-            return f(a + width * u)
-
-        factor = width ** alpha * math.exp(-log_gamma(alpha))
-
-    elif kind is ClassicalKind.HADAMARD:
-        if not 0.0 < a < x:
-            raise DomainError("logarithmic kernel requires 0 < a < x")
-        big_w = math.log(x / a)
-
-        def g(u):
-            return f(x * np.exp(-big_w * u))
-
-        a_pow, u_pow = 0.0, alpha - 1.0
-        factor = big_w ** alpha * math.exp(-log_gamma(alpha))
-
-    else:
-        # KATUGAMPOLA (s = rho, eta = 0) and ERDELYI_KOBER (s = sigma, with
-        # the weight (t^s)^eta) substitute t^s = a^s + u (x^s - a^s)
-        if not x > a >= 0.0:
-            raise DomainError("requires 0 <= a < x")
-        katugampola = kind is ClassicalKind.KATUGAMPOLA
-        s = rho if katugampola else sigma
-        if not 0.0 < s < math.inf:
-            raise ParameterError("%s must be positive and finite"
-                                 % ("rho" if katugampola else "sigma"))
-        if katugampola:
-            eta = 0.0
-        elif not math.isfinite(eta):
-            raise ParameterError("eta must be finite")
-        inv_s = 1.0 / s
-        if a == 0.0:
-            # t = x u^(1/s); (t^s)^eta is x^(s eta) times the weight u^eta
-            if eta <= -1.0:
-                raise DomainError("eta must exceed -1 when a=0")
-            if katugampola:
-                d = x ** s  # Erdelyi-Kober's x powers cancel, so never form it
+    # each kind below integrates g against (1-u)^a_pow u^u_pow, times factor;
+    # ** and math.exp/expm1 raise OverflowError past the float range
+    try:
+        a_pow, u_pow = alpha - 1.0, 0.0
+        if kind is ClassicalKind.RIEMANN_LIOUVILLE:
+            if not x > a:
+                raise DomainError("evaluation point must exceed the lower bound")
+            width = x - a
 
             def g(u):
-                return f(x * u ** inv_s)
+                return f(a + width * u)
 
-            u_pow = eta
+            factor = width ** alpha * math.exp(-log_gamma(alpha))
+
+        elif kind is ClassicalKind.HADAMARD:
+            if not 0.0 < a < x:
+                raise DomainError("logarithmic kernel requires 0 < a < x")
+            big_w = math.log(x / a)
+
+            def g(u):
+                return f(x * np.exp(-big_w * u))
+
+            a_pow, u_pow = 0.0, alpha - 1.0
+            factor = big_w ** alpha * math.exp(-log_gamma(alpha))
+
         else:
-            # t = a (1 + u D/a^s)^(1/s), stable for s -> 0+
-            a_s = a ** s
-            d = a_s * math.expm1(s * math.log(x / a))
-            ratio = d / a_s
-            if eta == 0.0:
+            # KATUGAMPOLA (s = rho, eta = 0) and ERDELYI_KOBER (s = sigma, with
+            # the weight (t^s)^eta) substitute t^s = a^s + u (x^s - a^s)
+            if not x > a >= 0.0:
+                raise DomainError("requires 0 <= a < x")
+            katugampola = kind is ClassicalKind.KATUGAMPOLA
+            s = rho if katugampola else sigma
+            if not 0.0 < s < math.inf:
+                raise ParameterError("%s must be positive and finite"
+                                     % ("rho" if katugampola else "sigma"))
+            if katugampola:
+                eta = 0.0
+            elif not math.isfinite(eta):
+                raise ParameterError("eta must be finite")
+            inv_s = 1.0 / s
+            if a == 0.0:
+                # t = x u^(1/s); (t^s)^eta is x^(s eta) times the weight u^eta
+                if eta <= -1.0:
+                    raise DomainError("eta must exceed -1 when a=0")
+                if katugampola:
+                    d = x ** s  # Erdelyi-Kober's x powers cancel, so never form it
 
                 def g(u):
-                    return f(a * np.exp(inv_s * np.log1p(u * ratio)))
+                    return f(x * u ** inv_s)
+
+                u_pow = eta
             else:
-                log_a_s = s * math.log(a)
+                # t = a (1 + u D/a^s)^(1/s), stable for s -> 0+
+                a_s = a ** s
+                d = a_s * math.expm1(s * math.log(x / a))
+                ratio = d / a_s
+                if eta == 0.0:
 
-                def g(u):
-                    z = np.log1p(u * ratio)
-                    return np.exp(eta * (log_a_s + z)) * f(a * np.exp(inv_s * z))
+                    def g(u):
+                        return f(a * np.exp(inv_s * np.log1p(u * ratio)))
+                else:
+                    log_a_s = s * math.log(a)
 
-        if katugampola:
-            factor = s ** (-alpha) * d ** alpha * math.exp(-log_gamma(alpha))
-        elif a == 0.0:
-            factor = math.exp(-log_gamma(alpha))
-        else:
-            factor = math.exp(
-                -s * (alpha + eta) * math.log(x) + alpha * math.log(d) - log_gamma(alpha)
-            )
+                    def g(u):
+                        z = np.log1p(u * ratio)
+                        return np.exp(eta * (log_a_s + z)) * f(a * np.exp(inv_s * z))
+
+            if katugampola:
+                factor = s ** (-alpha) * d ** alpha * math.exp(-log_gamma(alpha))
+            elif a == 0.0:
+                factor = math.exp(-log_gamma(alpha))
+            else:
+                factor = math.exp(
+                    -s * (alpha + eta) * math.log(x) + alpha * math.log(d) - log_gamma(alpha)
+                )
+    except OverflowError:
+        raise DomainError("operator factor is beyond the float range") from None
 
     return scaled_integral(factor, weighted_unit_integral, g, a_pow, u_pow, cfg)

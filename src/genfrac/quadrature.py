@@ -445,33 +445,38 @@ def _kernel_segment(
     ConvergenceError's best estimate is scaled alike.
     """
     inv_rho = 1.0 / rho
-    if lo == 0.0:
-        # t = hi * u^(1/rho); (t^rho)^power becomes u^power exactly
-        log_scale = rho * (power + 1.0) * math.log(hi) - math.log(rho)
-        d = hi ** rho
-        u_pow = power
-    else:
-        # t = lo * (1 + u*D/lo^rho)^(1/rho), stable for rho -> 0+, with the
-        # weight (t^rho)^power in the integrand
-        log_lo_rho = rho * math.log(lo)
-        lo_rho = math.exp(log_lo_rho)
-        d = lo_rho * math.expm1(rho * math.log(hi / lo))
-        log_scale = math.log(d) - math.log(rho)
-        ratio = d / lo_rho
-        u_pow = 0.0
+    # ** and math.exp/expm1 raise OverflowError past the float range
+    try:
+        if lo == 0.0:
+            # t = hi * u^(1/rho); (t^rho)^power becomes u^power exactly
+            log_scale = rho * (power + 1.0) * math.log(hi) - math.log(rho)
+            d = hi ** rho
+            u_pow = power
+        else:
+            # t = lo * (1 + u*D/lo^rho)^(1/rho), stable for rho -> 0+, with the
+            # weight (t^rho)^power in the integrand
+            log_lo_rho = rho * math.log(lo)
+            lo_rho = math.exp(log_lo_rho)
+            d = lo_rho * math.expm1(rho * math.log(hi / lo))
+            log_scale = math.log(d) - math.log(rho)
+            ratio = d / lo_rho
+            u_pow = 0.0
 
-    a_pow = 0.0
-    interior = False
-    if x == hi:
-        log_scale += (alpha - 1.0) * math.log(d)
-        a_pow = alpha - 1.0
-    elif x == lo:
-        log_scale += (alpha - 1.0) * math.log(d)
-        u_pow += alpha - 1.0
-    else:
-        # remaining gap x^rho - hi^rho > 0 keeps the factor smooth
-        interior = True
-        e_gap = hi ** rho * math.expm1(rho * math.log(x / hi))
+        a_pow = 0.0
+        interior = False
+        if x == hi:
+            log_scale += (alpha - 1.0) * math.log(d)
+            a_pow = alpha - 1.0
+        elif x == lo:
+            log_scale += (alpha - 1.0) * math.log(d)
+            u_pow += alpha - 1.0
+        else:
+            # remaining gap x^rho - hi^rho > 0 keeps the factor smooth
+            interior = True
+            e_gap = hi ** rho * math.expm1(rho * math.log(x / hi))
+        inner = math.exp(log_scale)
+    except OverflowError:
+        raise DomainError("kernel scale is beyond the float range") from None
 
     # weight * (f * gap factor), in that order
     def g(u):
@@ -487,7 +492,7 @@ def _kernel_segment(
         return vals
 
     return scaled_integral(
-        pref, weighted_unit_integral, g, a_pow, u_pow, cfg, inner=math.exp(log_scale)
+        pref, weighted_unit_integral, g, a_pow, u_pow, cfg, inner=inner
     )
 
 

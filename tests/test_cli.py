@@ -110,6 +110,20 @@ def test_eval_value_overflow_exits_2(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flags", [
+    ["--alpha", "0.7", "--beta", "0.7", "--rho", "2", "--a", "0"],
+    ["--alpha", "0.7", "--beta", "0.7", "--rho", "2", "--a", "1"],
+    ["--alpha", "2", "--beta", "1", "--rho", "1", "--a", "0"],
+])
+def test_eval_kernel_scale_overflow_exits_2(capsys, flags):
+    code = run_cli(["eval", *flags, "--eta", "0", "--kappa", "0", "--x", "1e200",
+                    "--fn", "const:1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: kernel scale is beyond the float range\n"
+    assert captured.out == ""
+
+
 def test_eval_bad_fn_spec_exits_2(capsys):
     code = run_cli(["eval", *RL_FLAGS, "--a", "0", "--x", "2", "--fn", "wat:1"])
     assert code == 2
@@ -333,6 +347,16 @@ def test_verify_overflowing_rows_exit_3_without_warning():
     assert ("INCONCLUSIVE: 3 trial(s) inconclusive: quadrature did not converge "
             "or an integrand row was not finite") in proc.stdout.splitlines()
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_oracle_overflowing_integrand_exits_3_without_warning(capsys):
+    # in-process, so a numpy RuntimeWarning would be raised as an error
+    code = run_cli(["oracle", "--x", "1e200"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.splitlines()[0] == (
+        "error: integrand is not finite at the quadrature nodes (81 evaluations made)")
+    assert captured.out == ""
 
 
 def test_oracle_smoke(capsys):

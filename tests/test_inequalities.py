@@ -39,10 +39,12 @@ from genfrac.functions import check_grid
 from genfrac.inequalities import (
     _BISECT_DEPTH,
     _BISECT_LEVELS,
+    _BUILDERS,
     _KINK_GRID,
     _Check,
     _Sides,
     _Val,
+    _row_values,
     _sign_crossings,
     _verdict,
 )
@@ -449,11 +451,12 @@ def test_t15_under_the_hadamard_form_is_a_domain_error():
 def test_inconclusive_marked_not_passed():
     # a 40-node budget is below the nodes of levels 0-3, so no integral converges
     pair = generate_ratio_pair(501, 0.5, 2.0, DOMAIN)
-    tight = CheckConfig(
-        p=3.0,
-        quad=QuadratureConfig(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=40),
-    )
-    chk = check_theorem(TheoremId.T8, pair, OperatorParams(0.35, 0.0, 1.0, 0.9, 0.0), X, tight)
+    cfg = CheckConfig(p=3.0)
+    check = _BUILDERS[TheoremId.T8](pair, cfg)
+    tight = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=40)
+    vals = _row_values(check, pair, OperatorParams(0.35, 0.0, 1.0, 0.9, 0.0), X, tight)
+    assert vals is None
+    chk = _verdict(check, vals, cfg.slack_factor)
     assert chk.inconclusive
     assert not chk.satisfied
 

@@ -273,6 +273,17 @@ def test_evaluate_requires_x_above_lower():
         evaluate(p, ONE, 1.5)
 
 
+@pytest.mark.parametrize("alpha, beta, rho, lower", [
+    (0.7, 0.7, 2.0, 0.0),  # x^rho
+    (0.7, 0.7, 2.0, 1.0),  # expm1(rho log(x/a))
+    (2.0, 1.0, 1.0, 0.0),  # exp(log_scale)
+])
+def test_kernel_scale_past_the_float_range_is_a_domain_error(alpha, beta, rho, lower):
+    p = OperatorParams(alpha=alpha, beta=beta, rho=rho, eta=0.0, kappa=0.0, lower=lower)
+    with pytest.raises(DomainError, match="^kernel scale is beyond the float range$"):
+        evaluate(p, ONE, 1e200)
+
+
 @pytest.mark.parametrize("x", [math.inf, math.nan])
 def test_non_finite_evaluation_point_is_rejected(x):
     # every side and every classical kind; inf used to give value = nan
@@ -354,6 +365,16 @@ def test_classical_erdelyi_kober_at_a_huge_x_never_forms_x_to_the_sigma():
         ClassicalKind.ERDELYI_KOBER, 0.7, ONE, (0.0,), 1e200, sigma=2.0, eta=0.5
     )
     assert res.value == pytest.approx(math.gamma(1.5) / math.gamma(2.2), rel=2e-15)
+
+
+@pytest.mark.parametrize("kind, alpha, a, rho", [
+    (ClassicalKind.KATUGAMPOLA, 0.7, 0.0, 2.0),  # x^rho
+    (ClassicalKind.KATUGAMPOLA, 0.7, 1.0, 2.0),  # expm1(rho log(x/a))
+    (ClassicalKind.RIEMANN_LIOUVILLE, 2.0, 0.0, 1.0),  # (x - a)^alpha
+])
+def test_classical_factor_past_the_float_range_is_a_domain_error(kind, alpha, a, rho):
+    with pytest.raises(DomainError, match="^operator factor is beyond the float range$"):
+        evaluate_classical(kind, alpha, ONE, (a,), 1e200, rho=rho)
 
 
 @pytest.mark.parametrize("alpha, rho, x", [(0.6, 2.0, 1.5), (1.3, 0.5, 2.7), (0.25, 3.0, 0.8)])
