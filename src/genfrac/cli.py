@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 verification failure, 2 invalid parameters,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import math
 import sys
@@ -51,7 +53,16 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
                         help="lower bound (write --a=-inf for the truncated infinite form)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``genfrac`` argument parser, built on the first call.
+
+    Every later call returns the same parser, shared by every ``main`` call
+    in the process, so callers must not change it.  Reuse is safe because
+    ``parse_args`` fills a new namespace each time and leaves the parser as
+    it was, and usage and help text are formatted when printed, so they
+    read ``COLUMNS`` and the current ``sys.stdout``/``sys.stderr`` then.
+    """
     parser = argparse.ArgumentParser(prog="genfrac", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version="genfrac %s" % __version__)
@@ -140,28 +151,41 @@ def cmd_oracle(args) -> int:
     if not args.threshold >= 0.0:
         raise DomainError("threshold must be a number >= 0, got %r" % (args.threshold,))
     cfg = QuadratureConfig(rel_tol=args.rel_tol)
-    # as in cmd_eval: evaluate reports an overflowing integrand
-    with np.errstate(over="ignore", invalid="ignore"):
-        worst, results = sweep(x=args.x, cfg=cfg)
+    with _report_file(args.json) as json_file:
+        # as in cmd_eval: evaluate reports an overflowing integrand
+        with np.errstate(over="ignore", invalid="ignore"):
+            worst, results = sweep(x=args.x, cfg=cfg)
+        if json_file:
+            payload = [
+                {
+                    "alpha": pt.params.alpha, "beta": pt.params.beta,
+                    "rho": pt.params.rho, "eta": pt.params.eta,
+                    "kappa": pt.params.kappa, "sigma": pt.sigma,
+                    "quadrature": num, "closed_form": exact, "rel_error": rel,
+                }
+                for pt, num, exact, rel in results
+            ]
+            json.dump(payload, json_file, sort_keys=True, indent=2)
+            json_file.write("\n")
     print("points = %d" % len(results))
     print("max_rel_error = %.3e" % worst)
-    if args.json:
-        payload = [
-            {
-                "alpha": pt.params.alpha, "beta": pt.params.beta,
-                "rho": pt.params.rho, "eta": pt.params.eta,
-                "kappa": pt.params.kappa, "sigma": pt.sigma,
-                "quadrature": num, "closed_form": exact, "rel_error": rel,
-            }
-            for pt, num, exact, rel in results
-        ]
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2)
-            handle.write("\n")
     if not worst <= args.threshold:
         print("FAIL: max_rel_error %.3e exceeds threshold %g" % (worst, args.threshold))
         return EXIT_FAIL
     return EXIT_OK
+
+
+def _report_file(path, newline=None):
+    """The report file at ``path``, opened for writing before the work whose
+    results it takes, so a path that cannot be written is an invalid
+    parameter, not a traceback after the run.  As with a shell redirection,
+    the file is created or emptied at once.  No path gives a null context."""
+    if path is None:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise DomainError("cannot write report %r: %s" % (path, exc.strerror or exc)) from None
 
 
 def _theorem_selection(text: str):
@@ -185,8 +209,14 @@ def cmd_verify(args) -> int:
         slack_factor=args.slack_factor,
         statement_constants=args.paper_statement_constants,
     )
-    timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    report = run_suite(cfg, version=__version__, timestamp=timestamp)
+    with _report_file(args.json) as json_file, _report_file(args.csv, newline="") as csv_file:
+        timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        report = run_suite(cfg, version=__version__, timestamp=timestamp)
+        if json_file:
+            json.dump(report.to_json_dict(), json_file, sort_keys=True, indent=2)
+            json_file.write("\n")
+        if csv_file:
+            csv.writer(csv_file).writerows(report.csv_rows())
     for theorem, stats in report.summary().items():
         margin = stats["min_margin"]
         print(
@@ -200,13 +230,6 @@ def cmd_verify(args) -> int:
                 "n/a" if margin is None else "%.3e" % margin,
             )
         )
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.to_json_dict(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
-    if args.csv:
-        with open(args.csv, "w", newline="") as handle:
-            csv.writer(handle).writerows(report.csv_rows())
     if report.total_failures > 0:
         print("FAIL: %d violated trial(s)" % report.total_failures)
         return EXIT_FAIL

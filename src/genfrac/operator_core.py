@@ -192,17 +192,21 @@ def evaluate(
             raise DomainError("evaluation point must exceed the lower bound")
         pref = _prefactor(params, params.kappa, x)
         res = _left_kernel(f, params, x, cfg, breakpoints, pref)
-    # one integrand: its integral converged, so a value past the float range
-    # means prefactor times integral overflowed; rows are left to the
-    # caller, which judges each one
-    if isinstance(res.value, float) and not math.isfinite(res.value):
-        raise DomainError("operator value is beyond the float range")
-    return res
+    return _require_finite_value(res)
 
 
 def _require_finite_point(x: float) -> None:
     if not math.isfinite(x):
         raise DomainError("evaluation point must be finite, got %r" % (x,))
+
+
+def _require_finite_value(res: IntegralResult) -> IntegralResult:
+    """res, unless its one value is not finite.  Its integral converged, so
+    a value past the float range means a factor, or factor times integral,
+    overflowed; rows are left to the caller, which judges each one."""
+    if isinstance(res.value, float) and not math.isfinite(res.value):
+        raise DomainError("operator value is beyond the float range")
+    return res
 
 
 def _prefactor(params: OperatorParams, x_power: float, x: float) -> float:
@@ -303,6 +307,7 @@ def evaluate_classical(
     consulted by the power-substitution kind, (``sigma``, ``eta``) by the
     power-weighted kind; WEYL and LIOUVILLE share the truncated
     infinite-interval form and report the tail bound in the error estimate.
+    As in evaluate, a single value that is not finite raises DomainError.
     """
     if not 0.0 < alpha < math.inf:
         raise ParameterError("alpha must be positive and finite")
@@ -313,7 +318,7 @@ def evaluate_classical(
 
     if kind in (ClassicalKind.WEYL, ClassicalKind.LIOUVILLE):
         # same printed form, truncated lower limit
-        return _truncated_power_kernel(alpha, f, x, cfg, truncation_start)
+        return _require_finite_value(_truncated_power_kernel(alpha, f, x, cfg, truncation_start))
 
     # each kind below integrates g against (1-u)^a_pow u^u_pow, times factor;
     # ** and math.exp/expm1 raise OverflowError past the float range
@@ -393,4 +398,7 @@ def evaluate_classical(
     except OverflowError:
         raise DomainError("operator factor is beyond the float range") from None
 
-    return scaled_integral(factor, weighted_unit_integral, g, a_pow, u_pow, cfg)
+    # a float operation above can also overflow to inf without raising:
+    # x / a for Hadamard, x - a for Riemann-Liouville
+    return _require_finite_value(
+        scaled_integral(factor, weighted_unit_integral, g, a_pow, u_pow, cfg))

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from genfrac import cli
 from genfrac.cli import main
 
 RL_FLAGS = ["--alpha", "1", "--beta", "1", "--rho", "1", "--eta", "0", "--kappa", "0"]
@@ -393,3 +394,62 @@ def test_oracle_threshold_decides_the_exit_code(capsys, threshold, code):
         assert fail_lines == ["FAIL: max_rel_error %s exceeds threshold 0" % worst]
     else:
         assert fail_lines == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "8", "--trials", "2", "--seed", "1", "--p", "2", "--m", "0.5",
+     "--M", "2", "--json", "{missing}/r.json"],
+    ["verify", "--theorem", "8", "--trials", "2", "--seed", "1", "--p", "2", "--m", "0.5",
+     "--M", "2", "--json", "{ok}/r.json", "--csv", "{missing}/r.csv"],
+    ["oracle", "--json", "{missing}/r.json"],
+])
+def test_unwritable_report_path_exits_2_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    # these used to run every trial, or the whole sweep, print the summary and
+    # end in a FileNotFoundError traceback with exit 1
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the work ran before the report path was checked")
+
+    monkeypatch.setattr(cli, "run_suite", must_not_run)
+    monkeypatch.setattr(cli, "sweep", must_not_run)
+    paths = {"missing": str(tmp_path / "missing"), "ok": str(tmp_path)}
+    argv = [arg.format(**paths) for arg in argv]
+    code = run_cli(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    bad = argv[-1]
+    assert captured.err == (
+        "error: cannot write report %r: No such file or directory\n" % bad)
+    assert captured.out == ""
+
+
+def test_main_builds_the_parser_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert run_cli(["eval", *RL_FLAGS, "--a", "0", "--x", "2", "--fn", "const:1"]) == 0
+    capsys.readouterr()
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_parser_reuse_survives_usage_errors_and_version(capsys):
+    argv = ["eval", *RL_FLAGS, "--a", "0", "--x", "2", "--fn", "const:1"]
+    assert run_cli(argv) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(["eval", "--alpha", "1"])
+    assert exc_info.value.code == 2
+    assert "the following arguments are required" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(["--version"])
+    assert exc_info.value.code == 0
+    assert capsys.readouterr().out.startswith("genfrac ")
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_eval_help_lists_its_flags(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(["eval", "--help"])
+    assert exc_info.value.code == 0
+    out = capsys.readouterr().out
+    assert "--fn" in out and "--side" in out

@@ -377,6 +377,33 @@ def test_classical_factor_past_the_float_range_is_a_domain_error(kind, alpha, a,
         evaluate_classical(kind, alpha, ONE, (a,), 1e200, rho=rho)
 
 
+@pytest.mark.parametrize("kind, alpha, a, x", [
+    # x / a = inf, though (log(x/a))^alpha / Gamma(alpha+1) = 173.7
+    (ClassicalKind.HADAMARD, 0.7, 1e-300, 1e300),
+    # x - a = inf, though (x - a)^alpha / Gamma(alpha+1) = 1.6e154
+    (ClassicalKind.RIEMANN_LIOUVILLE, 0.5, -1e308, 1e308),
+])
+def test_classical_silent_overflow_is_a_domain_error(kind, alpha, a, x):
+    # these used to return value = inf, error_estimate = inf without an error
+    with pytest.raises(DomainError, match="^operator value is beyond the float range$"):
+        evaluate_classical(kind, alpha, ONE, (a,), x)
+
+
+@pytest.mark.parametrize("kind", [ClassicalKind.WEYL, ClassicalKind.LIOUVILLE])
+def test_classical_truncated_value_past_the_float_range_is_a_domain_error(kind):
+    # every segment converges, but their sum times 1/Gamma(0.5) is past the float range
+    huge = lambda t: 1.5e308 * np.exp(-t * t)
+    with pytest.raises(DomainError, match="^operator value is beyond the float range$"):
+        evaluate_classical(kind, 0.5, huge, (NEG_INF,), 3.0)
+
+
+def test_classical_rows_are_left_to_the_caller():
+    # rows past the float range come back as computed, for the caller to judge
+    rows = lambda t: np.stack([np.ones_like(t), np.ones_like(t)])
+    res = evaluate_classical(ClassicalKind.RIEMANN_LIOUVILLE, 0.5, rows, (-1e308,), 1e308)
+    assert np.isinf(res.value).all()
+
+
 @pytest.mark.parametrize("alpha, rho, x", [(0.6, 2.0, 1.5), (1.3, 0.5, 2.7), (0.25, 3.0, 0.8)])
 def test_classical_katugampola_of_one_at_zero(alpha, rho, x):
     res = evaluate_classical(ClassicalKind.KATUGAMPOLA, alpha, ONE, (0.0,), x, rho=rho)
