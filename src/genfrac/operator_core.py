@@ -271,7 +271,8 @@ def _truncated_power_kernel(
         evals += seg.evaluations
         if k < 0:
             continue
-        size = np.abs(seg.value)
+        # the builtin abs keeps one integrand's value a Python float
+        size = abs(seg.value)
         history.append(float(np.max(size)))
         if np.all(size <= 0.25 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))):
             err += 2.0 * size  # tail bound

@@ -18,7 +18,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(NamedTuple):
     """Value, error estimate and node count of one integral.
 
     For an integrand that returns one row per integrand, ``value`` and
@@ -202,19 +201,23 @@ def _weights(log_u, log_1mu, log_jac, a1: float, b1: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
 def _cached_levels(one_minus_u_pow: float, u_pow: float):
-    """(t_max, offsets, levels) of the weight (1-u)^a u^b.
+    """(t_max, offsets, views, levels) of the weight (1-u)^a u^b.
 
     levels[0] is the block's (nodes, weights), with level k at
-    offsets[k]:offsets[k + 1]; levels[k] is the (nodes, weights) of level
-    _BLOCK_LEVEL + k, filled in by _deep_level when first used.  Every
-    array is read-only.
+    offsets[k]:offsets[k + 1], and views[k] is that slice of the block's
+    weights, a view, so each level is summed over the block's own memory;
+    levels[k] is the (nodes, weights) of level _BLOCK_LEVEL + k, filled in
+    by _deep_level when first used.  Every array is read-only.
     """
     t_max = _pick_t_max(one_minus_u_pow, u_pow)
     u, log_u, log_1mu, log_jac, offsets = _block_nodes(t_max)
     w = _weights(log_u, log_1mu, log_jac, one_minus_u_pow + 1.0, u_pow + 1.0)
+    # four plain slices: most eval-mix integrals miss this cache
+    o0, o1, o2, o3, o4 = offsets
+    views = (w[o0:o1], w[o1:o2], w[o2:o3], w[o3:o4])
     levels = [None] * (_CACHED_LEVEL - _BLOCK_LEVEL + 1)
     levels[0] = (u, w)
-    return t_max, offsets, levels
+    return t_max, offsets, views, levels
 
 
 def _deep_level(levels, t_max: float, level: int, a1: float, b1: float):
@@ -311,29 +314,30 @@ def weighted_unit_integral(
             "weight exponents must exceed -1 for an integrable kernel, got "
             "(1-u)^%r u^%r" % (one_minus_u_pow, u_pow)
         )
-    t_max, offsets, levels = _cached_levels(one_minus_u_pow, u_pow)
+    t_max, offsets, views, levels = _cached_levels(one_minus_u_pow, u_pow)
     a1 = one_minus_u_pow + 1.0
     b1 = u_pow + 1.0
-    u, w = levels[0]
-    vals = np.asarray(g(u))
+    vals = np.asarray(g(levels[0][0]))
     if vals.ndim > 1:
-        return _rows_integral(g, vals, offsets, levels, t_max, a1, b1, cfg)
+        return _rows_integral(g, vals, offsets, views, levels, t_max, a1, b1, cfg)
 
     # one integrand: plain float arithmetic, which costs less per level
     # than the same steps on numpy scalars.  Levels 0-3 are summed straight
-    # through from the block's values; the unpacking fails if _BLOCK_LEVEL
-    # moves.  Level k's value is 2^-k times the running total, which starts
-    # at 0.0 as a loop's would, so a -0.0 first sum still comes out 0.0.
+    # through from the block's values against the cached weight views; the
+    # unpacking fails if _BLOCK_LEVEL moves.  Level k's value is 2^-k times
+    # the running total, which starts at 0.0 as a loop's would, so a -0.0
+    # first sum still comes out 0.0.
     o0, o1, o2, o3, o4 = offsets
-    total = 0.0 + float(vals[o0:o1].dot(w[o0:o1]))
-    total += float(vals[o1:o2].dot(w[o1:o2]))
+    w0, w1, w2, w3 = views
+    total = 0.0 + float(vals[o0:o1].dot(w0))
+    total += float(vals[o1:o2].dot(w1))
     prev = 0.5 * total
-    total += float(vals[o2:o3].dot(w[o2:o3]))
+    total += float(vals[o2:o3].dot(w2))
     value = 0.25 * total
     if o4 > cfg.max_subdivisions:
         # the level-2 estimate is kept for this error only
         raise _out_of_budget(cfg, IntegralResult(value, abs(value - prev), o3))
-    total += float(vals[o3:o4].dot(w[o3:o4]))
+    total += float(vals[o3:o4].dot(w3))
     evals = o4
     level = _BLOCK_LEVEL
     prev, value = value, 0.125 * total
@@ -355,12 +359,12 @@ def weighted_unit_integral(
     return IntegralResult(value, max(estimate, _ROUNDOFF * abs(value)), evals)
 
 
-def _row_totals(total, vals, w, lo: int, hi: int) -> list:
-    """total plus the rows' sums over the nodes lo:hi, one float per row."""
-    return [t + s for t, s in zip(total, vals[:, lo:hi].dot(w[lo:hi]).tolist())]
+def _row_totals(total, vals, w) -> list:
+    """total plus the rows' weighted sums, one float per row."""
+    return [t + s for t, s in zip(total, vals.dot(w).tolist())]
 
 
-def _rows_integral(g, vals, offsets, levels, t_max, a1, b1, cfg) -> IntegralResult:
+def _rows_integral(g, vals, offsets, views, levels, t_max, a1, b1, cfg) -> IntegralResult:
     """weighted_unit_integral for a g returning k rows.
 
     ``vals`` holds the block of levels 0.._BLOCK_LEVEL; leading dimensions
@@ -373,17 +377,17 @@ def _rows_integral(g, vals, offsets, levels, t_max, a1, b1, cfg) -> IntegralResu
     """
     shape = vals.shape[:-1]
     vals = vals.reshape(-1, vals.shape[-1])
-    w = levels[0][1]
     o0, o1, o2, o3, o4 = offsets
-    total = _row_totals([0.0] * len(vals), vals, w, o0, o1)
-    total = _row_totals(total, vals, w, o1, o2)
+    w0, w1, w2, w3 = views
+    total = _row_totals([0.0] * len(vals), vals[:, o0:o1], w0)
+    total = _row_totals(total, vals[:, o1:o2], w1)
     prev = [0.5 * t for t in total]
-    total = _row_totals(total, vals, w, o2, o3)
+    total = _row_totals(total, vals[:, o2:o3], w2)
     value = [0.25 * t for t in total]
     if o4 > cfg.max_subdivisions:
         estimate = [abs(v - p) for v, p in zip(value, prev)]
         raise _out_of_budget(cfg, _rows_result(shape, value, estimate, o3))
-    total = _row_totals(total, vals, w, o3, o4)
+    total = _row_totals(total, vals[:, o3:o4], w3)
     evals = o4
     level = _BLOCK_LEVEL
     prev, value = value, [0.125 * t for t in total]
@@ -400,7 +404,7 @@ def _rows_integral(g, vals, offsets, levels, t_max, a1, b1, cfg) -> IntegralResu
         if evals + u.size > cfg.max_subdivisions:
             raise _out_of_budget(cfg, _rows_result(shape, value, estimate, evals))
         vals = np.asarray(g(u)).reshape(-1, u.size)
-        total = _row_totals(total, vals, w, 0, u.size)
+        total = _row_totals(total, vals, w)
         evals += u.size
         scale = 2.0 ** (-level)
         prev, value = value, [scale * t for t in total]

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from genfrac import quadrature
+from genfrac import operator_core, quadrature
 from genfrac.errors import ConvergenceError, DomainError, ParameterError
 from genfrac.functions import Const, ExpPoly, Monomial, SinPos, TestFunction
 from genfrac.operator_core import (
@@ -593,10 +593,17 @@ def test_right_side_domain_checks():
 def unit_integrals(monkeypatch):
     """Evaluations of every weighted_unit_integral call, one entry each.
 
-    Every genfrac module's binding of the function is replaced by a
-    counting wrapper, as perfbench/tracing.py does to count integrals.
+    quadrature's and operator_core's bindings of the function are its only
+    ones in genfrac; both are replaced by a counting wrapper, as
+    perfbench/tracing.py rebinds them to count integrals.
     """
     original = quadrature.weighted_unit_integral
+    bindings = {(name, attr)
+                for name, module in list(sys.modules.items())
+                if name == "genfrac" or name.startswith("genfrac.")
+                for attr, value in vars(module).items() if value is original}
+    assert bindings == {("genfrac.quadrature", "weighted_unit_integral"),
+                        ("genfrac.operator_core", "weighted_unit_integral")}
     seen = []
 
     def counting(*args, **kwargs):
@@ -604,11 +611,8 @@ def unit_integrals(monkeypatch):
         seen.append(res.evaluations)
         return res
 
-    for name, module in list(sys.modules.items()):
-        if name == "genfrac" or name.startswith("genfrac."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+    monkeypatch.setattr(quadrature, "weighted_unit_integral", counting)
+    monkeypatch.setattr(operator_core, "weighted_unit_integral", counting)
     return seen
 
 
@@ -616,37 +620,71 @@ SMOOTH = _fn(ExpPoly((0.0, 0.5)))
 GENERAL = dict(alpha=0.6, beta=0.3, rho=1.5, eta=0.4, kappa=0.2)
 
 
-@pytest.mark.parametrize("integrals, run", [
-    (1, lambda: evaluate(OperatorParams(**GENERAL), SMOOTH, 1.3)),
-    (1, lambda: evaluate(OperatorParams(**GENERAL, lower=0.5), SMOOTH, 1.3)),
-    (3, lambda: evaluate(OperatorParams(**GENERAL), SMOOTH, 1.3, breakpoints=(0.4, 0.9))),
-    (3, lambda: evaluate(OperatorParams(**GENERAL, lower=0.2), SMOOTH, 1.3,
-                         breakpoints=(0.4, 0.9))),
-    (1, lambda: evaluate(OperatorParams(**GENERAL, upper=2.0, side=Side.RIGHT), SMOOTH, 0.8)),
-    (None, lambda: evaluate(OperatorParams(0.5, 1.0, 1.0, 0.0, 0.0, lower=NEG_INF),
-                            DECAYING, 1.0)),
-    (1, lambda: evaluate_classical(ClassicalKind.RIEMANN_LIOUVILLE, 0.6, SMOOTH, (0.2,), 1.3)),
-    (1, lambda: evaluate_classical(ClassicalKind.HADAMARD, 0.6, SMOOTH, (0.5,), 1.3)),
-    (1, lambda: evaluate_classical(ClassicalKind.KATUGAMPOLA, 0.6, SMOOTH, (0.0,), 1.3,
-                                   rho=1.5)),
-    (1, lambda: evaluate_classical(ClassicalKind.KATUGAMPOLA, 0.6, SMOOTH, (0.5,), 1.3,
-                                   rho=1.5)),
-    (1, lambda: evaluate_classical(ClassicalKind.ERDELYI_KOBER, 0.6, SMOOTH, (0.0,), 1.3,
-                                   sigma=1.5, eta=0.4)),
-    (1, lambda: evaluate_classical(ClassicalKind.ERDELYI_KOBER, 0.6, SMOOTH, (0.5,), 1.3,
-                                   sigma=1.5, eta=0.4)),
-    (None, lambda: evaluate_classical(ClassicalKind.WEYL, 0.5, DECAYING, (NEG_INF,), 1.0)),
-    (None, lambda: evaluate_classical(ClassicalKind.LIOUVILLE, 0.5, DECAYING, (NEG_INF,), 1.0)),
-], ids=["left-a0", "left-a", "left-breaks-a0", "left-breaks-a", "right", "truncated-weyl",
-        "rl", "hadamard", "katugampola-a0", "katugampola-a", "ek-a0", "ek-a", "weyl",
-        "liouville"])
+def _one(f):
+    return f
+
+
+def _two_rows(f):
+    return lambda t: np.stack([f(t), 0.5 * f(t)])
+
+
+# every one-integrand path: (id, integrals, run), where run(wrap) integrates
+# wrap(f), so a path runs on one integrand or, with _two_rows, on two rows;
+# None counts one integral per truncation segment
+PATHS = [
+    ("left-a0", 1, lambda w: evaluate(OperatorParams(**GENERAL), w(SMOOTH), 1.3)),
+    ("left-a", 1, lambda w: evaluate(OperatorParams(**GENERAL, lower=0.5), w(SMOOTH), 1.3)),
+    ("left-breaks-a0", 3, lambda w: evaluate(OperatorParams(**GENERAL), w(SMOOTH), 1.3,
+                                             breakpoints=(0.4, 0.9))),
+    ("left-breaks-a", 3, lambda w: evaluate(OperatorParams(**GENERAL, lower=0.2), w(SMOOTH),
+                                            1.3, breakpoints=(0.4, 0.9))),
+    ("right", 1, lambda w: evaluate(OperatorParams(**GENERAL, upper=2.0, side=Side.RIGHT),
+                                    w(SMOOTH), 0.8)),
+    ("truncated-weyl", None, lambda w: evaluate(
+        OperatorParams(0.5, 1.0, 1.0, 0.0, 0.0, lower=NEG_INF), w(DECAYING), 1.0)),
+    ("rl", 1, lambda w: evaluate_classical(ClassicalKind.RIEMANN_LIOUVILLE, 0.6, w(SMOOTH),
+                                           (0.2,), 1.3)),
+    ("hadamard", 1, lambda w: evaluate_classical(ClassicalKind.HADAMARD, 0.6, w(SMOOTH),
+                                                 (0.5,), 1.3)),
+    ("katugampola-a0", 1, lambda w: evaluate_classical(ClassicalKind.KATUGAMPOLA, 0.6,
+                                                       w(SMOOTH), (0.0,), 1.3, rho=1.5)),
+    ("katugampola-a", 1, lambda w: evaluate_classical(ClassicalKind.KATUGAMPOLA, 0.6,
+                                                      w(SMOOTH), (0.5,), 1.3, rho=1.5)),
+    ("ek-a0", 1, lambda w: evaluate_classical(ClassicalKind.ERDELYI_KOBER, 0.6, w(SMOOTH),
+                                              (0.0,), 1.3, sigma=1.5, eta=0.4)),
+    ("ek-a", 1, lambda w: evaluate_classical(ClassicalKind.ERDELYI_KOBER, 0.6, w(SMOOTH),
+                                             (0.5,), 1.3, sigma=1.5, eta=0.4)),
+    ("weyl", None, lambda w: evaluate_classical(ClassicalKind.WEYL, 0.5, w(DECAYING),
+                                                (NEG_INF,), 1.0)),
+    ("liouville", None, lambda w: evaluate_classical(ClassicalKind.LIOUVILLE, 0.5,
+                                                     w(DECAYING), (NEG_INF,), 1.0)),
+    ("kernel-a0", 1, lambda w: integrate_kernel(w(SMOOTH), OperatorParams(**GENERAL), 1.3)),
+    ("kernel-breaks-a", 3, lambda w: integrate_kernel(
+        w(SMOOTH), OperatorParams(**GENERAL, lower=0.2), 1.3, breakpoints=(0.4, 0.9))),
+]
+PATH_IDS = [path[0] for path in PATHS]
+
+
+@pytest.mark.parametrize("integrals, run", [path[1:] for path in PATHS], ids=PATH_IDS)
 def test_every_integral_goes_through_the_traced_primitive(unit_integrals, integrals, run):
-    res = run()
+    res = run(_one)
     if integrals is None:  # one integral per truncation segment
         assert len(unit_integrals) > 2
     else:
         assert len(unit_integrals) == integrals
     assert sum(unit_integrals) == res.evaluations
+
+
+@pytest.mark.parametrize("run", [path[2] for path in PATHS], ids=PATH_IDS)
+def test_one_integrand_gives_python_scalars_and_rows_give_arrays(run):
+    res = run(_one)
+    assert type(res.value) is float
+    assert type(res.error_estimate) is float
+    assert type(res.evaluations) is int
+    rows = run(_two_rows)
+    assert type(rows.value) is np.ndarray and rows.value.shape == (2,)
+    assert type(rows.error_estimate) is np.ndarray and rows.error_estimate.shape == (2,)
+    assert type(rows.evaluations) is int
 
 
 def _rows(t):

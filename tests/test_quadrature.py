@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -26,8 +27,10 @@ from genfrac.operator_core import (
     evaluate,
     evaluate_classical,
 )
+import genfrac
 from genfrac import quadrature
 from genfrac.quadrature import (
+    IntegralResult,
     QuadratureConfig,
     closed_form_monomial,
     integrate_kernel,
@@ -55,6 +58,38 @@ def test_config_invariants():
         QuadratureConfig(max_subdivisions=float("nan"))
     # small budgets stay legal: they force non-convergence in tests
     assert QuadratureConfig(max_subdivisions=1).max_subdivisions == 1
+
+
+def test_integral_result_is_an_immutable_record():
+    res = IntegralResult(0.1, 2.5e-17, 73)
+    with pytest.raises(AttributeError):
+        res.value = 1.0
+    # the text of the frozen dataclass it used to be
+    assert repr(res) == "IntegralResult(value=0.1, error_estimate=2.5e-17, evaluations=73)"
+    assert IntegralResult(value=0.1, error_estimate=2.5e-17, evaluations=73) == res
+    rows = IntegralResult(np.array([1.0, -2.0]), np.array([1e-16, 2e-16]), 65)
+    assert repr(rows) == ("IntegralResult(value=array([ 1., -2.]), "
+                          "error_estimate=array([1.e-16, 2.e-16]), evaluations=65)")
+    for record in (res, rows):
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is IntegralResult
+        assert all(_bits(got) == _bits(want) for got, want in zip(back, record))
+    assert genfrac.IntegralResult is IntegralResult
+    # a named tuple unpacks, and equals the plain tuple of its fields
+    assert tuple(res) == res == (0.1, 2.5e-17, 73)
+
+
+@pytest.mark.parametrize("factor, inner", [(1.0, 1.0), (0.7, 1.0), (-3.1, 0.3), (2.0 ** 600, 1e-300)])
+@pytest.mark.parametrize("value, error", [(0.1, 2.5e-17), (-0.0, 0.0), (1.7e308, 3e-300)])
+def test_scaled_is_inner_first_then_factor_bit_for_bit(factor, inner, value, error):
+    for res in (IntegralResult(value, error, 9),
+                IntegralResult(np.array([value, 1.0]), np.array([error, 1e-16]), 9)):
+        got = res.scaled(factor, inner)
+        assert type(got) is IntegralResult
+        assert _bits(got.value) == _bits(factor * (inner * res.value))
+        assert _bits(got.error_estimate) == _bits(abs(factor) * (abs(inner) * res.error_estimate))
+        assert got.evaluations == 9
+    assert _bits(IntegralResult(value, error, 9).scaled(factor).value) == _bits(factor * value)
 
 
 def test_budget_below_levels_0_to_2_reports_the_evaluations_made():
@@ -575,7 +610,7 @@ def _entry(one_minus_u_pow, u_pow):
 @pytest.mark.parametrize("one_minus_u_pow, u_pow", WEIGHTS)
 def test_cached_weights_equal_the_formula_bit_for_bit(one_minus_u_pow, u_pow):
     quadrature._cached_levels.cache_clear()
-    t_max, offsets, levels = _entry(one_minus_u_pow, u_pow)
+    t_max, offsets, views, levels = _entry(one_minus_u_pow, u_pow)
     assert t_max == quadrature._pick_t_max(one_minus_u_pow, u_pow)
     assert list(offsets) == np.cumsum([0] + _level_sizes(one_minus_u_pow, u_pow)[:4]).tolist()
     want = [range(quadrature._BLOCK_LEVEL + 1), [4], [5]]
@@ -588,12 +623,23 @@ def test_cached_weights_equal_the_formula_bit_for_bit(one_minus_u_pow, u_pow):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
+    # one view per block level, slicing the block's weights, not copying them
+    block = levels[0][1]
+    assert len(views) == len(offsets) - 1 == quadrature._BLOCK_LEVEL + 1
+    for level, view in enumerate(views):
+        assert _bits(view) == _bits(_formula_weights(one_minus_u_pow, u_pow, [level])[1])
+        assert _bits(view) == _bits(block[offsets[level]:offsets[level + 1]])
+        assert np.shares_memory(view, block)
+        assert view.base is block
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0] = 0.0
 
 
 def test_weight_cache_is_bounded_and_stops_at_level_5():
     info = quadrature._cached_levels.cache_info()
     assert info.maxsize == quadrature._WEIGHT_CACHE_SIZE == 256
-    t_max, _, levels = _entry(-0.5, 0.0)
+    t_max, _, _, levels = _entry(-0.5, 0.0)
     a1, b1 = 0.5, 1.0
     assert quadrature._deep_level(levels, t_max, 5, a1, b1) is levels[2]
     # level 6 computes its weights afresh on every call, and keeps none
