@@ -4,7 +4,8 @@ Each check evaluates both sides of one inequality with the operator
 applied to pointwise-composed integrands (powers, products, differences
 and maxima are folded into the integrand expression, never applied to
 operator values), and accepts the trial only if the inequality holds
-within a slack budget proportional to the reported quadrature errors.
+between the sides' interval ends, which widen each operator value by
+``slack_factor`` times its quadrature error estimate.
 
 Quadrature non-convergence marks a trial inconclusive rather than failed:
 an inequality is never silently passed or failed on a value we do not
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -149,7 +150,7 @@ def c6(m: float, M: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# operator application with error tracking
+# operator specs and the kink finder
 # ---------------------------------------------------------------------------
 
 
@@ -160,30 +161,6 @@ class HadamardOp:
 
     alpha: float
     lower: float = 1.0
-
-
-@dataclass(frozen=True)
-class _Val:
-    value: float
-    err: float
-
-    def powered(self, e: float) -> "_Val":
-        if e == 1.0:
-            return self
-        v = self.value ** e
-        return _Val(v, abs(e) * self.value ** (e - 1.0) * self.err)
-
-    def times(self, other: "_Val") -> "_Val":
-        return _Val(
-            self.value * other.value,
-            abs(self.value) * other.err + abs(other.value) * self.err,
-        )
-
-    def scaled(self, c: float) -> "_Val":
-        return _Val(c * self.value, abs(c) * self.err)
-
-    def plus(self, other: "_Val") -> "_Val":
-        return _Val(self.value + other.value, self.err + other.err)
 
 
 _BISECT_LEVELS = 80  # bisection steps per grid cell of the kink finder
@@ -369,22 +346,26 @@ class InequalityCheck:
 # theorem to the builder of its check, and every check runs in two steps:
 # _row_values integrates all rows on one node set, taking f and g from one
 # ``PositivePair.values`` call per node set, and _verdict judges the
-# inequality from those values alone.
+# inequality from those values and their error estimates alone.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Sides:
-    lhs: _Val
-    rhs: _Val
-    mid: Optional[_Val] = None  # sandwich checks: lhs <= mid <= rhs
+class _Sides(NamedTuple):
+    lhs: float
+    rhs: float
+    mid: Optional[float] = None  # sandwich checks: lhs <= mid <= rhs
+
+    def chain(self) -> tuple:
+        """The sides in the order the inequality ranks them, smallest first."""
+        return (self.lhs, self.rhs) if self.mid is None else (self.lhs, self.mid, self.rhs)
 
 
 @dataclass(frozen=True)
 class _Check:
     """One inequality: ``rows(fv, gv)`` gives the integrands, ``combine`` maps
-    their operator values, in row order, to ``_Sides``.  ``kinks(fv, gv)``,
-    when set, is a function whose sign changes are the kinks of the rows."""
+    their operator values, floats in row order, to ``_Sides`` of floats,
+    each side monotone in each row.  ``kinks(fv, gv)``, when set, is a
+    function whose sign changes are the kinks of the rows."""
 
     constant: float
     rows: Callable
@@ -393,12 +374,13 @@ class _Check:
 
 
 def _row_values(check: _Check, pair: PositivePair, params, x: float,
-                quad: QuadratureConfig) -> Optional[list]:
-    """The operator values of ``check``'s rows on ``pair``, integrated in one
-    call; None when quadrature does not converge or a value is not finite
-    and nonnegative.  The rows and the kink finder's difference may
-    overflow (f**p for a large M, say); they are sampled without numpy's
-    overflow and invalid-value warnings, as every value is judged here.
+                quad: QuadratureConfig) -> Optional[tuple]:
+    """The operator values of ``check``'s rows on ``pair`` and their error
+    estimates, as two lists of floats in row order, integrated in one call;
+    None when quadrature does not converge or a value is not finite and
+    nonnegative.  The rows and the kink finder's difference may overflow
+    (f**p for a large M, say); they are sampled without numpy's overflow
+    and invalid-value warnings, as every value is judged here.
     """
 
     def on_pair(fn):
@@ -421,35 +403,46 @@ def _row_values(check: _Check, pair: PositivePair, params, x: float,
         return None
     if not np.all(np.isfinite(res.value) & (res.value >= 0.0)):
         return None
-    return [_Val(float(v), float(e)) for v, e in zip(res.value, res.error_estimate)]
+    return res.value.tolist(), res.error_estimate.tolist()
 
 
-def _verdict(check: _Check, vals: Optional[list], slack_factor: float) -> InequalityCheck:
-    """Judge ``check`` from its rows' operator values ``vals`` (None: the
-    trial is inconclusive).  The slack on each compared pair of sides is
-    ``slack_factor`` times their summed errors; a sandwich's is the sum of
-    its two."""
-    if vals is None:
+def _side_ends(check: _Check, vals: list, errs: list, slack_factor: float) -> tuple:
+    """The sides' lower and upper interval ends, in ``_Sides.chain`` order.
+    ``combine`` runs at every row's lower bar end max(v - s*e, 0) and at
+    every upper end v + s*e, s = ``slack_factor``, and each side's ends are
+    the lesser and the greater of its two values: a side may fall as its
+    rows rise (T9's lhs carries c2, which is negative for M/m large)."""
+    bars = [slack_factor * e for e in errs]
+    low = check.combine(*[max(v - b, 0.0) for v, b in zip(vals, bars)]).chain()
+    high = check.combine(*[v + b for v, b in zip(vals, bars)]).chain()
+    return list(map(min, low, high)), list(map(max, low, high))
+
+
+def _verdict(check: _Check, rows: Optional[tuple], slack_factor: float) -> InequalityCheck:
+    """Judge ``check`` from its rows' operator values and error estimates
+    ``rows``, as _row_values gives them (None: the trial is inconclusive).
+
+    The sides are ``combine`` at the values.  Each compared pair of sides,
+    a below b, holds when a_lo <= b_hi (ends from _side_ends), and a
+    sandwich must hold both of its pairs.  The slack of a pair is
+    (a - a_lo) + (b_hi - b); a sandwich reports the sum over its two."""
+    if rows is None:
         return InequalityCheck(math.nan, math.nan, check.constant, slack=math.nan,
                                satisfied=False, inconclusive=True)
+    vals, errs = rows
     sides = check.combine(*vals)
-    lhs, rhs, mid = sides.lhs, sides.rhs, sides.mid
-    if mid is None:
-        slack = slack_factor * (lhs.err + rhs.err)
-        satisfied = lhs.value <= rhs.value + slack
-    else:
-        slack_lo = slack_factor * (lhs.err + mid.err)
-        slack_hi = slack_factor * (mid.err + rhs.err)
-        satisfied = (lhs.value <= mid.value + slack_lo) and (
-            mid.value <= rhs.value + slack_hi
-        )
-        slack = slack_lo + slack_hi
-    return InequalityCheck(lhs.value, rhs.value, check.constant, slack=slack,
-                           satisfied=satisfied, mid=None if mid is None else mid.value)
+    points = sides.chain()
+    lows, highs = _side_ends(check, vals, errs, slack_factor)
+    satisfied, slack = True, 0.0
+    for k in range(1, len(points)):
+        satisfied = satisfied and lows[k - 1] <= highs[k]
+        slack += (points[k - 1] - lows[k - 1]) + (highs[k] - points[k])
+    return InequalityCheck(sides.lhs, sides.rhs, check.constant, slack=slack,
+                           satisfied=satisfied, mid=sides.mid)
 
 
-def _root_sum(fp: _Val, gp: _Val, p: float) -> _Val:
-    return fp.powered(1.0 / p).plus(gp.powered(1.0 / p))
+def _root_sum(fp: float, gp: float, p: float) -> float:
+    return fp ** (1.0 / p) + gp ** (1.0 / p)
 
 
 def _sum_powers(const: float, p: float) -> _Check:
@@ -457,7 +450,7 @@ def _sum_powers(const: float, p: float) -> _Check:
     p-th root of the sum."""
 
     def combine(fp, gp, spp):
-        return _Sides(_root_sum(fp, gp, p), spp.powered(1.0 / p).scaled(const))
+        return _Sides(_root_sum(fp, gp, p), const * spp ** (1.0 / p))
 
     return _Check(const, lambda f, g: (f ** p, g ** p, (f + g) ** p), combine)
 
@@ -473,8 +466,8 @@ def _t9(pair: PositivePair, cfg: CheckConfig) -> _Check:
     p = cfg.p
 
     def combine(fp, gp):
-        lhs = fp.powered(1.0 / p).times(gp.powered(1.0 / p)).scaled(const)
-        return _Sides(lhs, fp.powered(2.0 / p).plus(gp.powered(2.0 / p)))
+        return _Sides(const * (fp ** (1.0 / p) * gp ** (1.0 / p)),
+                      fp ** (2.0 / p) + gp ** (2.0 / p))
 
     return _Check(const, lambda f, g: (f ** p, g ** p), combine)
 
@@ -493,8 +486,7 @@ def _t10(pair: PositivePair, cfg: CheckConfig) -> _Check:
     outer = 1.0 / p if cfg.statement_constants else 1.0
 
     def combine(fi, gi, mixed):
-        return _Sides(fi.powered(1.0 / p).times(gi.powered(1.0 / q)),
-                      mixed.powered(outer).scaled(const))
+        return _Sides(fi ** (1.0 / p) * gi ** (1.0 / q), const * mixed ** outer)
 
     return _Check(const, lambda f, g: (f, g, f ** (1.0 / p) * g ** (1.0 / q)), combine)
 
@@ -506,7 +498,7 @@ def _t11(pair: PositivePair, cfg: CheckConfig) -> _Check:
     const4 = c4(q, pair.m, cfg.statement_constants)
 
     def combine(prod, psum, qsum):
-        return _Sides(prod, psum.scaled(const3).plus(qsum.scaled(const4)))
+        return _Sides(prod, const3 * psum + const4 * qsum)
 
     return _Check(const3, lambda f, g: (f * g, f ** p + g ** p, f ** q + g ** q), combine)
 
@@ -523,8 +515,8 @@ def _t12(pair: PositivePair, cfg: CheckConfig) -> _Check:
     p = cfg.p
 
     def combine(dp, fp, gp):
-        root = dp.powered(1.0 / p)
-        return _Sides(root.scaled((M + 1.0) / (M - c)), root.scaled((m + 1.0) / (m - c)),
+        root = dp ** (1.0 / p)
+        return _Sides((M + 1.0) / (M - c) * root, (m + 1.0) / (m - c) * root,
                       mid=_root_sum(fp, gp, p))
 
     return _Check(c, lambda f, g: ((f - c * g) ** p, f ** p, g ** p), combine)
@@ -543,7 +535,7 @@ def _t14(pair: PositivePair, cfg: CheckConfig) -> _Check:
     const = c6(m, M)
 
     def combine(prod, sq):
-        return _Sides(prod.scaled(1.0 / M), prod.scaled(1.0 / m), mid=sq.scaled(const))
+        return _Sides(1.0 / M * prod, 1.0 / m * prod, mid=const * sq)
 
     return _Check(const, lambda f, g: (f * g, (f + g) ** 2.0), combine)
 
@@ -566,7 +558,7 @@ def _t15(pair: PositivePair, cfg: CheckConfig) -> _Check:
         return left - right
 
     def combine(fp, gp, hp):
-        return _Sides(_root_sum(fp, gp, p), hp.powered(1.0 / p).scaled(2.0))
+        return _Sides(_root_sum(fp, gp, p), 2.0 * hp ** (1.0 / p))
 
     return _Check(2.0, rows, combine, kinks)
 

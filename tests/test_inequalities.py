@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genfrac import inequalities
 from genfrac.errors import DomainError
 from genfrac.functions import (
     Const,
@@ -43,8 +44,8 @@ from genfrac.inequalities import (
     _KINK_GRID,
     _Check,
     _Sides,
-    _Val,
     _row_values,
+    _side_ends,
     _sign_crossings,
     _verdict,
 )
@@ -527,34 +528,70 @@ def _one_sided():
     return _Check(1.0, None, lambda lhs, rhs: _Sides(lhs, rhs))
 
 
-def test_verdict_one_sided_passes_at_the_slack_and_fails_one_ulp_above():
-    lhs_err, rhs_err, rhs = 1e-12, 3e-12, 2.0
-    slack = 2.0 * (lhs_err + rhs_err)
-    edge = rhs + slack
-    chk = _verdict(_one_sided(), [_Val(edge, lhs_err), _Val(rhs, rhs_err)], 2.0)
+def test_verdict_one_sided_passes_at_touching_ends_and_fails_one_ulp_above():
+    # powers of two, so every bar end below is exact
+    lhs_err, rhs_err, rhs = 2.0 ** -41, 2.0 ** -40, 2.0
+    rhs_hi = rhs + 2.0 * rhs_err
+    edge = rhs_hi + 2.0 * lhs_err  # lhs_lo == rhs_hi
+    assert _side_ends(_one_sided(), [edge, rhs], [lhs_err, rhs_err], 2.0) == (
+        [rhs_hi, rhs - 2.0 * rhs_err], [edge + 2.0 * lhs_err, rhs_hi])
+    chk = _verdict(_one_sided(), ([edge, rhs], [lhs_err, rhs_err]), 2.0)
     assert chk.satisfied and not chk.inconclusive
-    assert (chk.lhs, chk.rhs, chk.slack, chk.mid) == (edge, rhs, slack, None)
+    assert (chk.lhs, chk.rhs, chk.slack, chk.mid) == (edge, rhs, 2.0 * (lhs_err + rhs_err), None)
     above = math.nextafter(edge, math.inf)
-    assert not _verdict(_one_sided(), [_Val(above, lhs_err), _Val(rhs, rhs_err)], 2.0).satisfied
+    assert above - 2.0 * lhs_err == math.nextafter(rhs_hi, math.inf)
+    assert not _verdict(_one_sided(), ([above, rhs], [lhs_err, rhs_err]), 2.0).satisfied
 
 
-def test_verdict_sandwich_slack_is_the_sum_of_its_two():
+def test_verdict_sandwich_fails_on_either_pair_alone_and_sums_both_slacks():
     check = _Check(0.5, None, lambda lo, mid, hi: _Sides(lo, hi, mid=mid))
-    lo_err, mid_err, hi_err, factor = 1e-12, 2e-12, 4e-12, 3.0
-    slack_lo, slack_hi = factor * (lo_err + mid_err), factor * (mid_err + hi_err)
+    errs, factor = [2.0 ** -40, 2.0 ** -39, 2.0 ** -38], 4.0
+    lo_err, mid_err, hi_err = errs
     hi = 1.0
-    mid = hi + slack_hi  # both pairs exactly at their slack
-    lo = mid + slack_lo
+    mid = hi + factor * hi_err + factor * mid_err  # mid_lo == hi_hi
+    lo = mid + factor * mid_err + factor * lo_err  # lo_lo == mid_hi
 
     def judged(lo_value, mid_value):
-        vals = [_Val(lo_value, lo_err), _Val(mid_value, mid_err), _Val(hi, hi_err)]
-        return _verdict(check, vals, factor)
+        return _verdict(check, ([lo_value, mid_value, hi], errs), factor)
 
     chk = judged(lo, mid)
     assert chk.satisfied and (chk.lhs, chk.mid, chk.rhs) == (lo, mid, hi)
-    assert chk.slack == slack_lo + slack_hi
-    assert not judged(math.nextafter(lo, math.inf), mid).satisfied  # the lower pair fails
-    assert not judged(lo, math.nextafter(mid, math.inf)).satisfied  # the upper pair fails
+    assert chk.slack == factor * (lo_err + mid_err) + factor * (mid_err + hi_err)
+    # one ulp up moves lo_lo past mid_hi alone, or mid_lo past hi_hi alone
+    assert not judged(math.nextafter(lo, math.inf), mid).satisfied
+    assert not judged(lo, math.nextafter(mid, math.inf)).satisfied
+
+
+def test_verdict_clamps_a_bar_reaching_below_zero():
+    # unclamped, the lower end 0.25 - 2.0 would make the root complex
+    check = _Check(1.0, None, lambda a, b: _Sides(a ** 0.5, b))
+    assert _side_ends(check, [0.25, 0.0], [1.0, 0.0], 2.0) == ([0.0, 0.0], [1.5, 0.0])
+    chk = _verdict(check, ([0.25, 0.0], [1.0, 0.0]), 2.0)
+    assert chk.satisfied and (chk.lhs, chk.rhs, chk.slack) == (0.5, 0.0, 0.5)
+
+
+def test_t9_at_nonpositive_c2_orders_each_sides_ends(monkeypatch):
+    # c2 < 0 makes T9's lhs fall as its rows rise, so its lower end comes
+    # from the rows' upper bar ends; at c2 == 0 the lhs is 0.0 throughout
+    assert c2(0.1, 10.0) < 0.0 and c2(0.5, 3.0) == 0.0
+    seen = []
+
+    def recording(check, vals, errs, slack_factor):
+        ends = _side_ends(check, vals, errs, slack_factor)
+        seen.append((check.combine(*vals).chain(), ends))
+        return ends
+
+    monkeypatch.setattr(inequalities, "_side_ends", recording)
+    cfg = SuiteConfig(theorems=(TheoremId.T9,), trials=42, seed=1,
+                      ratio_bounds=((0.1, 10.0), (0.5, 3.0)))
+    report = run_suite(cfg, timestamp="T")
+    assert [r.status for r in report.records] == ["pass"] * 42
+    assert all(math.isfinite(r.check.slack) and r.check.slack >= 0.0 for r in report.records)
+    assert {r.check.lhs < 0.0 for r in report.records if r.m == 0.1} == {True}
+    assert {r.check.lhs for r in report.records if r.m == 0.5} == {0.0}
+    assert len(seen) == 42
+    for points, (lows, highs) in seen:
+        assert all(lo <= v <= hi for v, lo, hi in zip(points, lows, highs)), (points, lows, highs)
 
 
 def test_t10_paper_display_fails_only_under_statement_constants():
