@@ -24,13 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import (
-    BoundsError,
-    ConvergenceError,
-    DomainError,
-    FunctionSpecError,
-    ParameterError,
-)
+from .errors import BoundsError, ConvergenceError, DomainError, FunctionSpecError
 from .functions import parse_function_spec
 from .inequalities import DEFAULT_THEOREMS, SuiteConfig, TheoremId, run_suite
 from .operator_core import OperatorParams, Side, evaluate, reduce_to_classical
@@ -251,7 +245,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParameterError, DomainError, FunctionSpecError, BoundsError) as exc:
+    except (DomainError, FunctionSpecError, BoundsError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:

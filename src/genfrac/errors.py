@@ -5,7 +5,7 @@ class DomainError(ValueError):
     """Input lies outside the mathematical domain of an operation."""
 
 
-class ParameterError(ValueError):
+class ParameterError(DomainError):
     """An operator parameter set violates a validity condition; the message
     names the violated condition."""
 

@@ -29,14 +29,13 @@ from .functions import (
     generate_box_pair,
     generate_ratio_pair,
 )
-from .operator_core import ClassicalKind, OperatorParams, evaluate, evaluate_classical
+from .operator_core import OperatorParams, Side, evaluate
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 __all__ = [
     "TheoremId",
     "CheckConfig",
     "InequalityCheck",
-    "HadamardOp",
     "c1",
     "c2",
     "c3",
@@ -150,17 +149,8 @@ def c6(m: float, M: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# operator specs and the kink finder
+# the kink finder
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HadamardOp:
-    """Stand-in operator spec: evaluate checks through the direct
-    logarithmic-kernel form instead of a generalized parameter point."""
-
-    alpha: float
-    lower: float = 1.0
 
 
 _BISECT_LEVELS = 80  # bisection steps per grid cell of the kink finder
@@ -373,7 +363,7 @@ class _Check:
     kinks: Optional[Callable] = None
 
 
-def _row_values(check: _Check, pair: PositivePair, params, x: float,
+def _row_values(check: _Check, pair: PositivePair, params: OperatorParams, x: float,
                 quad: QuadratureConfig) -> Optional[tuple]:
     """The operator values of ``check``'s rows on ``pair`` and their error
     estimates, as two lists of floats in row order, integrated in one call;
@@ -389,16 +379,12 @@ def _row_values(check: _Check, pair: PositivePair, params, x: float,
     rows = on_pair(lambda fv, gv: np.array(check.rows(fv, gv)))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            if isinstance(params, HadamardOp):
-                res = evaluate_classical(ClassicalKind.HADAMARD, params.alpha, rows,
-                                         (params.lower,), x, quad)
-            else:
-                breakpoints = ()
-                if check.kinks is not None:
-                    lo, hi = pair.f.domain
-                    breakpoints = _sign_crossings(on_pair(check.kinks),
-                                                  max(lo, params.lower), min(hi, x))
-                res = evaluate(params, rows, x, quad, breakpoints)
+            breakpoints = ()
+            if check.kinks is not None:
+                lo, hi = pair.f.domain
+                breakpoints = _sign_crossings(on_pair(check.kinks),
+                                              max(lo, params.lower), min(hi, x))
+            res = evaluate(params, rows, x, quad, breakpoints)
     except ConvergenceError:
         return None
     if not np.all(np.isfinite(res.value) & (res.value >= 0.0)):
@@ -577,19 +563,19 @@ _BUILDERS = {
 _NEEDS_P_GT_1 = {TheoremId.T10, TheoremId.T11}
 
 
-def check_theorem(theorem: TheoremId, pair: PositivePair, params, x: float,
-                  cfg: CheckConfig) -> InequalityCheck:
-    """Check ``theorem`` on ``pair`` under ``params`` (an ``OperatorParams``
-    or a ``HadamardOp``) at ``x``.  DomainError where the theorem does not
-    apply: T10 and T11 need p > 1, T12 0 < cfg.c < m, T13 a box pair; and
-    T15 cannot run under a ``HadamardOp``, whose direct form takes no
-    breakpoints at the kinks of T15's max-function row."""
+def check_theorem(theorem: TheoremId, pair: PositivePair, params: OperatorParams,
+                  x: float, cfg: CheckConfig) -> InequalityCheck:
+    """Check ``theorem`` on ``pair`` under ``params`` at ``x``.  DomainError
+    where the theorem does not apply: T10 and T11 need p > 1, T12
+    0 < cfg.c < m, T13 a box pair; and T15 runs under the finite left-sided
+    form only, the one form that takes breakpoints at the kinks of its
+    max-function row.  Each of these is raised before any integral."""
     if not cfg.p > 1.0 and theorem in _NEEDS_P_GT_1:
         raise DomainError("%s requires p > 1" % theorem.value)
     check = _BUILDERS[theorem](pair, cfg)
-    if check.kinks is not None and isinstance(params, HadamardOp):
-        raise DomainError("%s needs breakpoints at its kinks, which the direct "
-                          "Hadamard form does not take" % theorem.value)
+    if check.kinks is not None and (params.side is Side.RIGHT or math.isinf(params.lower)):
+        raise DomainError("%s needs breakpoints at its kinks, which only the finite "
+                          "left-sided form takes" % theorem.value)
     return _verdict(check, _row_values(check, pair, params, x, DEFAULT_CONFIG), cfg.slack_factor)
 
 

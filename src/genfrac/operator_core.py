@@ -160,8 +160,8 @@ def evaluate(
 ) -> IntegralResult:
     """Full operator value at x: prefactor times kernel integral.
 
-    ``breakpoints`` marks interior non-smooth points of f (see
-    integrate_kernel); it applies to the finite left-sided form only.
+    ``breakpoints`` marks interior non-smooth points of f (see integrate_kernel);
+    DomainError unless empty or the form is the finite left-sided one.
 
     The finite forms hand the prefactor to the kernel segment, which
     applies the substitution's scale to the unit integral first and the
@@ -179,6 +179,7 @@ def evaluate(
     validate(params)
     _require_finite_point(x)
     if params.side is Side.RIGHT:
+        _require_no_breakpoints(breakpoints)
         if not 0.0 < x < params.upper:
             raise DomainError("right-sided evaluation requires 0 < x < upper")
         # kernel t^(kappa+rho-1) (t^rho - x^rho)^(alpha-1) on [x, upper]
@@ -186,6 +187,7 @@ def evaluate(
         res = _kernel_segment(f, x, params.upper, x, params.rho,
                               params.kappa / params.rho, params.alpha, cfg, pref)
     elif math.isinf(params.lower):
+        _require_no_breakpoints(breakpoints)
         res = _truncated_power_kernel(params.alpha, f, x, cfg)
     else:
         if not x > params.lower:
@@ -193,6 +195,12 @@ def evaluate(
         pref = _prefactor(params, params.kappa, x)
         res = _left_kernel(f, params, x, cfg, breakpoints, pref)
     return _require_finite_value(res)
+
+
+def _require_no_breakpoints(breakpoints) -> None:
+    # neither the right-sided nor the truncated form splits at breakpoints
+    if len(breakpoints):
+        raise DomainError("breakpoints apply to the finite left-sided form only")
 
 
 def _require_finite_point(x: float) -> None:

@@ -139,6 +139,7 @@ _CACHED_LEVEL = 5
 _WEIGHT_CACHE_SIZE = 256
 _ROUNDOFF = 16.0 * sys.float_info.epsilon
 _T_MAX_CAP = 8.5
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows just above
 
 
 def _log1p_exp(y: np.ndarray) -> np.ndarray:
@@ -526,13 +527,17 @@ def integrate_kernel(
 
     The operator value is prefactor times this result; ``evaluate`` applies
     the prefactor inside the same computation (see _left_kernel), so the
-    two agree bit for bit.
+    two agree bit for bit.  ``params`` and ``x`` are checked as there; the
+    form must also be the finite left-sided one, with x above its lower bound.
     """
+    from .operator_core import Side, _require_finite_point, validate  # imports this module
+    validate(params)
+    _require_finite_point(x)
     a = params.lower
+    if params.side is Side.RIGHT or math.isinf(a):
+        raise DomainError("kernel integral requires the finite left-sided form")
     if not x > a:
         raise DomainError("evaluation point must exceed the lower bound")
-    if a == 0.0 and params.rho * (params.eta + 1.0) <= 0.0:
-        raise DomainError("rho*(eta+1) must be positive when a=0")
     return _left_kernel(f, params, x, cfg, breakpoints, 1.0)
 
 
@@ -583,18 +588,21 @@ def closed_form_monomial(params: "OperatorParams", sigma: float, x: float) -> fl
         rho^(-beta) * x^(kappa + rho*(eta+alpha) + sigma)
             * B(eta + sigma/rho + 1, alpha) / Gamma(alpha)
 
-    This is the primary analytic oracle for the quadrature path.
+    This is the primary analytic oracle for the quadrature path.  ``params``
+    and ``x`` are checked as in ``evaluate``; the form must also be the
+    left-sided one with lower bound 0, x and eta + sigma/rho + 1 positive,
+    and the value within the float range.
     """
-    if params.lower != 0.0:
-        raise DomainError("closed form requires lower bound 0")
-    for name in ("alpha", "rho"):
-        if not 0.0 < getattr(params, name) < math.inf:
-            raise DomainError("%s must be positive and finite" % name)
+    from .operator_core import Side, _require_finite_point, validate  # imports this module
+    validate(params)
+    _require_finite_point(x)
+    if params.side is Side.RIGHT or params.lower != 0.0:
+        raise DomainError("closed form requires the left-sided form with lower bound 0")
+    if not x > 0.0:
+        raise DomainError("closed form requires x > 0")
     b1 = params.eta + sigma / params.rho + 1.0
-    if b1 <= 0.0:
-        raise DomainError(
-            "eta + sigma/rho + 1 must be positive for an integrable monomial"
-        )
+    if not 0.0 < b1 < math.inf:
+        raise DomainError("eta + sigma/rho + 1 must be positive and finite")
     log_val = (
         -params.beta * math.log(params.rho)
         + (params.kappa + params.rho * (params.eta + params.alpha) + sigma)
@@ -602,4 +610,6 @@ def closed_form_monomial(params: "OperatorParams", sigma: float, x: float) -> fl
         + log_beta(b1, params.alpha)
         - log_gamma(params.alpha)
     )
+    if not log_val <= _LOG_FLOAT_MAX:  # NaN too
+        raise DomainError("closed-form value is beyond the float range")
     return math.exp(log_val)

@@ -24,7 +24,6 @@ from genfrac.functions import (
 )
 from genfrac.inequalities import (
     CheckConfig,
-    HadamardOp,
     SuiteConfig,
     TheoremId,
     c1,
@@ -49,7 +48,7 @@ from genfrac.inequalities import (
     _sign_crossings,
     _verdict,
 )
-from genfrac.operator_core import OperatorParams
+from genfrac.operator_core import OperatorParams, Side
 from genfrac.quadrature import QuadratureConfig
 
 RL_HALF = OperatorParams(alpha=0.5, beta=0.5, rho=1.0, eta=0.0, kappa=0.0)
@@ -386,12 +385,12 @@ def test_checks_identical_with_and_without_shared_g_tree():
         cases.append((TheoremId.T13, box, box, None))
         cases.append((TheoremId.T15, box, box, None))
     for k, (theorem, pair, twin, c) in enumerate(cases):
-        params, x = ALL_PARAMS[k % 4], X
-        if k % 5 == 4 and theorem is not TheoremId.T15:  # T15's kinks need the generalized path
-            params, x = HadamardOp(alpha=0.5), 2.0  # integrates over [1, 2]
+        params = ALL_PARAMS[k % 4]
+        if k % 5 == 4:
+            params = dataclasses.replace(RL_HALF, lower=0.5)  # integrates over [0.5, 1]
         cfg = CheckConfig(p=(2.0, 3.0)[k % 2], c=c)
-        shared = check_theorem(theorem, pair, params, x, cfg)
-        fallback = check_theorem(theorem, twin, params, x, cfg)
+        shared = check_theorem(theorem, pair, params, X, cfg)
+        fallback = check_theorem(theorem, twin, params, X, cfg)
         assert not shared.inconclusive
         assert repr(shared) == repr(fallback), (theorem, k)
 
@@ -426,22 +425,22 @@ def test_riemann_case_alpha_one():
         assert check_theorem(TheoremId.T9, pair, RL_ONE, X, CheckConfig(p=2.0)).satisfied
 
 
-def test_hadamard_direct_coverage():
-    op = HadamardOp(alpha=0.6, lower=1.0)
-    for seed in range(3):
-        pair = generate_ratio_pair(400 + seed, 0.5, 2.0, (1.0, 2.0))
-        assert check_theorem(TheoremId.T8, pair, op, 2.0, CheckConfig(p=2.0)).satisfied
-        assert check_theorem(TheoremId.T9, pair, op, 2.0, CheckConfig(p=3.0)).satisfied
+@pytest.mark.parametrize("params, x, domain", [
+    (dataclasses.replace(RL_HALF, upper=2.0, side=Side.RIGHT), 0.5, (0.0, 2.0)),
+    (dataclasses.replace(RL_HALF, lower=-math.inf), X, (-6.0, 1.0)),
+], ids=["right-sided", "truncated"])
+def test_t15_off_the_finite_left_form_is_a_domain_error(params, x, domain, monkeypatch):
+    # neither form takes breakpoints at T15's kinks; run without them, 28 of
+    # these 40 right-sided trials and all 40 truncated ones are inconclusive
+    def no_integral(*args, **kwargs):
+        raise AssertionError("an integral ran")
 
-
-def test_t15_under_the_hadamard_form_is_a_domain_error():
-    # the direct form takes no breakpoints, so T15's kinks made 18 of these
-    # 40 trials inconclusive; no integral runs now
-    op = HadamardOp(alpha=0.5, lower=1.0)
+    monkeypatch.setattr(inequalities, "evaluate", no_integral)
     for seed in range(40):
-        pair = generate_ratio_pair(seed, 0.5, 2.0, (1.0, 2.0))
-        with pytest.raises(DomainError, match="T15 needs breakpoints at its kinks"):
-            check_theorem(TheoremId.T15, pair, op, 2.0, CheckConfig(p=2.0))
+        pair = generate_ratio_pair(seed, 0.5, 2.0, domain)
+        with pytest.raises(DomainError, match="^T15 needs breakpoints at its kinks, "
+                           "which only the finite left-sided form takes$"):
+            check_theorem(TheoremId.T15, pair, params, x, CheckConfig(p=2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -584,6 +584,26 @@ def test_right_side_domain_checks():
         evaluate(p, ONE, 0.0)  # x must be positive
 
 
+@pytest.mark.parametrize("params, x", [
+    (OperatorParams(0.5, 0.5, 1.0, 0.0, 0.0, upper=2.0, side=Side.RIGHT), 0.5),
+    (OperatorParams(0.5, 0.5, 1.0, 0.0, 0.0, lower=NEG_INF), 1.0),
+], ids=["right-sided", "truncated"])
+@pytest.mark.parametrize("breakpoints", [(1.2,), np.array([1.2])], ids=["tuple", "array"])
+def test_breakpoints_off_the_finite_left_form_are_a_domain_error(params, x, breakpoints):
+    # a dropped breakpoint leaves the kink unsplit: on this kink the
+    # right-sided form runs to the node budget (1153 evaluations)
+    def kinked(t):
+        return np.abs(t - 1.2) + 1.0
+
+    def smooth(t):
+        return np.exp(-t * t)
+
+    with pytest.raises(DomainError, match="^breakpoints apply to the finite left-sided form only$"):
+        evaluate(params, kinked, x, breakpoints=breakpoints)
+    # an empty array is no breakpoints, as at the left form
+    assert evaluate(params, smooth, x, breakpoints=np.array([])) == evaluate(params, smooth, x)
+
+
 # ---------------------------------------------------------------------------
 # the path to the quadrature primitive
 # ---------------------------------------------------------------------------

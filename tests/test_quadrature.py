@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from genfrac.errors import ConvergenceError, DomainError
+from genfrac.errors import ConvergenceError, DomainError, ParameterError
 from genfrac.functions import (
     Const,
     ExpPoly,
@@ -26,6 +26,7 @@ from genfrac.operator_core import (
     Side,
     evaluate,
     evaluate_classical,
+    validate,
 )
 import genfrac
 from genfrac import quadrature
@@ -164,6 +165,94 @@ def test_closed_form_domain_errors():
         closed_form_monomial(p, -2.0, 1.0)  # eta + sigma/rho + 1 <= 0
 
 
+def _decaying(t):
+    return np.exp(-t * t)
+
+
+def _kernel_value(params, x):
+    return integrate_kernel(_decaying, params, x).value
+
+
+def _oracle_value(params, x):
+    return closed_form_monomial(params, 1.0, x)
+
+
+def test_kernel_and_oracle_check_params_as_validate_does():
+    # the special-value grid of validate's seeded-grid test, left-sided: where
+    # validate raises, both raise its ParameterError; elsewhere each gives a
+    # finite value or raises DomainError or ConvergenceError, nothing else
+    special = [0.0, -1.5, math.nan, math.inf, -math.inf]
+    valid = dict(alpha=[0.5], beta=[0.5], rho=[1.0, 2.0], eta=[0.3, 0.0],
+                 kappa=[0.7, 0.0], lower=[0.5, 3.0])
+    rng = np.random.default_rng(20261019)
+    n = 300
+    use_valid = (rng.random((n, len(valid))) < 0.75).tolist()
+    picks = rng.integers(0, 60, size=(n, len(valid))).tolist()
+    seen = set()
+    for flags, pick in zip(use_valid, picks):
+        fields = {}
+        for (name, values), flag, k in zip(valid.items(), flags, pick):
+            pool = values if flag else special
+            fields[name] = pool[k % len(pool)]
+        params = OperatorParams(**fields)
+        try:
+            validate(params)
+            want = None
+        except ParameterError as exc:
+            want = str(exc)
+        for x in (0.7, -1.0, 0.0, math.inf, math.nan):
+            for call in (_kernel_value, _oracle_value):
+                if want is not None:
+                    with pytest.raises(ParameterError) as info:
+                        call(params, x)
+                    assert str(info.value) == want, (call, params, x)
+                    seen.add("ParameterError")
+                    continue
+                try:
+                    value = call(params, x)
+                except (DomainError, ConvergenceError) as exc:
+                    assert not isinstance(exc, ParameterError), (call, params, x)
+                    seen.add((call.__name__, type(exc).__name__))
+                    continue
+                assert isinstance(value, float) and math.isfinite(value), (call, params, x)
+                seen.add((call.__name__, "finite"))
+    assert seen == {
+        "ParameterError",
+        ("_kernel_value", "DomainError"),
+        ("_kernel_value", "finite"),
+        ("_oracle_value", "DomainError"),
+        ("_oracle_value", "finite"),
+    }
+
+
+@pytest.mark.parametrize("call, fields, x, message", [
+    (_kernel_value, dict(lower=0.5, rho=0.0), 0.7, "rho must be positive and finite"),
+    (_kernel_value, dict(lower=0.5, rho=math.inf), 0.7, "rho must be positive and finite"),
+    (_kernel_value, dict(lower=-math.inf), 0.7,
+     "kernel integral requires the finite left-sided form"),
+    (_kernel_value, dict(upper=2.0, side=Side.RIGHT), 0.7,
+     "kernel integral requires the finite left-sided form"),
+    (_kernel_value, {}, math.inf, "evaluation point must be finite, got inf"),
+    (_oracle_value, dict(beta=math.nan), 0.7, "beta must be finite"),
+    (_oracle_value, dict(kappa=math.inf), 0.7, "kappa must be finite"),
+    (_oracle_value, dict(upper=2.0, side=Side.RIGHT), 0.7,
+     "closed form requires the left-sided form with lower bound 0"),
+    (_oracle_value, {}, -1.0, "closed form requires x > 0"),
+    (_oracle_value, {}, 0.0, "closed form requires x > 0"),
+    (_oracle_value, {}, math.inf, "evaluation point must be finite, got inf"),
+    (_oracle_value, {}, math.nan, "evaluation point must be finite, got nan"),
+    (_oracle_value, dict(kappa=1000.0), 1e200, "closed-form value is beyond the float range"),
+])
+def test_kernel_and_oracle_name_the_violated_condition(call, fields, x, message):
+    # these returned NaN or inf, or raised ZeroDivisionError, ValueError or
+    # OverflowError; a right-sided spec got the left-sided value
+    params = OperatorParams(**{**dict(alpha=0.5, beta=0.5, rho=1.0, eta=0.0, kappa=0.0),
+                               **fields})
+    with pytest.raises(DomainError) as info:
+        call(params, x)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
 @pytest.mark.parametrize("rho", [0.5, 2.0])
 @pytest.mark.parametrize("sigma", [0.0, 2.0])
@@ -280,10 +369,12 @@ def _stacked(*fns):
 )
 def test_rows_match_separate_scalar_calls(params):
     fns = (SMOOTH, FAST, TSQ)
-    rows = evaluate(params, _stacked(*fns), 1.2, breakpoints=(0.7,))
+    # only the left-sided form takes breakpoints
+    breakpoints = (0.7,) if params.side is Side.LEFT else ()
+    rows = evaluate(params, _stacked(*fns), 1.2, breakpoints=breakpoints)
     assert rows.value.shape == rows.error_estimate.shape == (3,)
     for i, f in enumerate(fns):
-        one = evaluate(params, f, 1.2, breakpoints=(0.7,))
+        one = evaluate(params, f, 1.2, breakpoints=breakpoints)
         assert abs(rows.value[i] - one.value) <= rows.error_estimate[i] + one.error_estimate
 
 
