@@ -387,9 +387,10 @@ def _row_values(check: _Check, pair: PositivePair, params: OperatorParams, x: fl
             res = evaluate(params, rows, x, quad, breakpoints)
     except ConvergenceError:
         return None
-    if not np.all(np.isfinite(res.value) & (res.value >= 0.0)):
+    values = res.value.tolist()
+    if not all(0.0 <= v < math.inf for v in values):  # NaN fails too
         return None
-    return res.value.tolist(), res.error_estimate.tolist()
+    return values, res.error_estimate.tolist()
 
 
 def _side_ends(check: _Check, vals: list, errs: list, slack_factor: float) -> tuple:
@@ -780,6 +781,7 @@ def _run_theorem(cfg: SuiteConfig, theorem: TheoremId, ordinal: int) -> list:
         for bounds in cfg.ratio_bounds
         for p in p_options
     ]
+    check_cfgs = {}  # one per (p, c), shared by the trials that use it
     records = []
     for index in range(cfg.trials):
         op, (m, M), p = combos[index % len(combos)]
@@ -792,12 +794,14 @@ def _run_theorem(cfg: SuiteConfig, theorem: TheoremId, ordinal: int) -> list:
         c = None
         if theorem is TheoremId.T12:
             c = 0.5 * m if cfg.c is None else cfg.c
-        check_cfg = CheckConfig(
-            p=p,
-            c=c,
-            slack_factor=cfg.slack_factor,
-            statement_constants=cfg.statement_constants,
-        )
+        check_cfg = check_cfgs.get((p, c))
+        if check_cfg is None:
+            check_cfg = check_cfgs[p, c] = CheckConfig(
+                p=p,
+                c=c,
+                slack_factor=cfg.slack_factor,
+                statement_constants=cfg.statement_constants,
+            )
         check = check_theorem(theorem, pair, op, cfg.x, check_cfg)
         records.append(TrialRecord(
             theorem=theorem,

@@ -98,7 +98,10 @@ def validate(params: OperatorParams) -> None:
             )
     elif params.lower < 0.0:
         raise ParameterError("lower bound must be nonnegative")
-    elif params.lower == 0.0 and params.rho * (params.eta + 1.0) <= 0.0:
+    elif (params.lower == 0.0 and params.rho * (params.eta + 1.0) <= 0.0
+          and params.side is Side.LEFT):
+        # the left-sided kernel's t^(rho*(eta+1)-1) on [0, x]; the right-sided
+        # form integrates over [x, upper] with x > 0 and never reads lower
         raise ParameterError("rho*(eta+1) must be positive when a=0")
     if params.side is Side.RIGHT:
         if params.upper is None or not math.isfinite(params.upper):

@@ -360,42 +360,54 @@ def weighted_unit_integral(
     return IntegralResult(value, max(estimate, _ROUNDOFF * abs(value)), evals)
 
 
-def _row_totals(total, vals, w) -> list:
-    """total plus the rows' weighted sums, one float per row."""
-    return [t + s for t, s in zip(total, vals.dot(w).tolist())]
-
-
 def _rows_integral(g, vals, offsets, views, levels, t_max, a1, b1, cfg) -> IntegralResult:
     """weighted_unit_integral for a g returning k rows.
 
     ``vals`` holds the block of levels 0.._BLOCK_LEVEL; leading dimensions
     beyond one are flattened into rows and restored in the result.  Each
-    level takes one matrix-vector product; the steps after it are those of
-    the one-integrand path, on a list of Python floats, one per row, which
-    performs the same IEEE operations as numpy would on these few values.
-    Only ``max`` differs from ``np.maximum``, on a NaN argument; a NaN value
-    makes its estimate NaN, so the tolerance test fails either way.
+    level takes one matrix-vector product, and one Python pass over the
+    rows then turns those sums into each row's running total, value and
+    estimate, and the stop test: levels 0-3 in the first pass, each deeper
+    level in a pass of its own that updates the lists in place.  Per row
+    these are the IEEE operations of the one-integrand path, in its order:
+    ((0.0 + s0) + s1) + s2 for the level-2 total, 0.125 * total at level 3.
+    Plain floats perform the same operations as numpy would on these few
+    values; only ``max`` differs from ``np.maximum``, on a NaN argument,
+    and a NaN value makes its estimate NaN, so the stop test fails either
+    way.
     """
     shape = vals.shape[:-1]
     vals = vals.reshape(-1, vals.shape[-1])
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     o0, o1, o2, o3, o4 = offsets
     w0, w1, w2, w3 = views
-    total = _row_totals([0.0] * len(vals), vals[:, o0:o1], w0)
-    total = _row_totals(total, vals[:, o1:o2], w1)
-    prev = [0.5 * t for t in total]
-    total = _row_totals(total, vals[:, o2:o3], w2)
-    value = [0.25 * t for t in total]
+    sums = [vals[:, o0:o1].dot(w0).tolist(), vals[:, o1:o2].dot(w1).tolist(),
+            vals[:, o2:o3].dot(w2).tolist()]
     if o4 > cfg.max_subdivisions:
-        estimate = [abs(v - p) for v, p in zip(value, prev)]
+        # the level-2 estimate is kept for this error only
+        value, estimate = [], []
+        for s0, s1, s2 in zip(*sums):
+            total = (0.0 + s0) + s1
+            v = 0.25 * (total + s2)
+            value.append(v)
+            estimate.append(abs(v - 0.5 * total))
         raise _out_of_budget(cfg, _rows_result(shape, value, estimate, o3))
-    total = _row_totals(total, vals[:, o3:o4], w3)
+    sums.append(vals[:, o3:o4].dot(w3).tolist())
+    totals, value, estimate = [], [], []
+    converged = True
+    for s0, s1, s2, s3 in zip(*sums):
+        total = ((0.0 + s0) + s1) + s2
+        prev = 0.25 * total
+        total += s3
+        v = 0.125 * total
+        e = abs(v - prev)
+        totals.append(total)
+        value.append(v)
+        estimate.append(e)
+        converged = converged and e <= max(abs_tol, rel_tol * abs(v))
     evals = o4
     level = _BLOCK_LEVEL
-    prev, value = value, [0.125 * t for t in total]
-    estimate = [abs(v - p) for v, p in zip(value, prev)]
-    while not all(
-        e <= max(cfg.abs_tol, cfg.rel_tol * abs(v)) for e, v in zip(estimate, value)
-    ):
+    while not converged:
         if not all(math.isfinite(v) for v in value):
             raise _not_finite(_rows_result(shape, value, estimate, evals))
         if level == _MAX_LEVEL:
@@ -404,12 +416,18 @@ def _rows_integral(g, vals, offsets, views, levels, t_max, a1, b1, cfg) -> Integ
         u, w = _deep_level(levels, t_max, level, a1, b1)
         if evals + u.size > cfg.max_subdivisions:
             raise _out_of_budget(cfg, _rows_result(shape, value, estimate, evals))
-        vals = np.asarray(g(u)).reshape(-1, u.size)
-        total = _row_totals(total, vals, w)
+        sums = np.asarray(g(u)).reshape(-1, u.size).dot(w).tolist()
         evals += u.size
         scale = 2.0 ** (-level)
-        prev, value = value, [scale * t for t in total]
-        estimate = [abs(v - p) for v, p in zip(value, prev)]
+        converged = True
+        for k, s in enumerate(sums):
+            total = totals[k] + s
+            v = scale * total
+            e = abs(v - value[k])
+            totals[k] = total
+            value[k] = v
+            estimate[k] = e
+            converged = converged and e <= max(abs_tol, rel_tol * abs(v))
     estimate = [max(e, _ROUNDOFF * abs(v)) for e, v in zip(estimate, value)]
     return _rows_result(shape, value, estimate, evals)
 

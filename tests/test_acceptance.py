@@ -239,23 +239,30 @@ def test_criterion_6_scalar_lemma_fuzz():
 
 
 def test_criterion_7_report_determinism():
-    def run(path: str):
+    # the JSON lists failures only; the CSV holds every trial's lhs, rhs and
+    # slack, so both are compared
+    def run(tmp: str, name: str):
+        json_path, csv_path = os.path.join(tmp, name + ".json"), os.path.join(tmp, name + ".csv")
         proc = subprocess.run(
             [sys.executable, "-m", "genfrac.cli", "verify", "--theorem", "all",
              "--trials", "50", "--seed", "123", "--p", "2", "--m", "0.5", "--M", "2",
-             "--json", path],
+             "--json", json_path, "--csv", csv_path],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        with open(path) as handle:
+        with open(json_path) as handle:
             payload = json.load(handle)
         payload["metadata"].pop("timestamp")
-        return json.dumps(payload, sort_keys=True)
+        with open(csv_path, "rb") as handle:
+            table = handle.read()
+        return json.dumps(payload, sort_keys=True), table
 
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        first = run(os.path.join(tmp, "a.json"))
-        second = run(os.path.join(tmp, "b.json"))
-    ok = first == second
-    _verdict(7, ok, "run-to-run determinism: two runs' JSON byte-identical modulo timestamp")
+        first = run(tmp, "a")
+        second = run(tmp, "b")
+    trials = first[1].count(b"\n") - 1
+    ok = first == second and trials == 8 * 50
+    _verdict(7, ok, "run-to-run determinism: two runs' JSON byte-identical modulo "
+                    "timestamp, and their %d-trial CSVs byte-identical" % trials)

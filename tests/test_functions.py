@@ -98,6 +98,24 @@ def test_constant_sinpos_matches_the_general_formula_bit_for_bit(c, shift):
             assert np.isnan(s.eval(np.asarray(bad)))
 
 
+def test_shifted_sinpos_matches_the_general_formula_bit_for_bit():
+    # eval forms -h, the shift polynomial's negative, from the negated
+    # coefficients; seeded draws of every field, shift degrees 0 to 3
+    rng = np.random.default_rng(24)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e3, -1e3, 1e150, -1e150, 1e300, -1e300]
+    t = np.concatenate([check_grid(*DOMAIN, 1000), edges])
+    for k in range(40):
+        lo = float(rng.uniform(0.05, 2.0))
+        hi = lo + float(rng.uniform(1e-3, 3.0))
+        shift = tuple(float(c) for c in rng.uniform(-1.0, 1.0, size=1 + k % 4))
+        s = SinPos(float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.0, 2.0 * np.pi)),
+                   lo, hi, shift)
+        with np.errstate(over="ignore", invalid="ignore"):  # t^3 at 1e300
+            _assert_same_bits(s.eval(t), _general_sinpos(s, t))
+            for ti in edges:
+                _assert_same_bits(s.eval(np.asarray(ti)), _general_sinpos(s, np.asarray(ti)))
+
+
 def test_horner_matches_zero_start_loop():
     # reference: the loop from 0, which the leading step c_n t + c_(n-1) replaces
     def reference(coeffs, t):

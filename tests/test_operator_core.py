@@ -109,11 +109,13 @@ VALID = dict(alpha=0.5, beta=0.5, rho=1.0, eta=0.0, kappa=0.0)
     (dict(lower=NEG_INF, rho=2.0), "infinite lower bound requires rho=1, eta=0, kappa=0"),
     (dict(lower=NEG_INF, kappa=0.5), "infinite lower bound requires rho=1, eta=0, kappa=0"),
     (dict(lower=-0.5, side=Side.RIGHT), "lower bound must be nonnegative"),
-    (dict(eta=-1.0, side=Side.RIGHT), "rho*(eta+1) must be positive when a=0"),
+    (dict(eta=-1.0), "rho*(eta+1) must be positive when a=0"),
     (dict(side=Side.RIGHT), "right-sided operator requires a finite upper bound"),
     (dict(side=Side.RIGHT, upper=math.inf), "right-sided operator requires a finite upper bound"),
     (dict(side=Side.RIGHT, upper=0.0), "upper bound must exceed the lower bound"),
     (dict(side=Side.RIGHT, lower=2.0, upper=1.0), "upper bound must exceed the lower bound"),
+    # the right-sided form never reads lower, so a=0 puts no condition on eta
+    (dict(eta=-1.0, side=Side.RIGHT), "right-sided operator requires a finite upper bound"),
 ])
 def test_validate_names_the_first_violated_condition(fields, message):
     # fields that break several conditions pin the order of the checks
@@ -142,7 +144,8 @@ def _two_loop_validate(params):
             )
     elif params.lower < 0.0:
         raise ParameterError("lower bound must be nonnegative")
-    elif params.lower == 0.0 and params.rho * (params.eta + 1.0) <= 0.0:
+    elif (params.lower == 0.0 and params.rho * (params.eta + 1.0) <= 0.0
+          and params.side is Side.LEFT):
         raise ParameterError("rho*(eta+1) must be positive when a=0")
     if params.side is Side.RIGHT:
         if params.upper is None or not math.isfinite(params.upper):
@@ -571,6 +574,22 @@ def test_right_side_frozen_references():
     ft = _fn(Monomial(1.0), (0.5, 2.0))
     assert evaluate(p, f1, 0.5).value == pytest.approx(1.0861567085967312, rel=1e-10)
     assert evaluate(p, ft, 0.5).value == pytest.approx(1.3115746294713537, rel=1e-10)
+
+
+@pytest.mark.parametrize("eta", [-1.0, -3.0])
+def test_right_side_at_a_zero_lower_bound_takes_any_eta(eta):
+    # the right-sided kernel lives on [x, upper], x > 0, so rho*(eta+1) <= 0
+    # is as well defined at lower = 0 as at any other lower bound
+    def f(t):
+        return np.exp(-t)
+
+    at_zero = evaluate(OperatorParams(0.5, 0.5, 1.0, eta, 0.0, upper=2.0, side=Side.RIGHT), f, 0.5)
+    at_tenth = evaluate(OperatorParams(0.5, 0.5, 1.0, eta, 0.0, lower=0.1, upper=2.0,
+                                       side=Side.RIGHT), f, 0.5)
+    assert at_zero == at_tenth
+    if eta == -1.0:
+        assert at_zero.value == 1.1120563549800728
+        assert at_zero.evaluations == 73
 
 
 def test_right_side_domain_checks():

@@ -495,7 +495,12 @@ def _per_level_reference(g, one_minus_u_pow, u_pow, cfg):
     Levels 0.._BLOCK_LEVEL are laid out as one array of nodes, weights and g
     values, and each level sums its slice of it, as weighted_unit_integral
     does: a BLAS dot kernel may round a sum differently at another offset in
-    memory.  Deeper levels call g once each.
+    memory.  For the same reason g's leading dimensions beyond one are
+    flattened into rows before any slice, and restored in the result.
+    Deeper levels call g once each.
+
+    From _MIN_LEVEL on, a level that misses the tolerance with a value that
+    is not finite ends refinement, as no deeper level can make it finite.
 
     Returns (outcome, value, error estimate, evaluations); the outcome names
     the ConvergenceError that weighted_unit_integral raises, if any.
@@ -510,7 +515,18 @@ def _per_level_reference(g, one_minus_u_pow, u_pow, cfg):
              for level in range(quadrature._BLOCK_LEVEL + 1)]
     offsets = np.cumsum([0] + [nodes[0].size for nodes in block]).tolist()
     u, log_u, log_1mu, log_jac = (np.concatenate(parts) for parts in zip(*block))
-    block_g, block_w = g(u), weights(log_u, log_1mu, log_jac)
+    block_g, block_w = np.asarray(g(u)), weights(log_u, log_1mu, log_jac)
+    shape = block_g.shape[:-1]
+
+    def rows(vals):
+        return vals.reshape(-1, vals.shape[-1]) if vals.ndim > 2 else vals
+
+    def result(outcome, value, estimate, evals):
+        if len(shape) > 1:
+            value, estimate = np.reshape(value, shape), np.reshape(estimate, shape)
+        return outcome, value, estimate, evals
+
+    block_g = rows(block_g)
     evals, total, value, prev, estimate = 0, 0.0, 0.0, None, math.inf
     for level in range(quadrature._MAX_LEVEL + 1):
         if level < len(block):
@@ -518,9 +534,9 @@ def _per_level_reference(g, one_minus_u_pow, u_pow, cfg):
             level_g, w = block_g[..., lo:hi], block_w[lo:hi]
         else:
             u, log_u, log_1mu, log_jac = quadrature._compute_level_nodes(t_max, level)
-            level_g, w = g(u), weights(log_u, log_1mu, log_jac)
+            level_g, w = rows(np.asarray(g(u))), weights(log_u, log_1mu, log_jac)
         if level >= min_level and evals + w.size > cfg.max_subdivisions:
-            return "budget", value, estimate, evals
+            return result("budget", value, estimate, evals)
         total = total + np.dot(level_g, w)
         evals += w.size
         value = 2.0 ** (-level) * total
@@ -530,9 +546,11 @@ def _per_level_reference(g, one_minus_u_pow, u_pow, cfg):
                 estimate <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
             ):
                 floor = quadrature._ROUNDOFF * np.abs(value)
-                return "ok", value, np.maximum(estimate, floor), evals
+                return result("ok", value, np.maximum(estimate, floor), evals)
+            if level >= min_level and not np.all(np.isfinite(value)):
+                return result("not finite", value, estimate, evals)
         prev = value
-    return "levels", value, estimate, evals
+    return result("levels", value, estimate, evals)
 
 
 def _outcome(g, one_minus_u_pow, u_pow, cfg):
@@ -541,7 +559,10 @@ def _outcome(g, one_minus_u_pow, u_pow, cfg):
         outcome = "ok"
     except ConvergenceError as exc:
         res = exc.result
-        outcome = "budget" if "evaluations" in str(exc) else "levels"
+        if "not finite" in str(exc):
+            outcome = "not finite"
+        else:
+            outcome = "budget" if "evaluations" in str(exc) else "levels"
     return outcome, res.value, res.error_estimate, res.evaluations
 
 
@@ -564,8 +585,36 @@ def WEYL_SEGMENT(u):
     return _WEYL_F(_WEYL_X - 8.0 + 4.0 * u) * (4.0 + 4.0 * (1.0 - u)) ** (_WEYL_ALPHA - 1.0)
 
 
+def NEGATIVE_ZERO_SUM(u):
+    """The smallest negative subnormal, and -0.0 near u = 1/2.
+
+    At weight (0, 0) every level-0 weight but the one at u = 1/2 is below
+    one half, so each level-0 product rounds to -0.0, and on a BLAS kernel
+    that accumulates by fused multiply-add so does the level-0 sum.  Both
+    paths start the running total as 0.0 + s0; a -0.0 start would show in
+    the value only if every later level summed to -0.0 as well.  OpenBLAS's
+    SkylakeX kernel gives -0.0 at level 0 only, and its Prescott kernel at
+    no level.
+    """
+    return np.where(np.abs(u - 0.5) < 0.1, -0.0, -5e-324)
+
+
+def NAN_PAST_LEVEL_3(u):
+    """1 + u, but NaN on a band of u that holds none of the block's nodes.
+
+    The band lies between the block's nodes at t = 0 and t = 1/8 (u = 0.5
+    and 0.598 whatever the weight), around level 4's node t = 1/16 (u =
+    0.549), so the row's value turns NaN at level 4.
+    """
+    return np.where((0.53 < u) & (u < 0.57), np.nan, 1.0 + u)
+
+
 INTEGRANDS = [SMOOTH, FAST, KINKED, WEYL_SEGMENT,
-              _stacked(SMOOTH, FAST), _stacked(ONE, KINKED), _stacked(WEYL_SEGMENT, SMOOTH)]
+              _stacked(SMOOTH, FAST), _stacked(ONE, KINKED), _stacked(WEYL_SEGMENT, SMOOTH),
+              _stacked(SMOOTH, KINKED, WEYL_SEGMENT),
+              lambda u: _stacked(FAST, ONE, KINKED, SMOOTH)(u).reshape(2, 2, -1),
+              _stacked(NEGATIVE_ZERO_SUM, SMOOTH), _stacked(NEGATIVE_ZERO_SUM, FAST),
+              _stacked(KINKED, NAN_PAST_LEVEL_3), _stacked(NAN_PAST_LEVEL_3, SMOOTH)]
 
 
 def _assert_same_outcome(got, want):
