@@ -70,19 +70,6 @@ def _horner(coeffs: tuple, t: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _negated_horner(coeffs: tuple, t: np.ndarray) -> np.ndarray:
-    # -(c0 + c1 t + ...) as _horner's steps on the negated coefficients:
-    # rounding is symmetric in sign, so (-a) t is -(a t) and x - c is
-    # x + (-c), and the result is -_horner(coeffs, t) bit for bit, bar the
-    # sign of a zero sum
-    if len(coeffs) == 1:
-        return np.full_like(t, -coeffs[0])
-    acc = t * -coeffs[-1] - coeffs[-2]
-    for c in reversed(coeffs[:-2]):
-        acc = acc * t - c
-    return acc
-
-
 @dataclass(frozen=True)
 class Const(Expr):
     value: float
@@ -142,9 +129,7 @@ class SinPos(Expr):
         if self.hi - self.lo == 0.0:
             return 0.0 * arg + (self.lo + 0.0)
         if self.shift is not None:
-            # the logistic 1 / (1 + exp(-h)); exp(+-0) = 1, so the sign of
-            # a zero -h does not matter
-            arg = arg + 1.0 / (1.0 + np.exp(_negated_horner(self.shift, t)))
+            arg = arg + 1.0 / (1.0 + np.exp(-_horner(self.shift, t)))
         return self.lo + (self.hi - self.lo) * 0.5 * (1.0 + np.sin(arg))
 
 

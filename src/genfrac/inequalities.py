@@ -776,32 +776,25 @@ def _run_theorem(cfg: SuiteConfig, theorem: TheoremId, ordinal: int) -> list:
     """The records of ``theorem``'s trials, in index order."""
     p_options = [p for p in cfg.p_values if p > 1.0] if theorem in _NEEDS_P_GT_1 else list(cfg.p_values)
     combos = [
-        (op, bounds, p)
+        (op, (m, M), p, CheckConfig(
+            p=p,
+            c=(0.5 * m if cfg.c is None else cfg.c) if theorem is TheoremId.T12 else None,
+            slack_factor=cfg.slack_factor,
+            statement_constants=cfg.statement_constants,
+        ))
         for op in default_operator_grid()
-        for bounds in cfg.ratio_bounds
+        for m, M in cfg.ratio_bounds
         for p in p_options
     ]
-    check_cfgs = {}  # one per (p, c), shared by the trials that use it
     records = []
     for index in range(cfg.trials):
-        op, (m, M), p = combos[index % len(combos)]
+        op, (m, M), p, check_cfg = combos[index % len(combos)]
         seed = _trial_seed(cfg.seed, ordinal, index)
         domain = (op.lower, cfg.x)
         if theorem is TheoremId.T13:
             pair = generate_box_pair(seed, m, M, m, M, domain)
         else:
             pair = generate_ratio_pair(seed, m, M, domain)
-        c = None
-        if theorem is TheoremId.T12:
-            c = 0.5 * m if cfg.c is None else cfg.c
-        check_cfg = check_cfgs.get((p, c))
-        if check_cfg is None:
-            check_cfg = check_cfgs[p, c] = CheckConfig(
-                p=p,
-                c=c,
-                slack_factor=cfg.slack_factor,
-                statement_constants=cfg.statement_constants,
-            )
         check = check_theorem(theorem, pair, op, cfg.x, check_cfg)
         records.append(TrialRecord(
             theorem=theorem,
@@ -811,7 +804,7 @@ def _run_theorem(cfg: SuiteConfig, theorem: TheoremId, ordinal: int) -> list:
             m=m,
             M=M,
             p=p,
-            c=c,
+            c=check_cfg.c,
             x=cfg.x,
             kind=pair.kind,
             check=check,

@@ -99,8 +99,7 @@ def test_constant_sinpos_matches_the_general_formula_bit_for_bit(c, shift):
 
 
 def test_shifted_sinpos_matches_the_general_formula_bit_for_bit():
-    # eval forms -h, the shift polynomial's negative, from the negated
-    # coefficients; seeded draws of every field, shift degrees 0 to 3
+    # seeded draws of every field, shift degrees 0 to 3
     rng = np.random.default_rng(24)
     edges = [0.0, -0.0, 5e-324, -5e-324, 1e3, -1e3, 1e150, -1e150, 1e300, -1e300]
     t = np.concatenate([check_grid(*DOMAIN, 1000), edges])
