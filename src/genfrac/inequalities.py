@@ -25,6 +25,8 @@ from .errors import ConvergenceError, DomainError
 from .functions import (
     PairKind,
     PositivePair,
+    Product,
+    SinPos,
     check_grid,
     generate_box_pair,
     generate_ratio_pair,
@@ -153,132 +155,155 @@ def c6(m: float, M: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-_BISECT_LEVELS = 80  # bisection steps per grid cell of the kink finder
-_BISECT_DEPTH = 7  # steps per block; a bracket's liveness is tested once per block
-_BISECT_CAP = -(-_BISECT_LEVELS // _BISECT_DEPTH) * _BISECT_DEPTH  # in whole blocks
-_KINK_GRID = 512  # points of the grid the kink finder samples first
-
-
-def _bisection_stops(a: float, b: float, level: int) -> bool:
-    """Whether bisection of [a, b] stops after ``level`` steps: at a block
-    end, once the ends are adjacent doubles or the cap is reached."""
-    return level % _BISECT_DEPTH == 0 and (
-        level >= _BISECT_CAP or not math.nextafter(a, math.inf) < b
-    )
-
-
-class _Bracket:
-    """One sign-changing grid cell under bisection.
-
-    ``fa`` and ``fb`` are the difference at the ends a and b.  The sign test
-    puts fa on the side of the cell's left end and fb on the other (the
-    grid's right end may also be an exact zero), so fb - fa is never zero.
-    """
-
-    __slots__ = ("a", "b", "fa", "fb", "positive", "level", "guided")
-
-    def __init__(self, a: float, b: float, fa: float, fb: float):
-        self.a, self.b, self.fa, self.fb = a, b, fa, fb
-        self.positive = fa > 0.0
-        self.level = 0
-        self.guided = True
-
-    def plan(self) -> list:
-        """The points this round evaluates.
-
-        While the secant guides the cell, they are the midpoints of the
-        bisection path that the secant through (a, fa) and (b, fb) predicts,
-        up to where bisection would stop on it: a midpoint left of the
-        secant's root is predicted to pass the left end's sign test.
-        Otherwise they are the 2^j - 1 dyadic points of a k-section up to the
-        next block end, j steps away.
-        """
-        a, b, level = self.a, self.b, self.level
-        if self.guided:
-            root = a - self.fa * (b - a) / (self.fb - self.fa)
-            path = []
-            while not _bisection_stops(a, b, level):
-                mid = 0.5 * (a + b)
-                path.append(mid)
-                if mid < root:
-                    a = mid
-                else:
-                    b = mid
-                level += 1
-            return path
-        # column i holds the dyadic point a + (b - a) * i / k, built from its parents
-        k = 2 ** (_BISECT_DEPTH - level % _BISECT_DEPTH)
-        pts = np.empty(k + 1)
-        pts[0], pts[k] = a, b
-        h = k // 2
-        while h:
-            pts[h::2 * h] = 0.5 * (pts[0:k:2 * h] + pts[2 * h::2 * h])
-            h //= 2
-        return pts[1:k].tolist()
-
-    def bisect(self, table: dict) -> bool:
-        """Bisect for as long as ``table`` maps the next midpoint to the
-        difference there; whether bisection goes on after that."""
-        start = self.level
-        while not _bisection_stops(self.a, self.b, self.level):
-            mid = 0.5 * (self.a + self.b)
-            dm = table.get(mid)
-            if dm is None:
-                # a round that advanced less than a block k-sections from now on
-                self.guided = self.guided and self.level - start >= _BISECT_DEPTH
-                return True
-            if dm == 0.0:
-                self.a = self.b = mid
-                return False
-            if (dm > 0.0) == self.positive:
-                self.a, self.fa = mid, dm
-            else:
-                self.b, self.fb = mid, dm
-            self.level += 1
-        return False
+_BISECT_LEVELS = 80  # steps per grid cell of the general kink finder, and per phase solve
+_KINK_GRID = 512  # points of the grid the general kink finder samples first
+_TWO_PI = 2.0 * math.pi
+_PHASE_TURNS = 4096  # a wider phase range goes to the general finder, bounding a check's work
 
 
 def _sign_crossings(diff, lo: float, hi: float) -> tuple:
-    """Interior points where ``diff`` changes sign (kinks of a pointwise max).
+    """Interior points where ``diff`` changes sign: the general kink finder.
 
     ``diff`` is sampled on a _KINK_GRID-point grid.  Each grid cell whose
     left end has a sign and whose right end is zero or of the other sign (a
     NaN has neither) is bisected, each midpoint being 0.5 * (left + right)
-    of its bracket.  A cell stops at the first end of a block of
-    _BISECT_DEPTH steps where its ends are adjacent doubles, or after
-    _BISECT_LEVELS steps rounded up to whole blocks, and its root is then
-    the midpoint of its ends; a midpoint where ``diff`` is exactly zero is
-    the root itself.  The scan compares signs: the product of two ends
-    underflows to zero below about 1e-162.
-
-    Each round evaluates the points that every live cell plans in one call
-    of ``diff``, and each cell then bisects for as long as that call holds
-    the value at its next midpoint.  A cell plans the bisection path that
-    the secant through its ends predicts; one whose round advanced less
-    than a block, because the secant mispredicted early, plans every
-    midpoint of the steps to its next block end from then on (a k-section:
-    2^j - 1 points for j steps).  Every value read is ``diff`` at exactly
-    the midpoint plain bisection computes, so the roots are plain
-    bisection's whatever a plan predicted.  No input takes more than one
-    call of ``diff`` more than k-sections of whole blocks alone: each round
-    before a cell's switch advances it at least a block, and the switch
-    round at least one step.
+    of its bracket, with the midpoints of all live cells in one call of
+    ``diff`` per step.  A cell stops once its ends are adjacent doubles or
+    after _BISECT_LEVELS steps, and its root is then the midpoint of its
+    ends; a midpoint where ``diff`` is exactly zero is the root itself.  The
+    scan compares signs: the product of two ends underflows to zero below
+    about 1e-162.  Two crossings inside one grid cell are not seen.
     """
     t = check_grid(lo, hi, _KINK_GRID)
     d = np.asarray(diff(t), dtype=float)
     left, right = d[:-1], d[1:]
     cells = np.flatnonzero(((left > 0.0) & (right <= 0.0)) | ((left < 0.0) & (right >= 0.0)))
-    brackets = [
-        _Bracket(*ends)
-        for ends in zip(t[cells].tolist(), t[cells + 1].tolist(),
-                        d[cells].tolist(), d[cells + 1].tolist())
-    ]
-    live = [c for c in brackets if not _bisection_stops(c.a, c.b, c.level)]
-    while live:
-        points = [x for c in live for x in c.plan()]
-        table = dict(zip(points, np.asarray(diff(np.array(points)), dtype=float).tolist()))
-        live = [c for c in live if c.bisect(table)]
-    return tuple(0.5 * (c.a + c.b) for c in brackets)
+    a, b, positive = t[cells], t[cells + 1], left[cells] > 0.0
+    live = np.arange(cells.size)
+    for _ in range(_BISECT_LEVELS):
+        live = live[np.nextafter(a[live], np.inf) < b[live]]
+        if not live.size:
+            break
+        mid = 0.5 * (a[live] + b[live])
+        dm = np.asarray(diff(mid), dtype=float)
+        zero = dm == 0.0
+        on_left = ((dm > 0.0) == positive[live]) & ~zero  # mid has the left end's sign
+        a[live] = np.where(on_left | zero, mid, a[live])
+        b[live] = np.where(on_left, b[live], mid)
+    return tuple((0.5 * (a + b)).tolist())
+
+
+def _phase(r: SinPos, t: float) -> tuple:
+    """The phase psi(t) = w t + phi + s(P(t)) of ``r`` and its derivative, in
+    floats; s is the logistic and P the shift polynomial (SinPos.eval)."""
+    psi, dpsi = r.w * t + r.phi, r.w
+    if r.shift is not None:
+        h = dh = 0.0
+        for c in reversed(r.shift):  # Horner for P and P'
+            h, dh = h * t + c, dh * t + h
+        e = math.exp(-abs(h))
+        s = 1.0 / (1.0 + e) if h >= 0.0 else e / (1.0 + e)
+        psi, dpsi = psi + s, dpsi + s * (1.0 - s) * dh
+    return psi, dpsi
+
+
+def _increasing_span(r: SinPos, lo: float, hi: float) -> Optional[tuple]:
+    """The part of [lo, hi] where ``r``'s phase is certified increasing, or
+    None.  psi' = w + s'(P) P' >= w - |P'|/4, as 0 < s' <= 1/4, so psi rises
+    wherever |P'| < 4 w; for a shift of degree <= 2, P' is linear and that
+    set is one interval."""
+    shift = r.shift or ()
+    if not (r.w > 0.0 and len(shift) <= 3):
+        return None
+    c1, c2 = (shift + (0.0, 0.0, 0.0))[1:3]  # P' = c1 + 2 c2 t
+    bound = 4.0 * r.w
+    if c2 == 0.0:
+        return (lo, hi) if abs(c1) < bound else None
+    ends = sorted(((-bound - c1) / (2.0 * c2), (bound - c1) / (2.0 * c2)))
+    a, b = max(lo, ends[0]), min(hi, ends[1])
+    return (a, b) if a < b else None
+
+
+def _solve_phase(r: SinPos, theta: float, a: float, b: float, pa: float, pb: float) -> float:
+    """The t in [a, b] where ``r``'s increasing phase equals ``theta``, given
+    pa = psi(a) < theta <= psi(b) = pb: Newton's method from the secant's
+    root, bisecting where a step leaves the bracket, to a few ulps."""
+    t = a + (b - a) * ((theta - pa) / (pb - pa))
+    for _ in range(_BISECT_LEVELS):
+        psi, dpsi = _phase(r, t)
+        if psi == theta:
+            return t
+        a, b = (t, b) if psi < theta else (a, t)
+        step = t - (psi - theta) / dpsi if dpsi > 0.0 else math.nan
+        if not a < step < b:  # NaN too
+            step = 0.5 * (a + b)
+        if abs(step - t) <= 2.0 * math.ulp(t):
+            return step
+        t = step
+    return t
+
+
+def _phase_crossings(r: SinPos, level: float, lo: float, hi: float, diff) -> tuple:
+    """Points of (lo, hi) where the profile ``r`` crosses ``level``.
+
+    r = lo_r + (hi_r - lo_r)(1 + sin psi)/2 equals level where sin psi = c,
+    c = 2 (level - lo_r)/(hi_r - lo_r) - 1.  So r - level keeps one sign for
+    a constant r or |c| >= 1, and otherwise changes sign exactly where psi
+    meets a target theta in {asin c, pi - asin c} + 2 pi k.  On the span
+    where psi is certified increasing (_increasing_span) there is one
+    crossing per target in (psi(a), psi(b)], each solved on psi alone;
+    _sign_crossings finds those of every other part as the sign changes of
+    ``diff``.
+    """
+    width = r.hi - r.lo
+    if width == 0.0:
+        return ()
+    c = 2.0 * (level - r.lo) / width - 1.0
+    if not abs(c) < 1.0:  # NaN too
+        return ()
+    span = _increasing_span(r, lo, hi)
+    if span is None:
+        return _sign_crossings(diff, lo, hi)
+    a, b = span
+    pa, pb = _phase(r, a)[0], _phase(r, b)[0]
+    if not pb - pa < _PHASE_TURNS * _TWO_PI:  # NaN and inf too
+        return _sign_crossings(diff, lo, hi)
+    roots = list(_sign_crossings(diff, lo, a)) if lo < a else []
+    if b < hi:
+        roots += _sign_crossings(diff, b, hi)
+    base = math.asin(c)
+    for start in (base, math.pi - base):
+        k = math.ceil((pa - start) / _TWO_PI) - 1
+        while (theta := start + _TWO_PI * k) <= pb:
+            if theta > pa:
+                roots.append(_solve_phase(r, theta, a, b, pa, pb))
+            k += 1
+    return tuple(sorted(roots))
+
+
+def _kinks(pair: PositivePair, level: float, lo: float, hi: float) -> tuple:
+    """Points of (lo, hi) where f/g crosses ``level``, the sign changes of
+    f - level g.
+
+    When f is ``Product((r, g))`` over a ``SinPos`` profile r and the pair's
+    g (equal by value), f - level g = g (r - level) with g > 0, so the
+    crossings are r's and follow from its phase without evaluating the
+    pair (_phase_crossings).  Every other pair, and every part of the
+    interval where that phase is not certified increasing, goes to
+    _sign_crossings.
+    """
+    if not -math.inf < lo < hi < math.inf:
+        return ()
+
+    def diff(t):
+        fv, gv = pair.values(t)
+        return fv - level * gv
+
+    fe = pair.f.expr
+    if (isinstance(fe, Product) and len(fe.factors) == 2 and isinstance(fe.factors[0], SinPos)
+            and fe.factors[1] == pair.g.expr):
+        return _phase_crossings(fe.factors[0], level, lo, hi, diff)
+    return _sign_crossings(diff, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +321,7 @@ class CheckConfig:
     statement_constants: bool = False
 
     def __post_init__(self):
+        _require_finite(p=self.p)
         _require(self.p >= 1.0, "require p >= 1")
         _require(0.0 < self.slack_factor < math.inf, "require positive finite slack_factor")
 
@@ -354,13 +380,13 @@ class _Sides(NamedTuple):
 class _Check:
     """One inequality: ``rows(fv, gv)`` gives the integrands, ``combine`` maps
     their operator values, floats in row order, to ``_Sides`` of floats,
-    each side monotone in each row.  ``kinks(fv, gv)``, when set, is a
-    function whose sign changes are the kinks of the rows."""
+    each side monotone in each row.  ``kink_ratio``, when set, is the level
+    of f/g whose crossings are the kinks of the rows."""
 
     constant: float
     rows: Callable
     combine: Callable
-    kinks: Optional[Callable] = None
+    kink_ratio: Optional[float] = None
 
 
 def _row_values(check: _Check, pair: PositivePair, params: OperatorParams, x: float,
@@ -368,22 +394,21 @@ def _row_values(check: _Check, pair: PositivePair, params: OperatorParams, x: fl
     """The operator values of ``check``'s rows on ``pair`` and their error
     estimates, as two lists of floats in row order, integrated in one call;
     None when quadrature does not converge or a value is not finite and
-    nonnegative.  The rows and the kink finder's difference may overflow
-    (f**p for a large M, say); they are sampled without numpy's overflow
-    and invalid-value warnings, as every value is judged here.
+    nonnegative.  The kinks are searched over all of [lower, x], the interval
+    integrated, which may reach past the pair's domain.  The rows and the
+    kink finder's difference may overflow (f**p for a large M, say); they
+    are sampled without numpy's overflow and invalid-value warnings, as
+    every value is judged here.
     """
 
-    def on_pair(fn):
-        return lambda t: fn(*pair.values(t))
+    def rows(t):
+        return np.array(check.rows(*pair.values(t)))
 
-    rows = on_pair(lambda fv, gv: np.array(check.rows(fv, gv)))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             breakpoints = ()
-            if check.kinks is not None:
-                lo, hi = pair.f.domain
-                breakpoints = _sign_crossings(on_pair(check.kinks),
-                                              max(lo, params.lower), min(hi, x))
+            if check.kink_ratio is not None:
+                breakpoints = _kinks(pair, check.kink_ratio, params.lower, x)
             res = evaluate(params, rows, x, quad, breakpoints)
     except ConvergenceError:
         return None
@@ -533,21 +558,17 @@ def _t15(pair: PositivePair, cfg: CheckConfig) -> _Check:
     p = cfg.p
 
     # h = max(M*((M/m + 1) f - M g), ((m + M) g - f)/m), evaluated pointwise
-    def arms(f, g):
-        return (M * (M / m + 1.0) * f + (-M * M) * g,
-                (m + M) / m * g + (-1.0 / m) * f)
-
     def rows(f, g):
-        return f ** p, g ** p, np.maximum(*arms(f, g)) ** p
-
-    def kinks(f, g):
-        left, right = arms(f, g)
-        return left - right
+        arms = (M * (M / m + 1.0) * f + (-M * M) * g, (m + M) / m * g + (-1.0 / m) * f)
+        return f ** p, g ** p, np.maximum(*arms) ** p
 
     def combine(fp, gp, hp):
         return _Sides(_root_sum(fp, gp, p), 2.0 * hp ** (1.0 / p))
 
-    return _Check(2.0, rows, combine, kinks)
+    # the arms differ by A f - B g, A > 0: h is kinked where f/g crosses B/A
+    A = M * (M / m + 1.0) + 1.0 / m
+    B = M * M + (m + M) / m
+    return _Check(2.0, rows, combine, B / A)
 
 
 _BUILDERS = {
@@ -574,7 +595,7 @@ def check_theorem(theorem: TheoremId, pair: PositivePair, params: OperatorParams
     if not cfg.p > 1.0 and theorem in _NEEDS_P_GT_1:
         raise DomainError("%s requires p > 1" % theorem.value)
     check = _BUILDERS[theorem](pair, cfg)
-    if check.kinks is not None and (params.side is Side.RIGHT or math.isinf(params.lower)):
+    if check.kink_ratio is not None and (params.side is Side.RIGHT or math.isinf(params.lower)):
         raise DomainError("%s needs breakpoints at its kinks, which only the finite "
                           "left-sided form takes" % theorem.value)
     return _verdict(check, _row_values(check, pair, params, x, DEFAULT_CONFIG), cfg.slack_factor)
@@ -633,8 +654,7 @@ class SuiteConfig:
         _require(len(self.ratio_bounds) > 0, "ratio_bounds must not be empty")
         _require_finite(x=self.x)
         for p in self.p_values:
-            _require_finite(p=p)
-            CheckConfig(p=p, slack_factor=self.slack_factor)  # p >= 1, slack_factor
+            CheckConfig(p=p, slack_factor=self.slack_factor)  # finite p >= 1, slack_factor
         for theorem in self.theorems:
             _require(theorem not in _NEEDS_P_GT_1 or any(p > 1.0 for p in self.p_values),
                      "%s requires at least one p > 1 in p_values" % theorem.value)

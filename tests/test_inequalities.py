@@ -15,9 +15,11 @@ from genfrac import inequalities
 from genfrac.errors import DomainError
 from genfrac.functions import (
     Const,
+    ExpPoly,
     PairKind,
     PositivePair,
     Product,
+    SinPos,
     TestFunction,
     generate_box_pair,
     generate_ratio_pair,
@@ -33,19 +35,20 @@ from genfrac.inequalities import (
     c5,
     c6,
     check_theorem,
+    default_operator_grid,
     run_suite,
 )
-from genfrac.functions import check_grid
 from genfrac.inequalities import (
-    _BISECT_DEPTH,
     _BISECT_LEVELS,
     _BUILDERS,
     _KINK_GRID,
     _Check,
     _Sides,
+    _kinks,
     _row_values,
     _side_ends,
     _sign_crossings,
+    _t15,
     _verdict,
 )
 from genfrac.operator_core import OperatorParams, Side
@@ -273,6 +276,19 @@ def test_check_config_rejects_bad_slack_factor(factor):
     # an infinite slack used to pass every check, violated or not
     with pytest.raises(DomainError, match="slack_factor"):
         CheckConfig(slack_factor=factor)
+
+
+@pytest.mark.parametrize("p, message", [
+    (math.inf, "p must be finite, got inf"),
+    (-math.inf, "p must be finite, got -inf"),
+    (math.nan, "p must be finite, got nan"),
+    (0.5, "require p >= 1"),
+])
+def test_check_config_rejects_bad_p(p, message):
+    # an infinite p used to pass construction and leave T8, T10 and T15
+    # inconclusive, and T11 raising "require q > 1"
+    with pytest.raises(DomainError, match=message):
+        CheckConfig(p=p)
 
 
 def test_t13_constant_boxes_equality():
@@ -618,26 +634,27 @@ def test_suite_csv_shape():
 
 
 def _bisection_roots(diff, lo, hi, n=512):
-    """Reference: 80 scalar bisection steps per sign-changing grid cell."""
+    """Reference: 80 scalar bisection steps per sign-changing grid cell, each
+    step evaluating ``diff`` at its one midpoint."""
     t = np.linspace(lo, hi, n)
     d = diff(t)
     roots = []
     for i in range(n - 1):
-        if d[i] == 0.0 or d[i] * d[i + 1] > 0.0:
+        if not ((d[i] > 0.0 and d[i + 1] <= 0.0) or (d[i] < 0.0 and d[i + 1] >= 0.0)):
             continue
-        a, b, da = t[i], t[i + 1], d[i]
+        a, b, positive = t[i], t[i + 1], d[i] > 0.0
         for _ in range(80):
             mid = 0.5 * (a + b)
-            dm = float(diff(mid))
+            dm = float(diff(np.array([mid]))[0])
             if dm == 0.0:
                 a = b = mid
                 break
-            if (dm > 0.0) == (da > 0.0):
-                a, da = mid, dm
+            if (dm > 0.0) == positive:
+                a = mid
             else:
                 b = mid
         roots.append(0.5 * (a + b))
-    return roots
+    return tuple(roots)
 
 
 def _t15_arms_difference(pair):
@@ -653,76 +670,6 @@ def _t15_arms_difference(pair):
     return diff
 
 
-def test_kink_finder_matches_scalar_bisection_on_t15_pairs():
-    found = 0
-    for seed in range(40):
-        m, M = ((0.5, 2.0), (0.9, 1.1))[seed % 2]
-        diff = _t15_arms_difference(generate_ratio_pair(seed, m, M, DOMAIN))
-        roots = _sign_crossings(diff, *DOMAIN)
-        reference = _bisection_roots(diff, *DOMAIN)
-        assert len(roots) == len(reference)
-        for r, ref in zip(roots, reference):
-            assert abs(r - ref) <= 4.0 * np.spacing(ref)
-        found += len(roots)
-    assert found >= 10
-
-
-def test_kink_finder_several_brackets():
-    roots = _sign_crossings(lambda t: np.sin(20.0 * t), 0.05, 1.0)
-    exact = np.arange(1, 7) * np.pi / 20.0
-    assert len(roots) == 6
-    assert np.allclose(roots, exact, rtol=0.0, atol=1e-15)
-    reference = _bisection_roots(lambda t: np.sin(20.0 * t), 0.05, 1.0)
-    assert np.all(np.abs(np.subtract(roots, reference)) <= 4.0 * np.spacing(reference))
-
-
-def test_kink_finder_exact_zero_on_grid_node():
-    node = np.linspace(0.0, 1.0, 512)[100]
-    assert _sign_crossings(lambda t: t - node, 0.0, 1.0) == (node,)
-
-
-def test_kink_finder_no_crossing():
-    assert _sign_crossings(lambda t: 1.0 + t, 0.0, 1.0) == ()
-
-
-def _k_section_crossings(diff, lo, hi):
-    """Reference: the k-section kink finder, every midpoint of the next
-    _BISECT_DEPTH steps of every live cell in one call of ``diff``."""
-    t = check_grid(lo, hi, _KINK_GRID)
-    d = np.asarray(diff(t), dtype=float)
-    left, right = d[:-1], d[1:]
-    cells = np.flatnonzero(((left > 0.0) & (right <= 0.0)) | ((left < 0.0) & (right >= 0.0)))
-    ends = np.stack([t[cells], t[cells + 1]], axis=1)  # one bracket per row
-    positive = (d[cells] > 0.0).tolist()
-    k = 2 ** _BISECT_DEPTH
-    for _ in range(-(-_BISECT_LEVELS // _BISECT_DEPTH)):
-        live = np.flatnonzero(np.nextafter(ends[:, 0], np.inf) < ends[:, 1])
-        if not live.size:
-            break
-        # column i holds the dyadic point a + (b - a) * i / k, built from its parents
-        pts = np.empty((live.size, k + 1))
-        pts[:, 0], pts[:, k] = ends[live, 0], ends[live, 1]
-        h = k // 2
-        while h:
-            pts[:, h::2 * h] = 0.5 * (pts[:, 0:k:2 * h] + pts[:, 2 * h::2 * h])
-            h //= 2
-        vals = np.asarray(diff(pts[:, 1:k].ravel()), dtype=float)
-        for row, (cell, v) in enumerate(zip(live.tolist(), vals.reshape(live.size, -1).tolist())):
-            # replay the bisection; v[i - 1] is the value at column i
-            pos, h = 0, k // 2
-            while h:
-                dm = v[pos + h - 1]
-                if dm == 0.0:
-                    ends[cell] = pts[row, pos + h]
-                    break
-                if (dm > 0.0) == positive[cell]:
-                    pos += h
-                h //= 2
-            else:
-                ends[cell] = pts[row, pos:pos + 2]
-    return tuple(float(r) for r in 0.5 * (ends[:, 0] + ends[:, 1]))
-
-
 def _counted(diff):
     calls = []
 
@@ -733,28 +680,32 @@ def _counted(diff):
     return wrapped, calls
 
 
-def _assert_same_roots_within_one_call(diff, lo, hi):
-    new, new_calls = _counted(diff)
-    ref, ref_calls = _counted(diff)
-    roots = _sign_crossings(new, lo, hi)
-    assert roots == _k_section_crossings(ref, lo, hi)
-    assert len(new_calls) <= len(ref_calls) + 1
-    return roots, new_calls, ref_calls
-
-
-def test_kink_finder_matches_k_section_on_t15_pairs():
-    found, new_calls, ref_calls = 0, [], []
+def test_kink_finder_matches_scalar_bisection_on_t15_pairs():
+    found = 0
     for seed in range(24):
         for m, M in ((0.5, 2.0), (0.9, 1.1), (0.2, 5.0), (0.99, 1.01)):
             diff = _t15_arms_difference(generate_ratio_pair(seed, m, M, DOMAIN))
-            roots, new, ref = _assert_same_roots_within_one_call(diff, *DOMAIN)
+            roots = _sign_crossings(diff, *DOMAIN)
+            assert roots == _bisection_roots(diff, *DOMAIN)
             found += len(roots)
-            new_calls += new
-            ref_calls += ref
     assert found >= 50
-    # the secant-guided paths take fewer calls and far fewer points
-    assert len(new_calls) < len(ref_calls)
-    assert sum(new_calls) - 96 * _KINK_GRID < 0.5 * (sum(ref_calls) - 96 * _KINK_GRID)
+
+
+def test_kink_finder_several_brackets():
+    roots = _sign_crossings(lambda t: np.sin(20.0 * t), 0.05, 1.0)
+    exact = np.arange(1, 7) * np.pi / 20.0
+    assert len(roots) == 6
+    assert np.allclose(roots, exact, rtol=0.0, atol=1e-15)
+    assert roots == _bisection_roots(lambda t: np.sin(20.0 * t), 0.05, 1.0)
+
+
+def test_kink_finder_exact_zero_on_grid_node():
+    node = np.linspace(0.0, 1.0, 512)[100]
+    assert _sign_crossings(lambda t: t - node, 0.0, 1.0) == (node,)
+
+
+def test_kink_finder_no_crossing():
+    assert _sign_crossings(lambda t: 1.0 + t, 0.0, 1.0) == ()
 
 
 _NODE = float(np.linspace(0.0, 1.0, _KINK_GRID)[100])
@@ -784,6 +735,139 @@ def _nan_patch(sign):
     ids=["level-cap", "zero-on-node", "sin20", "sin1e5", "cube", "step",
          "nan-with-left-sign", "nan-with-right-sign", "tiny-line"],
 )
-def test_kink_finder_matches_k_section_on_adversarial_differences(diff, lo, hi, cells):
-    roots, _, _ = _assert_same_roots_within_one_call(diff, lo, hi)
+def test_kink_finder_matches_scalar_bisection_on_adversarial_differences(diff, lo, hi, cells):
+    counted, calls = _counted(diff)
+    roots = _sign_crossings(counted, lo, hi)
+    assert roots == _bisection_roots(diff, lo, hi)
     assert len(roots) == cells
+    # the grid, then one call per bisection step for all live cells at once
+    assert calls[0] == _KINK_GRID and len(calls) <= 1 + _BISECT_LEVELS
+    assert all(0 < n <= cells for n in calls[1:])
+
+
+def _t15_level(m, M):
+    return _t15(_const_pair(1.0, 1.0, m, M), CheckConfig()).kink_ratio
+
+
+def _dense_crossings(diff, lo, hi, n=20001):
+    """The sign changes of ``diff`` between neighbours of an n-point grid."""
+    t = np.linspace(lo, hi, n)
+    s = np.sign(diff(t))
+    assert np.all(s != 0.0)
+    cells = np.flatnonzero(s[:-1] != s[1:])
+    return t[cells], t[cells + 1]
+
+
+def _assert_one_root_per_crossing(roots, crossings):
+    left, right = crossings
+    assert len(roots) == len(left)
+    assert np.all((left <= roots) & (np.asarray(roots) <= right))
+
+
+def _general_calls(monkeypatch):
+    calls = []
+
+    def recorded(diff, lo, hi):
+        calls.append((lo, hi))
+        return _sign_crossings(diff, lo, hi)
+
+    monkeypatch.setattr(inequalities, "_sign_crossings", recorded)
+    return calls
+
+
+def test_t15_kink_ratio_is_where_the_arms_meet():
+    for m, M in ((0.5, 2.0), (0.9, 1.1), (0.999999, 2.0)):
+        level = _t15_level(m, M)
+        arm1 = M * (M / m + 1.0) * level - M * M
+        arm2 = (m + M) / m - level / m
+        assert arm1 == pytest.approx(arm2, rel=1e-14)
+
+
+@pytest.mark.parametrize("m, M", [(0.5, 2.0), (0.9, 1.1), (0.999999, 2.0)])
+def test_phase_kinks_match_dense_sampling_without_evaluating_the_pair(m, M, monkeypatch):
+    # A r - B has the sign of r - B/A; at (0.999999, 2) r's minima touch B/A
+    # nearly tangentially, so the crossings come in close pairs
+    general = _general_calls(monkeypatch)
+    level = _t15_level(m, M)
+    found = 0
+    for seed in range(40):
+        pair = generate_ratio_pair(seed, m, M, DOMAIN)
+        r = pair.f.expr.factors[0]
+        roots = _kinks(pair, level, *DOMAIN)
+        _assert_one_root_per_crossing(roots, _dense_crossings(lambda t: r(t) - level, *DOMAIN))
+        found += len(roots)
+    assert found >= 20
+    assert general == []
+
+
+def test_phase_kinks_find_the_double_crossings_the_grid_scan_misses():
+    m, M = 0.999999, 2.0
+    level = _t15_level(m, M)
+    missed = 0
+    for seed in range(200):
+        pair = generate_ratio_pair(seed, m, M, DOMAIN)
+        scan = _sign_crossings(_t15_arms_difference(pair), *DOMAIN)
+        roots = _kinks(pair, level, *DOMAIN)
+        if len(scan) != len(roots):
+            missed += 1
+            assert len(roots) - len(scan) >= 2
+    assert missed >= 20
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_t15_near_tangency_suite_has_no_inconclusive_trial(seed):
+    cfg = SuiteConfig(theorems=(TheoremId.T15,), trials=200, seed=seed, p_values=(2.0,),
+                      ratio_bounds=((0.999999, 2.0),))
+    report = run_suite(cfg)
+    assert report.total_inconclusive == 0 and report.total_failures == 0
+
+
+def _sinpos_pair(r, lo, hi):
+    g = ExpPoly((0.1, -0.4, 0.2))
+    return PositivePair(TestFunction(Product((r, g)), (lo, hi)), TestFunction(g, (lo, hi)),
+                        r.lo, r.hi, PairKind.RATIO_BOUNDED)
+
+
+def test_phase_that_turns_back_goes_to_the_general_finder(monkeypatch):
+    # psi = t/2 + 1 + s(-3t) falls on about (-0.33, 0.33), so psi = 1.49 has
+    # three solutions on [-1, 1]
+    r = SinPos(0.5, 1.0, 0.5, 2.0, (0.0, -3.0, 0.0))
+    pair = _sinpos_pair(r, -1.0, 1.0)
+    level = 0.5 + 1.5 * 0.5 * (1.0 + math.sin(1.49))
+    general = _general_calls(monkeypatch)
+    roots = _kinks(pair, level, -1.0, 1.0)
+    assert general == [(-1.0, 1.0)]
+    _assert_one_root_per_crossing(roots, _dense_crossings(lambda t: r(t) - level, -1.0, 1.0))
+    assert len(roots) == 3
+
+
+def test_phase_of_too_many_turns_goes_to_the_general_finder(monkeypatch):
+    # about 3e8 crossings on [0, 1]: solving each one would never end
+    r = SinPos(1e9, 0.0, 0.5, 2.0, (0.0, 0.5, 0.5))
+    general = _general_calls(monkeypatch)
+    assert len(_kinks(_sinpos_pair(r, 0.0, 1.0), _t15_level(0.5, 2.0), 0.0, 1.0)) <= 511
+    assert general == [(0.0, 1.0)]
+
+
+def test_phase_certified_on_part_of_the_interval(monkeypatch):
+    # P' = 2t, so psi' >= 0.6 - |t|/2 > 0 on [0, 1.2) only; the rest of
+    # [0, 3] goes to the general finder, and each part holds a crossing
+    r = SinPos(0.6, 3.0, 0.5, 2.0, (0.0, 0.0, 1.0))
+    pair = _sinpos_pair(r, 0.0, 3.0)
+    level = _t15_level(0.5, 2.0)
+    general = _general_calls(monkeypatch)
+    roots = _kinks(pair, level, 0.0, 3.0)
+    assert general == [(1.2, 3.0)]
+    crossings = _dense_crossings(lambda t: r(t) - level, 0.0, 3.0)
+    _assert_one_root_per_crossing(roots, crossings)
+    assert np.any(crossings[0] < 1.2) and np.any(crossings[0] > 1.2)
+
+
+def test_t15_kinks_searched_past_the_pair_domain():
+    # x = 2 integrates over [0, 2]; the second kink lies past the domain
+    pair = generate_ratio_pair(4, 0.5, 2.0, (0.0, 1.0))
+    params = default_operator_grid()[0]
+    assert _kinks(pair, _t15_level(0.5, 2.0), params.lower, 2.0) == pytest.approx(
+        (0.3303137, 1.1183216), abs=1e-7)
+    chk = check_theorem(TheoremId.T15, pair, params, 2.0, CheckConfig(p=2.0))
+    assert not chk.inconclusive and chk.satisfied
