@@ -232,19 +232,36 @@ _BOX_STREAM = 0x67656E67
 
 
 def _bounded_exp_poly(rng: np.random.Generator, domain: tuple) -> ExpPoly:
+    """exp of a random polynomial of degree 0, 1 or 2 with coefficients in
+    [-1, 1), scaled down so that its peak |value| on the 256-point check grid
+    of ``domain`` is at most 1.5.  A constant is below 1.5 already, and a
+    line peaks at the grid's ends, lo and hi, as rounding is monotone; only
+    a quadratic is scanned.  BoundsError when that peak is not finite."""
     degree = int(rng.integers(0, 3))  # 0, 1 or 2
-    coeffs = rng.uniform(-1.0, 1.0, size=degree + 1)
-    peak = float(np.max(np.abs(_horner(coeffs, check_grid(domain[0], domain[1], 256)))))
+    coeffs = [-1.0 + 2.0 * u for u in rng.random(degree + 1).tolist()]  # as rng.uniform(-1, 1)
+    if degree == 0:
+        return ExpPoly(tuple(coeffs))
+    lo, hi = domain
+    if degree == 1:
+        c0, c1 = coeffs
+        peak = max(abs(lo * c1 + c0), abs(hi * c1 + c0))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # judged just below
+            t = check_grid(lo, hi, 256)
+            peak = float(np.max(np.abs(_horner(coeffs, t))))
+    if not math.isfinite(peak):
+        raise BoundsError("random exponent is not finite on the domain [%r, %r]" % (lo, hi))
     if peak > 1.5:
-        coeffs = coeffs * (1.5 / peak)
-    return ExpPoly(tuple(float(c) for c in coeffs))
+        coeffs = [c * (1.5 / peak) for c in coeffs]
+    return ExpPoly(tuple(coeffs))
 
 
 def _unit_profile(rng: np.random.Generator, lo: float, hi: float) -> SinPos:
-    w = float(rng.uniform(0.5, 4.0))
-    phi = float(rng.uniform(0.0, 2.0 * math.pi))
-    shift = tuple(float(c) for c in rng.uniform(-1.0, 1.0, size=3))
-    return SinPos(w, phi, lo, hi, shift)
+    # w in [0.5, 4), phi in [0, 2 pi) and three shift coefficients in [-1, 1),
+    # each mapped from its u as rng.uniform(low, high) does, low + (high - low) u
+    uw, uphi, u0, u1, u2 = rng.random(5).tolist()
+    shift = (-1.0 + 2.0 * u0, -1.0 + 2.0 * u1, -1.0 + 2.0 * u2)
+    return SinPos(0.5 + 3.5 * uw, 2.0 * math.pi * uphi, lo, hi, shift)
 
 
 def generate_ratio_pair(

@@ -350,6 +350,18 @@ def test_verify_overflowing_rows_exit_3_without_warning():
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_verify_on_a_domain_where_the_exponent_overflows_exits_2(capsys):
+    # in-process, so a numpy RuntimeWarning would be raised as an error; one
+    # of the two trials draws a quadratic exponent, which is not finite on
+    # [0, 1e300] (it used to warn and leave both trials inconclusive)
+    code = run_cli(["verify", "--theorem", "8", "--trials", "2", "--seed", "1", "--p", "2",
+                    "--m", "0.5", "--M", "2", "--x=1e300"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: random exponent is not finite on the domain [0.0, 1e+300]\n"
+    assert captured.out == ""
+
+
 def test_oracle_overflowing_integrand_exits_3_without_warning(capsys):
     # in-process, so a numpy RuntimeWarning would be raised as an error
     code = run_cli(["oracle", "--x", "1e200"])

@@ -142,6 +142,91 @@ def test_ratio_pair_determinism():
     assert a.f != c.f
 
 
+def _uniform_draws_pair_params(kind, seed, domain):
+    """Reference: a pair's parameters from the Generator.uniform calls that
+    each pair helper's one rng.random draw replaces, with the exponent's
+    peak from the 256-point scan at every degree."""
+    rng = np.random.default_rng([0x67656E66 if kind is PairKind.RATIO_BOUNDED else 0x67656E67,
+                                 seed])
+
+    def profile():
+        w = float(rng.uniform(0.5, 4.0))
+        phi = float(rng.uniform(0.0, 2.0 * np.pi))
+        return w, phi, tuple(float(c) for c in rng.uniform(-1.0, 1.0, size=3))
+
+    if kind is PairKind.BOX_BOUNDED:
+        return profile(), profile()
+    degree = int(rng.integers(0, 3))
+    coeffs = rng.uniform(-1.0, 1.0, size=degree + 1)
+    peak = float(np.max(np.abs(_horner(coeffs, check_grid(*domain, 256)))))
+    if peak > 1.5:
+        coeffs = coeffs * (1.5 / peak)
+    return tuple(float(c) for c in coeffs), profile()
+
+
+def _pair_params(pair):
+    """(exponent coeffs, (w, phi, shift)) of a ratio pair, f's and g's
+    (w, phi, shift) of a box pair."""
+    if pair.kind is PairKind.BOX_BOUNDED:
+        return tuple((e.w, e.phi, e.shift) for e in (pair.f.expr, pair.g.expr))
+    r = pair.f.expr.factors[0]
+    return pair.g.expr.coeffs, (r.w, r.phi, r.shift)
+
+
+def test_pair_stream_matches_the_uniform_draws_it_replaces():
+    # 10,000 seeds of each kind; on [0, 40] most lines and quadratics are scaled
+    domains = [(0.0, 1.0), (-3.0, 2.5), (0.5, 1.5), (0.0, 40.0)]
+    degrees = set()
+    for seed in range(10_000):
+        domain = domains[seed % 4]
+        ratio = generate_ratio_pair(seed, 0.5, 2.0, domain)
+        box = generate_box_pair(seed, 0.5, 2.0, 0.7, 1.3, domain)
+        for pair in (ratio, box):
+            assert _pair_params(pair) == _uniform_draws_pair_params(pair.kind, seed, domain), seed
+        degrees.add(len(ratio.g.expr.coeffs) - 1)
+    assert degrees == {0, 1, 2}
+
+
+@pytest.mark.parametrize("make, params", [
+    (lambda: generate_ratio_pair(0, 0.5, 2.0, (0.0, 4.0)),  # a line, scaled
+     ((0.8419361643115754, -0.5854840410778939),
+      (0.8900171658967571, 4.354972643969994,
+       (-0.04060530269222573, -0.3248062315144875, 0.8098263488130293)))),
+    (lambda: generate_ratio_pair(1, 0.5, 2.0, (0.0, 4.0)),  # a constant
+     ((0.46574060616609647,),
+      (1.7858375144066292, 4.411153956730383,
+       (0.5643394139141638, -0.6020815002267219, -0.11614413642740073)))),
+    (lambda: generate_ratio_pair(7, 0.5, 2.0, (0.0, 4.0)),  # a quadratic, scaled
+     ((0.02423536914849441, 0.04172271698631386, 0.08180461018164062),
+      (3.416339448809716, 4.129948961841938,
+       (0.1900855236436778, 0.4646409912215421, 0.10007331402358477)))),
+    (lambda: generate_ratio_pair(7, 0.5, 2.0, DOMAIN),  # a quadratic, unscaled
+     ((0.13350183860571674, 0.22983183772321047, 0.45062510906096165),
+      (3.416339448809716, 4.129948961841938,
+       (0.1900855236436778, 0.4646409912215421, 0.10007331402358477)))),
+    (lambda: generate_box_pair(1, 0.5, 2.0, 0.7, 1.3, DOMAIN),
+     ((1.143545322832962, 3.240257903750425,
+       (-0.6357241709471653, -0.052650236490813906, -0.7663082340770975)),
+      (3.227502623791196, 3.226461950964418,
+       (-0.5797095474230649, -0.59033864922396, 0.9705553173150074)))),
+])
+def test_pair_stream_golden_parameters(make, params):
+    # literal values, so the stream stays pinned whatever Generator.uniform does
+    assert _pair_params(make()) == params
+
+
+def test_exponent_not_finite_on_a_wide_domain_is_a_bounds_error():
+    # seed 7 draws a quadratic, whose peak overflows on [0, 1e300]; the scan
+    # used to warn and then scale every coefficient to zero (1.5 / inf)
+    with pytest.raises(BoundsError, match=r"not finite on the domain \[0\.0, 1e\+300\]"):
+        generate_ratio_pair(7, 0.5, 2.0, (0.0, 1e300))
+    # a line (seed 0) peaks at the domain's end and is scaled; a constant
+    # (seed 1) needs no scan
+    assert generate_ratio_pair(0, 0.5, 2.0, (0.0, 1e300)).g.expr.coeffs == (
+        2.1570259099501977e-300, -1.4999999999999998e-300)
+    assert generate_ratio_pair(1, 0.5, 2.0, (0.0, 1e300)).g.expr.coeffs == (0.46574060616609647,)
+
+
 def test_ratio_pair_grid_certified():
     pair = generate_ratio_pair(42, 0.5, 2.0, DOMAIN)
     rmin, rmax = pair.ratio_range_on_grid(1000)

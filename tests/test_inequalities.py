@@ -26,8 +26,10 @@ from genfrac.functions import (
 )
 from genfrac.inequalities import (
     CheckConfig,
+    InequalityCheck,
     SuiteConfig,
     TheoremId,
+    TrialRecord,
     c1,
     c2,
     c3,
@@ -537,6 +539,22 @@ def test_suite_records_allow_exact_replay():
         got = (chk.lhs, chk.mid, chk.rhs, chk.slack, chk.constant)
         assert got == (record.check.lhs, record.check.mid, record.check.rhs,
                        record.check.slack, record.check.constant), record
+    # the records are immutable and built by position or by keyword;
+    # InequalityCheck's mid and inconclusive default to None and False
+    assert [r.index for r in report.records] == list(range(6)) * len(cfg.theorems)
+    record = report.records[0]
+    values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    assert TrialRecord(*values.values()) == record == TrialRecord(**values)
+    for target, field in ((record, "index"), (record.check, "lhs")):
+        with pytest.raises(AttributeError):
+            setattr(target, field, 0)
+    one_sided = InequalityCheck(1.0, 3.0, 2.0, slack=0.1, satisfied=True)
+    assert (one_sided.mid, one_sided.inconclusive) == (None, False)
+    assert one_sided.margin == 2.0 / 3.0
+    assert InequalityCheck(1.0, 4.0, 2.0, 0.1, True, 2.0).margin == 0.25  # min(1, 2) / 4
+    statuses = [dataclasses.replace(record, check=dataclasses.replace(one_sided, **change)).status
+                for change in ({}, dict(satisfied=False), dict(inconclusive=True))]
+    assert statuses == ["pass", "fail", "inconclusive"]
 
 
 def _one_sided():
