@@ -119,6 +119,8 @@ def _params_from_args(args, side=Side.LEFT, upper=None) -> OperatorParams:
 
 def cmd_eval(args) -> int:
     side = Side.RIGHT if args.side == "right" else Side.LEFT
+    if args.upper is not None and side is Side.LEFT:
+        raise DomainError("--upper applies to the right-sided form only (use --side right)")
     params = _params_from_args(args, side=side, upper=args.upper)
     domain = (args.x, args.upper) if side is Side.RIGHT else (args.a, args.x)
     f = parse_function_spec(args.fn, domain)

@@ -339,9 +339,8 @@ class InequalityCheck:
     rhs: float
     constant: float
     slack: float
-    satisfied: bool
+    status: str  # "pass", "fail", or "inconclusive" (lhs, rhs and slack are NaN)
     mid: Optional[float] = None  # sandwich checks: the bracketed quantity
-    inconclusive: bool = False
 
     @property
     def margin(self) -> float:
@@ -439,18 +438,17 @@ def _verdict(check: _Check, rows: Optional[tuple], slack_factor: float) -> Inequ
     sandwich must hold both of its pairs.  The slack of a pair is
     (a - a_lo) + (b_hi - b); a sandwich reports the sum over its two."""
     if rows is None:
-        return InequalityCheck(math.nan, math.nan, check.constant, slack=math.nan,
-                               satisfied=False, inconclusive=True)
+        return InequalityCheck(math.nan, math.nan, check.constant, math.nan, "inconclusive")
     vals, errs = rows
     sides = check.combine(*vals)
     points = sides.chain()
     lows, highs = _side_ends(check, vals, errs, slack_factor)
-    satisfied, slack = True, 0.0
+    holds, slack = True, 0.0
     for k in range(1, len(points)):
-        satisfied = satisfied and lows[k - 1] <= highs[k]
+        holds = holds and lows[k - 1] <= highs[k]
         slack += (points[k - 1] - lows[k - 1]) + (highs[k] - points[k])
-    return InequalityCheck(sides.lhs, sides.rhs, check.constant, slack=slack,
-                           satisfied=satisfied, mid=sides.mid)
+    return InequalityCheck(sides.lhs, sides.rhs, check.constant, slack,
+                           "pass" if holds else "fail", sides.mid)
 
 
 def _root_sum(fp: float, gp: float, p: float) -> float:
@@ -650,6 +648,9 @@ class SuiteConfig:
     def __post_init__(self):
         _require(self.trials >= 1, "trials must be >= 1")
         _require(len(self.theorems) > 0, "select at least one theorem")
+        _require(all(isinstance(t, TheoremId) for t in self.theorems)
+                 and len(set(self.theorems)) == len(self.theorems),
+                 "theorems must be distinct TheoremId members")
         _require(len(self.p_values) > 0, "p_values must not be empty")
         _require(len(self.ratio_bounds) > 0, "ratio_bounds must not be empty")
         _require_finite(x=self.x)
@@ -677,12 +678,6 @@ class TrialRecord:
     kind: PairKind
     check: InequalityCheck
 
-    @property
-    def status(self) -> str:
-        if self.check.inconclusive:
-            return "inconclusive"
-        return "pass" if self.check.satisfied else "fail"
-
 
 _RECORD_FIELDS = (
     "theorem", "trial", "pair_seed", "kind", "alpha", "beta", "rho",
@@ -699,10 +694,13 @@ def _record_values(r: TrialRecord) -> tuple:
         r.params.alpha, r.params.beta, r.params.rho, r.params.eta,
         r.params.kappa, r.params.lower, r.x, r.m, r.M, r.p, r.c,
         r.check.lhs, r.check.mid, r.check.rhs, r.check.constant, r.check.slack,
-        None if r.status == "inconclusive" else r.check.margin,
-        r.status,
+        None if r.check.status == "inconclusive" else r.check.margin,
+        r.check.status,
     )
 
+
+# the summary key counting each InequalityCheck.status
+_STATUS_COUNTS = {"pass": "passes", "fail": "failures", "inconclusive": "inconclusive"}
 
 # more inconclusive trials than this share of a run make `verify` exit
 # with the non-convergence code
@@ -717,29 +715,28 @@ class SuiteReport:
     timestamp: str
 
     def summary(self) -> dict:
-        out = {}
-        for theorem in self.config.theorems:
-            recs = [r for r in self.records if r.theorem is theorem]
-            passes = sum(1 for r in recs if r.status == "pass")
-            fails = sum(1 for r in recs if r.status == "fail")
-            inconclusive = sum(1 for r in recs if r.status == "inconclusive")
-            margins = [r.check.margin for r in recs if r.status != "inconclusive"]
-            out[theorem.value] = {
-                "trials": len(recs),
-                "passes": passes,
-                "failures": fails,
-                "inconclusive": inconclusive,
-                "min_margin": min(margins) if margins else None,
-            }
+        """Each theorem's outcome counts and least margin over its decided
+        trials (None when it has none), in ``config.theorems`` order, from
+        one pass over the records."""
+        out = {t.value: {"trials": 0, "passes": 0, "failures": 0, "inconclusive": 0,
+                         "min_margin": None} for t in self.config.theorems}
+        for r in self.records:
+            stats = out[r.theorem.value]
+            stats["trials"] += 1
+            stats[_STATUS_COUNTS[r.check.status]] += 1
+            if r.check.status != "inconclusive":
+                margin = r.check.margin
+                if stats["min_margin"] is None or margin < stats["min_margin"]:
+                    stats["min_margin"] = margin
         return out
 
     @property
     def total_failures(self) -> int:
-        return sum(1 for r in self.records if r.status == "fail")
+        return sum(stats["failures"] for stats in self.summary().values())
 
     @property
     def total_inconclusive(self) -> int:
-        return sum(1 for r in self.records if r.status == "inconclusive")
+        return sum(stats["inconclusive"] for stats in self.summary().values())
 
     def inconclusive_over_threshold(self) -> bool:
         """More than _INCONCLUSIVE_SHARE of the trials are inconclusive."""
@@ -750,7 +747,7 @@ class SuiteReport:
         failures = [
             dict(zip(_RECORD_FIELDS, _record_values(r)))
             for r in self.records
-            if r.status == "fail"
+            if r.check.status == "fail"
         ]
         return {
             "metadata": {

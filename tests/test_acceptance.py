@@ -162,12 +162,12 @@ def test_criterion_5_equality_tightness():
             chk = check_theorem(theorem, pair, params, 1.0, cfg)
             rel = abs(chk.lhs - chk.rhs) / abs(chk.rhs)
             worst = max(worst, rel)
-            ok = ok and chk.satisfied and rel <= 1e-10
+            ok = ok and chk.status == "pass" and rel <= 1e-10
         chk = check_theorem(TheoremId.T14, pair, params, 1.0, cfg)
         rel = max(abs(chk.lhs - chk.mid) / abs(chk.mid),
                   abs(chk.mid - chk.rhs) / abs(chk.rhs))
         worst = max(worst, rel)
-        ok = ok and chk.satisfied and rel <= 1e-10
+        ok = ok and chk.status == "pass" and rel <= 1e-10
     _verdict(5, ok, "worst equality-case relative margin %.3e" % worst)
 
 

@@ -139,6 +139,17 @@ def test_eval_const_with_two_values_exits_2(capsys):
     assert captured.out == ""
 
 
+def test_eval_upper_without_right_side_exits_2(capsys):
+    # --upper used to be ignored on the left side, printing the value without it
+    code = run_cli(["eval", "--alpha", "0.7", "--beta", "0.2", "--rho", "1.5", "--eta", "0.3",
+                    "--kappa", "0.1", "--a=0", "--x", "0.8", "--upper", "2",
+                    "--fn", "sinpos:2,0,0.5,1.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: --upper applies to the right-sided form only (use --side right)\n"
+    assert captured.out == ""
+
+
 def test_eval_non_finite_fn_value_exits_2(capsys):
     code = run_cli(["eval", *RL_FLAGS, "--a", "0", "--x", "2", "--fn", "const:nan"])
     captured = capsys.readouterr()

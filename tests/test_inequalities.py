@@ -197,7 +197,7 @@ def test_c5_constant_pair_equality():
 def test_equality_tightness_t8(params):
     pair = generate_ratio_pair(5, 1.0, 1.0, DOMAIN)
     chk = check_theorem(TheoremId.T8, pair, params, X, CheckConfig(p=2.0))
-    assert chk.satisfied and not chk.inconclusive
+    assert chk.status == "pass"
     assert abs(chk.lhs - chk.rhs) <= 1e-10 * abs(chk.rhs)
     assert chk.constant == pytest.approx(1.0)
 
@@ -205,7 +205,7 @@ def test_equality_tightness_t8(params):
 def test_equality_tightness_t9():
     pair = generate_ratio_pair(6, 1.0, 1.0, DOMAIN)
     chk = check_theorem(TheoremId.T9, pair, RL_HALF, X, CheckConfig(p=3.0))
-    assert chk.satisfied
+    assert chk.status == "pass"
     assert abs(chk.lhs - chk.rhs) <= 1e-10 * abs(chk.rhs)
     assert chk.constant == pytest.approx(2.0)
 
@@ -213,7 +213,7 @@ def test_equality_tightness_t9():
 def test_equality_tightness_t14():
     pair = generate_ratio_pair(8, 1.0, 1.0, DOMAIN)
     chk = check_theorem(TheoremId.T14, pair, KAT, X, CheckConfig())
-    assert chk.satisfied
+    assert chk.status == "pass"
     assert abs(chk.lhs - chk.mid) <= 1e-10 * abs(chk.mid)
     assert abs(chk.mid - chk.rhs) <= 1e-10 * abs(chk.rhs)
 
@@ -221,14 +221,14 @@ def test_equality_tightness_t14():
 def test_equality_tightness_t15():
     pair = generate_ratio_pair(9, 1.0, 1.0, DOMAIN)
     chk = check_theorem(TheoremId.T15, pair, RL_HALF, X, CheckConfig(p=2.0))
-    assert chk.satisfied
+    assert chk.status == "pass"
     assert abs(chk.lhs - chk.rhs) <= 1e-10 * abs(chk.rhs)
 
 
 def test_t10_identity_case():
     pair = generate_ratio_pair(10, 1.0, 1.0, DOMAIN)
     chk = check_theorem(TheoremId.T10, pair, RL_HALF, X, CheckConfig(p=2.0))
-    assert chk.satisfied
+    assert chk.status == "pass"
     # both sides reduce to I f
     assert abs(chk.lhs - chk.rhs) <= 1e-10 * abs(chk.rhs)
 
@@ -242,7 +242,7 @@ def test_t9_constants_p1_equality():
     # f=2, g=1, m=M=2, p=1: both sides equal 5 (I 1)^2
     pair = _const_pair(2.0, 1.0)
     chk = check_theorem(TheoremId.T9, pair, RL_ONE, X, CheckConfig(p=1.0))
-    assert chk.satisfied
+    assert chk.status == "pass"
     assert chk.lhs == pytest.approx(chk.rhs, rel=1e-12)
     assert chk.constant == pytest.approx(c2(2.0, 2.0))
 
@@ -251,7 +251,7 @@ def test_t11_constants_equality():
     # f=g=1, p=q=2, m=M=1, alpha=1, x=1: lhs = 1 and rhs = (c3+c4)*2 = 1
     pair = _const_pair(1.0, 1.0)
     chk = check_theorem(TheoremId.T11, pair, RL_ONE, X, CheckConfig(p=2.0))
-    assert chk.satisfied
+    assert chk.status == "pass"
     assert chk.lhs == pytest.approx(1.0, rel=1e-11)
     assert chk.rhs == pytest.approx(1.0, rel=1e-11)
 
@@ -260,7 +260,7 @@ def test_t12_proportional_pair_equality():
     # f = 2 g, m=M=2, c=1: f - c g = g and all three quantities coincide
     pair = _const_pair(3.0, 1.5)
     chk = check_theorem(TheoremId.T12, pair, RL_HALF, X, CheckConfig(p=2.0, c=1.0))
-    assert chk.satisfied
+    assert chk.status == "pass"
     assert chk.lhs == pytest.approx(chk.mid, rel=1e-11)
     assert chk.mid == pytest.approx(chk.rhs, rel=1e-11)
 
@@ -296,7 +296,7 @@ def test_check_config_rejects_bad_p(p, message):
 def test_t13_constant_boxes_equality():
     pair = generate_box_pair(3, 2.0, 2.0, 0.5, 0.5, DOMAIN)
     chk = check_theorem(TheoremId.T13, pair, RL_HALF, X, CheckConfig(p=2.0))
-    assert chk.satisfied
+    assert chk.status == "pass"
     assert chk.lhs == pytest.approx(chk.rhs, rel=1e-11)
 
 
@@ -309,7 +309,7 @@ def test_t13_requires_box_pair():
 def test_t14_constants_equality():
     pair = _const_pair(3.0, 2.0)
     chk = check_theorem(TheoremId.T14, pair, RL_ONE, X, CheckConfig())
-    assert chk.satisfied
+    assert chk.status == "pass"
     assert chk.lhs == pytest.approx(chk.mid, rel=1e-12)
     assert chk.mid == pytest.approx(chk.rhs, rel=1e-12)
 
@@ -318,7 +318,7 @@ def test_t15_constants_arithmetic():
     # f=3, g=2, m=M=1.5: h = max(1.5*(2.5*3/1.5 - 1.5*2), (3.5*2-3)/1.5)... = 4.5
     pair = _const_pair(3.0, 2.0)
     chk = check_theorem(TheoremId.T15, pair, RL_ONE, X, CheckConfig(p=2.0))
-    assert chk.satisfied
+    assert chk.status == "pass"
     assert chk.lhs == pytest.approx(5.0, rel=1e-11)
     assert chk.rhs == pytest.approx(9.0, rel=1e-11)
 
@@ -327,7 +327,7 @@ def test_t8_p1_ratio_is_exactly_c1():
     # at p=1 linearity makes lhs = I(f+g), so rhs/lhs equals c1
     pair = generate_ratio_pair(21, 0.5, 2.0, DOMAIN)
     chk = check_theorem(TheoremId.T8, pair, RL_HALF, X, CheckConfig(p=1.0))
-    assert chk.satisfied
+    assert chk.status == "pass"
     assert chk.rhs / chk.lhs == pytest.approx(c1(0.5, 2.0), rel=1e-9)
 
 
@@ -335,7 +335,7 @@ def test_t10_constants_arithmetic():
     # f=2, g=1, m=M=2, p=q=2: lhs = sqrt(2 I1) sqrt(I1), mixed = sqrt(2) I1
     pair = _const_pair(2.0, 1.0)
     chk = check_theorem(TheoremId.T10, pair, RL_ONE, X, CheckConfig(p=2.0))
-    assert chk.satisfied
+    assert chk.status == "pass"
     assert chk.constant == pytest.approx(1.0)
     assert chk.lhs == pytest.approx(math.sqrt(2.0), rel=1e-11)
     assert chk.rhs == pytest.approx(math.sqrt(2.0), rel=1e-11)
@@ -367,15 +367,14 @@ def test_random_trials_hold(theorem, needs_c):
         pair = generate_ratio_pair(100 + seed, 0.5, 2.0, DOMAIN)
         cfg = CheckConfig(p=2.0, c=0.25 if needs_c else None)
         chk = check_theorem(theorem, pair, params, X, cfg)
-        assert not chk.inconclusive
-        assert chk.satisfied, (theorem, seed, chk)
+        assert chk.status == "pass", (theorem, seed, chk)
 
 
 def test_random_box_trials_hold():
     for seed in range(6):
         pair = generate_box_pair(200 + seed, 1.0, 2.0, 1.0, 3.0, DOMAIN)
         chk = check_theorem(TheoremId.T13, pair, ALL_PARAMS[seed % len(ALL_PARAMS)], X, CheckConfig(p=3.0))
-        assert chk.satisfied and not chk.inconclusive
+        assert chk.status == "pass"
 
 
 def _unshared(pair):
@@ -409,7 +408,7 @@ def test_checks_identical_with_and_without_shared_g_tree():
         cfg = CheckConfig(p=(2.0, 3.0)[k % 2], c=c)
         shared = check_theorem(theorem, pair, params, X, cfg)
         fallback = check_theorem(theorem, twin, params, X, cfg)
-        assert not shared.inconclusive
+        assert shared.status != "inconclusive"
         assert repr(shared) == repr(fallback), (theorem, k)
 
 
@@ -427,7 +426,7 @@ def test_constant_monotonicity_widening_bounds():
     widened = dataclasses.replace(pair, m=0.5, M=2.0)
     for theorem in (TheoremId.T8, TheoremId.T9, TheoremId.T14, TheoremId.T15):
         chk = check_theorem(theorem, widened, RL_HALF, X, CheckConfig(p=2.0))
-        assert chk.satisfied, theorem
+        assert chk.status == "pass", theorem
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +438,8 @@ def test_riemann_case_alpha_one():
     # alpha=1, rho=1 reduces the operator to the plain integral
     for seed in range(3):
         pair = generate_ratio_pair(300 + seed, 0.5, 2.0, DOMAIN)
-        assert check_theorem(TheoremId.T8, pair, RL_ONE, X, CheckConfig(p=2.0)).satisfied
-        assert check_theorem(TheoremId.T9, pair, RL_ONE, X, CheckConfig(p=2.0)).satisfied
+        assert check_theorem(TheoremId.T8, pair, RL_ONE, X, CheckConfig(p=2.0)).status == "pass"
+        assert check_theorem(TheoremId.T9, pair, RL_ONE, X, CheckConfig(p=2.0)).status == "pass"
 
 
 @pytest.mark.parametrize("params, x, domain", [
@@ -475,8 +474,8 @@ def test_inconclusive_marked_not_passed():
     vals = _row_values(check, pair, OperatorParams(0.35, 0.0, 1.0, 0.9, 0.0), X, tight)
     assert vals is None
     chk = _verdict(check, vals, cfg.slack_factor)
-    assert chk.inconclusive
-    assert not chk.satisfied
+    assert chk.status == "inconclusive"
+    assert all(math.isnan(v) for v in (chk.lhs, chk.rhs, chk.slack))
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +492,61 @@ def test_suite_counts_and_zero_violations():
     assert not report.inconclusive_over_threshold()
 
 
+def test_summary_tallies_pass_fail_and_inconclusive_records():
+    # fail records (lhs raised past rhs, or past mid) and inconclusive ones
+    # (NaN sides, as _verdict makes them) replace passing checks; T8's first
+    # record is inconclusive, so its NaN margin would lead min_margin if counted
+    cfg = SuiteConfig(theorems=(TheoremId.T14, TheoremId.T8), trials=6, seed=4)
+    report = run_suite(cfg, timestamp="T")
+    plan = {(TheoremId.T8, 0): "inconclusive", (TheoremId.T8, 2): "fail",
+            (TheoremId.T8, 3): "fail", (TheoremId.T14, 1): "fail",
+            (TheoremId.T14, 4): "inconclusive"}
+    records = []
+    for r in report.records:
+        assert r.check.status == "pass"
+        change = plan.get((r.theorem, r.index))
+        if change == "fail":
+            bump = 0.5 + 0.1 * r.index
+            top = r.check.rhs if r.check.mid is None else r.check.mid
+            r = dataclasses.replace(r, check=dataclasses.replace(
+                r.check, lhs=top * (1.0 + bump), status="fail"))
+            assert r.check.margin < 0.0
+        elif change == "inconclusive":
+            r = dataclasses.replace(r, check=InequalityCheck(
+                math.nan, math.nan, r.check.constant, math.nan, "inconclusive"))
+        records.append(r)
+    report.records = records
+
+    expected = {}
+    for theorem in cfg.theorems:
+        recs = [r for r in records if r.theorem is theorem]
+        statuses = [r.check.status for r in recs]
+        expected[theorem.value] = {
+            "trials": len(recs),
+            "passes": statuses.count("pass"),
+            "failures": statuses.count("fail"),
+            "inconclusive": statuses.count("inconclusive"),
+            "min_margin": min(r.check.margin for r in recs if r.check.status != "inconclusive"),
+        }
+    summary = report.summary()
+    assert summary == expected and list(summary) == ["T14", "T8"]
+    assert [s["min_margin"] < 0.0 for s in summary.values()] == [True, True]
+    statuses = [r.check.status for r in records]
+    assert report.total_failures == statuses.count("fail") == 3
+    assert report.total_inconclusive == statuses.count("inconclusive") == 2
+    over = statuses.count("inconclusive") > 0.01 * len(records)
+    assert over and report.inconclusive_over_threshold() == over
+    failures = report.to_json_dict()["failures"]
+    assert [(f["theorem"], f["trial"], f["status"]) for f in failures] == [
+        (r.theorem.value, r.index, "fail") for r in records if r.check.status == "fail"]
+    assert [f["margin"] for f in failures] == [
+        r.check.margin for r in records if r.check.status == "fail"]
+    rows = report.csv_rows()
+    status_col, margin_col = rows[0].index("status"), rows[0].index("margin")
+    assert [row[status_col] for row in rows[1:]] == statuses
+    assert [row[margin_col] == "" for row in rows[1:]] == [s == "inconclusive" for s in statuses]
+
+
 @pytest.mark.parametrize("kwargs, message", [
     (dict(trials=0), "trials must be >= 1"),
     (dict(theorems=()), "select at least one theorem"),
@@ -500,6 +554,10 @@ def test_suite_counts_and_zero_violations():
     (dict(c=0.6), "require 0 < c < m"),  # c < m for two of the three default bounds
     (dict(p_values=(), theorems=(TheoremId.T8,)), "p_values must not be empty"),
     (dict(ratio_bounds=()), "ratio_bounds must not be empty"),
+    # a repeated theorem ran twice on the same pair seeds
+    (dict(theorems=(TheoremId.T8, TheoremId.T8), trials=3),
+     "theorems must be distinct TheoremId members"),
+    (dict(theorems=("T8",)), "theorems must be distinct TheoremId members"),
 ])
 def test_suite_config_rejects_at_construction(kwargs, message):
     with pytest.raises(DomainError, match=message):
@@ -540,7 +598,7 @@ def test_suite_records_allow_exact_replay():
         assert got == (record.check.lhs, record.check.mid, record.check.rhs,
                        record.check.slack, record.check.constant), record
     # the records are immutable and built by position or by keyword;
-    # InequalityCheck's mid and inconclusive default to None and False
+    # InequalityCheck's mid defaults to None
     assert [r.index for r in report.records] == list(range(6)) * len(cfg.theorems)
     record = report.records[0]
     values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
@@ -548,13 +606,14 @@ def test_suite_records_allow_exact_replay():
     for target, field in ((record, "index"), (record.check, "lhs")):
         with pytest.raises(AttributeError):
             setattr(target, field, 0)
-    one_sided = InequalityCheck(1.0, 3.0, 2.0, slack=0.1, satisfied=True)
-    assert (one_sided.mid, one_sided.inconclusive) == (None, False)
+    one_sided = InequalityCheck(1.0, 3.0, 2.0, slack=0.1, status="pass")
+    assert one_sided.mid is None
     assert one_sided.margin == 2.0 / 3.0
-    assert InequalityCheck(1.0, 4.0, 2.0, 0.1, True, 2.0).margin == 0.25  # min(1, 2) / 4
-    statuses = [dataclasses.replace(record, check=dataclasses.replace(one_sided, **change)).status
-                for change in ({}, dict(satisfied=False), dict(inconclusive=True))]
-    assert statuses == ["pass", "fail", "inconclusive"]
+    assert InequalityCheck(1.0, 4.0, 2.0, 0.1, "pass", 2.0).margin == 0.25  # min(1, 2) / 4
+    # a check's outcome is stored once, on the check
+    assert [f.name for f in dataclasses.fields(InequalityCheck)] == [
+        "lhs", "rhs", "constant", "slack", "status", "mid"]
+    assert "status" not in {f.name for f in dataclasses.fields(TrialRecord)}
 
 
 def _one_sided():
@@ -569,11 +628,11 @@ def test_verdict_one_sided_passes_at_touching_ends_and_fails_one_ulp_above():
     assert _side_ends(_one_sided(), [edge, rhs], [lhs_err, rhs_err], 2.0) == (
         [rhs_hi, rhs - 2.0 * rhs_err], [edge + 2.0 * lhs_err, rhs_hi])
     chk = _verdict(_one_sided(), ([edge, rhs], [lhs_err, rhs_err]), 2.0)
-    assert chk.satisfied and not chk.inconclusive
+    assert chk.status == "pass"
     assert (chk.lhs, chk.rhs, chk.slack, chk.mid) == (edge, rhs, 2.0 * (lhs_err + rhs_err), None)
     above = math.nextafter(edge, math.inf)
     assert above - 2.0 * lhs_err == math.nextafter(rhs_hi, math.inf)
-    assert not _verdict(_one_sided(), ([above, rhs], [lhs_err, rhs_err]), 2.0).satisfied
+    assert _verdict(_one_sided(), ([above, rhs], [lhs_err, rhs_err]), 2.0).status == "fail"
 
 
 def test_verdict_sandwich_fails_on_either_pair_alone_and_sums_both_slacks():
@@ -588,11 +647,11 @@ def test_verdict_sandwich_fails_on_either_pair_alone_and_sums_both_slacks():
         return _verdict(check, ([lo_value, mid_value, hi], errs), factor)
 
     chk = judged(lo, mid)
-    assert chk.satisfied and (chk.lhs, chk.mid, chk.rhs) == (lo, mid, hi)
+    assert chk.status == "pass" and (chk.lhs, chk.mid, chk.rhs) == (lo, mid, hi)
     assert chk.slack == factor * (lo_err + mid_err) + factor * (mid_err + hi_err)
     # one ulp up moves lo_lo past mid_hi alone, or mid_lo past hi_hi alone
-    assert not judged(math.nextafter(lo, math.inf), mid).satisfied
-    assert not judged(lo, math.nextafter(mid, math.inf)).satisfied
+    assert judged(math.nextafter(lo, math.inf), mid).status == "fail"
+    assert judged(lo, math.nextafter(mid, math.inf)).status == "fail"
 
 
 def test_verdict_clamps_a_bar_reaching_below_zero():
@@ -600,7 +659,7 @@ def test_verdict_clamps_a_bar_reaching_below_zero():
     check = _Check(1.0, None, lambda a, b: _Sides(a ** 0.5, b))
     assert _side_ends(check, [0.25, 0.0], [1.0, 0.0], 2.0) == ([0.0, 0.0], [1.5, 0.0])
     chk = _verdict(check, ([0.25, 0.0], [1.0, 0.0]), 2.0)
-    assert chk.satisfied and (chk.lhs, chk.rhs, chk.slack) == (0.5, 0.0, 0.5)
+    assert chk.status == "pass" and (chk.lhs, chk.rhs, chk.slack) == (0.5, 0.0, 0.5)
 
 
 def test_t9_at_nonpositive_c2_orders_each_sides_ends(monkeypatch):
@@ -618,7 +677,7 @@ def test_t9_at_nonpositive_c2_orders_each_sides_ends(monkeypatch):
     cfg = SuiteConfig(theorems=(TheoremId.T9,), trials=42, seed=1,
                       ratio_bounds=((0.1, 10.0), (0.5, 3.0)))
     report = run_suite(cfg, timestamp="T")
-    assert [r.status for r in report.records] == ["pass"] * 42
+    assert [r.check.status for r in report.records] == ["pass"] * 42
     assert all(math.isfinite(r.check.slack) and r.check.slack >= 0.0 for r in report.records)
     assert {r.check.lhs < 0.0 for r in report.records if r.m == 0.1} == {True}
     assert {r.check.lhs for r in report.records if r.m == 0.5} == {0.0}
@@ -888,4 +947,4 @@ def test_t15_kinks_searched_past_the_pair_domain():
     assert _kinks(pair, _t15_level(0.5, 2.0), params.lower, 2.0) == pytest.approx(
         (0.3303137, 1.1183216), abs=1e-7)
     chk = check_theorem(TheoremId.T15, pair, params, 2.0, CheckConfig(p=2.0))
-    assert not chk.inconclusive and chk.satisfied
+    assert chk.status == "pass"
