@@ -178,6 +178,11 @@ def evaluate(
     weighted_unit_integral); value and error estimate then have one entry
     per row.  A ConvergenceError carries the best estimate of the operator
     value, in the same units as a result.
+
+    ``f`` may receive a read-only array that later calls share: with
+    a = 0 and no interior breakpoint, the left-sided form's nodes are
+    cached per (x, rho) once x repeats, and an ``f`` that writes into its
+    argument then raises ValueError.
     """
     validate(params)
     _require_finite_point(x)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -105,10 +107,12 @@ def scaled_integral(
 # tanh-sinh nodes
 #
 # u(t) = 1/(1 + exp(-pi*sinh(t))) maps R onto (0,1); endpoints are approached
-# double-exponentially but never hit.  We cache log(u), log(1-u) and log of
-# the Jacobian per t_max, and the weights built from them per pair of weight
-# exponents, so an integral with a weight seen before pays no exp up to
-# level _CACHED_LEVEL.
+# double-exponentially but never hit.  Three caches: log(u), log(1-u) and
+# log of the Jacobian per t_max (unbounded, few entries); the weights built
+# from them per pair of weight exponents (at most _WEIGHT_CACHE_SIZE pairs,
+# about 1.1 MB), so an integral with a weight seen before pays no exp up to
+# level _CACHED_LEVEL; and the a = 0 kernel's nodes x * u^(1/rho) per
+# (x, rho) (at most _NODE_MEMO_SIZE tables, about 560 KB; see _node_table).
 # Levels 0.._BLOCK_LEVEL are cached as one block per t_max, sampled in one
 # call; each deeper level is cached, and sampled, on its own.
 # ---------------------------------------------------------------------------
@@ -176,7 +180,8 @@ def _compute_level_nodes(t_max: float, level: int):
 
 
 # t_max lies on _pick_t_max's half-step grid up to _T_MAX_CAP and the level
-# goes up to _MAX_LEVEL, so these unbounded caches hold few entries
+# goes up to _MAX_LEVEL, so these unbounded caches hold few entries, and
+# every node array an integrand receives lives as long as the process
 @functools.cache
 def _level_nodes(t_max: float, level: int):
     """(u, log_u, log_1mu, log_jac) of one level deeper than _BLOCK_LEVEL."""
@@ -237,6 +242,60 @@ def _deep_level(levels, t_max: float, level: int, a1: float, b1: float):
     if k < len(levels):
         levels[k] = (u, w)
     return u, w
+
+
+# The third cache holds the a = 0 kernel's substituted nodes.  A segment
+# that spans all of [0, x] samples f at t = x * u^(1/rho), which depends on
+# x and rho but not on the weight, so every integral at one (x, rho) maps
+# the same node arrays to the same t: each `genfrac oracle` run, and every
+# suite trial at x = 1.  _node_table gives (x, 1/rho) a table of t by id(u)
+# when the segment before it was at the same x, and the table fills as its
+# integrals sample; each entry holds u itself, so that id cannot pass to
+# another array while the entry lives.  A segment at another x than the
+# one before costs one float compare and samples as an uncached segment
+# does, so a stream of fresh x (each eval-mix op) looks nothing up.  At most
+# _NODE_MEMO_SIZE tables are kept, the oldest evicted first, each with at
+# most _NODE_MEMO_ARRAYS arrays of at most _NODE_MEMO_MAX_NODES nodes (level
+# _CACHED_LEVEL at _T_MAX_CAP): 16 * 16 * 272 * 8 bytes, about 560 KB.
+_NODE_MEMO_SIZE = 16
+_NODE_MEMO_ARRAYS = 16
+_NODE_MEMO_MAX_NODES = 272
+_node_memo = OrderedDict()  # (x, 1/rho) -> {id(u): (u, t)}
+_node_last_x = None  # x of the last segment that spanned [0, x]; a race only costs a hit
+_node_memo_lock = threading.Lock()
+
+
+def _node_table(x: float, inv_rho: float):
+    """The node table of (x, 1/rho), or None when the segment before this
+    one was at another x.
+
+    Segments that alternate between two x values never use a table; that
+    costs time, never bits.
+    """
+    global _node_last_x
+    if x != _node_last_x:
+        _node_last_x = x
+        return None
+    key = (x, inv_rho)
+    table = _node_memo.get(key)
+    if table is None:
+        with _node_memo_lock:
+            table = _node_memo.setdefault(key, {})
+            if len(_node_memo) > _NODE_MEMO_SIZE:
+                _node_memo.popitem(last=False)
+    return table
+
+
+def _substituted_nodes(table: dict, u: np.ndarray, hi: float, inv_rho: float) -> np.ndarray:
+    """hi * u ** inv_rho, read-only, kept in ``table`` unless it is full or
+    u is too long."""
+    t = hi * u ** inv_rho
+    t.setflags(write=False)
+    if u.size <= _NODE_MEMO_MAX_NODES:
+        with _node_memo_lock:
+            if len(table) < _NODE_MEMO_ARRAYS:
+                table[id(u)] = (u, t)
+    return t
 
 
 def _pick_t_max(one_minus_u_pow: float, u_pow: float) -> float:
@@ -466,6 +525,10 @@ def _kernel_segment(
     The substitution's scale is applied to the unit integral first and the
     operator prefactor ``pref`` after it, as pref * (scale * value); a
     ConvergenceError's best estimate is scaled alike.
+
+    A segment that spans all of [0, x] may hand ``f`` read-only node
+    arrays, shared through _node_table between integrals at the same
+    (x, rho).
     """
     inv_rho = 1.0 / rho
     # ** and math.exp/expm1 raise OverflowError past the float range
@@ -501,18 +564,27 @@ def _kernel_segment(
     except OverflowError:
         raise DomainError("kernel scale is beyond the float range") from None
 
-    # weight * (f * gap factor), in that order
-    def g(u):
-        if lo == 0.0:
-            vals = f(hi * u ** inv_rho)
-        else:
-            z = np.log1p(u * ratio)
-            vals = f(lo * np.exp(inv_rho * z))
-        if interior:
-            vals = vals * (e_gap + d * (1.0 - u)) ** (alpha - 1.0)
-        if lo != 0.0 and power != 0.0:
-            vals = np.exp(power * (log_lo_rho + z)) * vals
-        return vals
+    table = None
+    if lo == 0.0 and x == hi and isinstance(hi, float):  # np.float64 too, not a 0-d array
+        table = _node_table(hi, inv_rho)
+    if table is not None:
+        # the weight is the whole kernel, so only the nodes depend on x
+        def g(u):
+            hit = table.get(id(u))
+            return f(_substituted_nodes(table, u, hi, inv_rho) if hit is None else hit[1])
+    else:
+        # weight * (f * gap factor), in that order
+        def g(u):
+            if lo == 0.0:
+                vals = f(hi * u ** inv_rho)
+            else:
+                z = np.log1p(u * ratio)
+                vals = f(lo * np.exp(inv_rho * z))
+            if interior:
+                vals = vals * (e_gap + d * (1.0 - u)) ** (alpha - 1.0)
+            if lo != 0.0 and power != 0.0:
+                vals = np.exp(power * (log_lo_rho + z)) * vals
+            return vals
 
     return scaled_integral(
         pref, weighted_unit_integral, g, a_pow, u_pow, cfg, inner=inner
@@ -542,6 +614,11 @@ def integrate_kernel(
     every segment then integrates all rows.  When a segment does not
     converge, the remaining ones are still integrated and the
     ConvergenceError carries the sum over all segments.
+
+    ``f`` may receive a read-only array that later calls share: with
+    a = 0 and no interior breakpoint, the nodes at one (x, rho) are
+    cached once x repeats, and an ``f`` that writes into its argument
+    then raises ValueError.
 
     The operator value is prefactor times this result; ``evaluate`` applies
     the prefactor inside the same computation (see _left_kernel), so the

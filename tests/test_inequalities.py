@@ -28,6 +28,7 @@ from genfrac.inequalities import (
     CheckConfig,
     InequalityCheck,
     SuiteConfig,
+    SuiteReport,
     TheoremId,
     TrialRecord,
     c1,
@@ -492,7 +493,7 @@ def test_suite_counts_and_zero_violations():
     assert not report.inconclusive_over_threshold()
 
 
-def test_summary_tallies_pass_fail_and_inconclusive_records():
+def _hand_built_report():
     # fail records (lhs raised past rhs, or past mid) and inconclusive ones
     # (NaN sides, as _verdict makes them) replace passing checks; T8's first
     # record is inconclusive, so its NaN margin would lead min_margin if counted
@@ -516,7 +517,12 @@ def test_summary_tallies_pass_fail_and_inconclusive_records():
                 math.nan, math.nan, r.check.constant, math.nan, "inconclusive"))
         records.append(r)
     report.records = records
+    return report
 
+
+def test_summary_tallies_pass_fail_and_inconclusive_records():
+    report = _hand_built_report()
+    cfg, records = report.config, report.records
     expected = {}
     for theorem in cfg.theorems:
         recs = [r for r in records if r.theorem is theorem]
@@ -545,6 +551,20 @@ def test_summary_tallies_pass_fail_and_inconclusive_records():
     status_col, margin_col = rows[0].index("status"), rows[0].index("margin")
     assert [row[status_col] for row in rows[1:]] == statuses
     assert [row[margin_col] == "" for row in rows[1:]] == [s == "inconclusive" for s in statuses]
+
+
+def test_totals_count_statuses_without_the_summary(monkeypatch):
+    report = _hand_built_report()
+    statuses = [r.check.status for r in report.records]
+
+    def no_summary(self):
+        raise AssertionError("summary() rebuilt for a total")
+
+    monkeypatch.setattr(SuiteReport, "summary", no_summary)
+    assert report.total_failures == statuses.count("fail") == 3
+    assert report.total_inconclusive == statuses.count("inconclusive") == 2
+    over = statuses.count("inconclusive") > 0.01 * len(statuses)
+    assert report.inconclusive_over_threshold() is over is True
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from genfrac.operator_core import (
     validate,
 )
 import genfrac
-from genfrac import quadrature
+from genfrac import oracle, quadrature
 from genfrac.quadrature import (
     IntegralResult,
     QuadratureConfig,
@@ -851,3 +852,208 @@ def test_a_non_finite_integrand_stops_at_level_3(rows):
         assert math.isfinite(best.value[0]) and math.isnan(best.value[1])
     else:
         assert math.isnan(best.value) and math.isnan(best.error_estimate)
+
+
+# ---------------------------------------------------------------------------
+# the a = 0 kernel's substituted nodes, cached per (x, rho)
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def cold_node_memo():
+    """No node table and no last x, before the test and after it."""
+
+    def clear():
+        quadrature._node_memo.clear()
+        quadrature._node_last_x = None
+
+    clear()
+    yield
+    clear()
+
+
+def _counted_sweep(x, monkeypatch, cached=True):
+    """oracle.sweep(x) over the oracle's rhos and the suite's rho = 1.5.
+
+    Returns the bits of each result (value, error estimate, node count),
+    f's calls and points as `--trace 1` counts them, and how many node
+    arrays _substituted_nodes computed.  Uncached, every integrand call
+    computes hi * u ** inv_rho afresh.
+    """
+    results = []
+    counts = {"calls": 0, "points": 0, "computed": 0}
+    call, evaluate_, nodes = TestFunction.__call__, oracle.evaluate, quadrature._substituted_nodes
+
+    def counted_call(f, t):
+        counts["calls"] += 1
+        counts["points"] += int(np.size(t))
+        return call(f, t)
+
+    def recorded(*args):
+        results.append(evaluate_(*args))
+        return results[-1]
+
+    def counted_nodes(*args):
+        counts["computed"] += 1
+        return nodes(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(TestFunction, "__call__", counted_call)
+        m.setattr(oracle, "evaluate", recorded)
+        m.setattr(oracle, "GRID_RHOS", oracle.GRID_RHOS + (1.5,))
+        m.setattr(quadrature, "_substituted_nodes", counted_nodes)
+        if not cached:
+            m.setattr(quadrature, "_node_table", lambda x, inv_rho: None)
+        oracle.sweep(x)
+    assert len(results) == 720
+    bits = [(_bits(r.value), _bits(r.error_estimate), r.evaluations) for r in results]
+    return bits, counts
+
+
+@pytest.mark.parametrize("x", [0.7, 1.5, 2.3])
+def test_cold_warm_and_uncached_nodes_give_the_same_sweep(x, monkeypatch, cold_node_memo):
+    cold, cold_counts = _counted_sweep(x, monkeypatch)
+    # 1/rho = 2, 1, 0.5 take numpy's fast paths for **; 1/1.5 does not
+    assert sorted(quadrature._node_memo) == [(x, 0.5), (x, 1 / 1.5), (x, 1.0), (x, 2.0)]
+    warm, warm_counts = _counted_sweep(x, monkeypatch)
+    reference, reference_counts = _counted_sweep(x, monkeypatch, cached=False)
+    assert cold == warm == reference
+    assert cold_counts["calls"] == warm_counts["calls"] == reference_counts["calls"] > 720
+    assert cold_counts["points"] == warm_counts["points"] == reference_counts["points"]
+    # every node array of the warm sweep is a hit
+    assert warm_counts["computed"] == 0 < cold_counts["computed"]
+
+
+def test_f_receives_read_only_nodes_once_x_repeats(cold_node_memo):
+    params = OperatorParams(alpha=0.5, beta=0.5, rho=2.0, eta=0.0, kappa=0.0)
+    writeable = []
+
+    def f(t):
+        writeable.append(t.flags.writeable)
+        return np.ones_like(t)
+
+    # a fresh x, the same x again (which stores the nodes), a hit
+    results = [evaluate(params, f, 1.3) for _ in range(3)]
+    assert results[0] == results[1] == results[2]
+    assert writeable == [True, False, False]
+    assert list(quadrature._node_memo) == [(1.3, 0.5)]
+
+    def writes(t):
+        t[0] = 0.0
+        return np.ones_like(t)
+
+    with pytest.raises(ValueError):
+        evaluate(params, writes, 1.3)
+    # a fresh x samples a private array, as before the cache; the same x
+    # again hands out the shared one
+    assert evaluate(params, writes, 1.7) == evaluate(params, f, 1.7)
+    with pytest.raises(ValueError):
+        evaluate(params, writes, 1.7)
+
+
+def test_x_of_any_numeric_type_gives_the_float_bits(cold_node_memo):
+    # numpy's float64 shares the float's table; an int and a 0-d array (which
+    # cannot key a table) take the uncached path
+    params = OperatorParams(alpha=0.5, beta=0.5, rho=1.5, eta=0.3, kappa=0.1)
+    want = [_bits(evaluate(params, TSQ, 2.0)) for _ in range(3)]
+    assert list(quadrature._node_memo) == [(2.0, 1 / 1.5)]
+    for x in (2, np.float64(2.0), np.array(2.0)):
+        assert [_bits(evaluate(params, TSQ, x)) for _ in range(3)] == want
+    assert list(quadrature._node_memo) == [(2.0, 1 / 1.5)]
+
+
+def test_only_segments_spanning_zero_to_x_use_the_node_memo(cold_node_memo):
+    f = _fn(ExpPoly((0.1, -0.3)), hi=3.0)
+    calls = [
+        lambda: evaluate(OperatorParams(0.5, 0.5, 2.0, 0.3, 0.1, lower=0.5), f, 1.5),
+        lambda: evaluate(OperatorParams(0.7, 0.2, 1.5, 0.3, 0.1, side=Side.RIGHT, upper=2.0),
+                         f, 0.8),
+        lambda: evaluate(KINK_PARAMS, KINKED, 1.0, breakpoints=(0.4,)),
+    ] + [
+        lambda kind=kind, a=a: evaluate_classical(kind, 0.5, f, (a,), 1.5, rho=2.0, sigma=2.0)
+        for kind, a in ((ClassicalKind.RIEMANN_LIOUVILLE, 0.0), (ClassicalKind.HADAMARD, 0.5),
+                        (ClassicalKind.KATUGAMPOLA, 0.0), (ClassicalKind.ERDELYI_KOBER, 0.0))
+    ]
+    for call in calls:
+        for _ in range(3):
+            call()
+    assert not quadrature._node_memo and quadrature._node_last_x is None
+    # the truncated form: only its first segment, [x - 1, x], spans [0, x]
+    # once shifted to start at 0
+    weyl = OperatorParams(_WEYL_ALPHA, 0.0, 1.0, 0.0, 0.0, lower=-math.inf)
+    first = (_WEYL_X - (_WEYL_X - 1.0), 1.0)
+    for _ in range(3):
+        evaluate(weyl, _WEYL_F, _WEYL_X)
+        evaluate_classical(ClassicalKind.WEYL, _WEYL_ALPHA, _WEYL_F, (-math.inf,), _WEYL_X)
+    assert list(quadrature._node_memo) == [first] and quadrature._node_last_x == first[0]
+
+
+def test_node_memo_stays_within_its_bound(cold_node_memo, monkeypatch):
+    cap = quadrature._NODE_MEMO_MAX_NODES
+    assert cap == quadrature._level_nodes(quadrature._T_MAX_CAP, quadrature._CACHED_LEVEL)[0].size
+    params = OperatorParams(alpha=0.3, beta=0.0, rho=1.5, eta=0.0, kappa=0.0)
+    f = _fn(SinPos(60.0, 0.3, 0.5, 1.5))
+    sizes = set()
+    nodes = quadrature._substituted_nodes
+
+    def recorded(table, u, hi, inv_rho):
+        sizes.add(u.size)
+        return nodes(table, u, hi, inv_rho)
+
+    monkeypatch.setattr(quadrature, "_substituted_nodes", recorded)
+    xs = np.linspace(1.0, 2.0, 1000).tolist()
+    for x in xs:
+        for _ in range(2):  # a table is made when x repeats
+            evaluate(params, f, x)
+    assert max(sizes) > cap  # level 6 at t_max 5 has 320 nodes
+    memo = quadrature._node_memo
+    assert list(memo) == [(x, 1 / 1.5) for x in xs[-quadrature._NODE_MEMO_SIZE:]]
+    total = 0
+    for table in memo.values():
+        assert 0 < len(table) <= quadrature._NODE_MEMO_ARRAYS
+        for key, (u, t) in table.items():
+            assert key == id(u) and u.size == t.size <= cap
+            assert not t.flags.writeable
+            total += t.nbytes
+    assert total <= quadrature._NODE_MEMO_SIZE * quadrature._NODE_MEMO_ARRAYS * cap * 8
+    # a level past the bound is computed and handed out, never stored
+    u = quadrature._level_nodes(quadrature._T_MAX_CAP, quadrature._CACHED_LEVEL + 1)[0]
+    table = {}
+    t = nodes(table, u, 1.5, 1 / 1.5)
+    assert not table and not t.flags.writeable
+    assert _bits(t) == _bits(1.5 * u ** (1 / 1.5))
+    # a full table hands out the nodes of further arrays without storing them
+    arrays = [quadrature._level_nodes(t_max, level)[0]
+              for t_max in (0.5, 1.0, 2.0, 3.0) for level in range(4, 9)
+              if quadrature._level_nodes(t_max, level)[0].size <= cap]
+    assert len(arrays) > quadrature._NODE_MEMO_ARRAYS
+    for u in arrays:
+        assert _bits(nodes(table, u, 1.5, 1 / 1.5)) == _bits(1.5 * u ** (1 / 1.5))
+    assert list(table) == [id(u) for u in arrays[:quadrature._NODE_MEMO_ARRAYS]]
+
+
+def test_threads_share_the_node_memo_bit_for_bit(cold_node_memo):
+    # four threads on two cores, switching every microsecond, each going
+    # through more (x, rho) keys than the memo keeps, in its own order
+    points = [(p.params, p.sigma) for p in oracle.grid_points()[::6]]
+    xs = [1.0 + k / 32 for k in range(quadrature._NODE_MEMO_SIZE + 8)]
+    starts = (0, 6, 12, 18)
+
+    def run(xs):
+        return [[_bits(evaluate(params, _fn(Monomial(sigma), x), x)) for params, sigma in points]
+                for x in xs]
+
+    want = run(xs)
+    quadrature._node_memo.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(starts)) as pool:
+            futures = [pool.submit(run, xs[k:] + xs[:k]) for k in starts]
+            got = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want[k:] + want[:k] for k in starts]
+    memo = quadrature._node_memo
+    assert 0 < len(memo) <= quadrature._NODE_MEMO_SIZE
+    assert all(0 < len(table) <= quadrature._NODE_MEMO_ARRAYS for table in memo.values())
