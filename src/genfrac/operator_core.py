@@ -179,10 +179,13 @@ def evaluate(
     per row.  A ConvergenceError carries the best estimate of the operator
     value, in the same units as a result.
 
-    ``f`` may receive a read-only array that later calls share: with
-    a = 0 and no interior breakpoint, the left-sided form's nodes are
-    cached per (x, rho) once x repeats, and an ``f`` that writes into its
-    argument then raises ValueError.
+    ``f`` must never write into its argument.  In the left-sided form with
+    a = 0, no interior breakpoint and a float x, it receives a shared
+    read-only array, and writing into it raises ValueError, whenever the
+    previous segment in the process, in any thread, that started at 0
+    ended at the same x: such a call at the same x, or a truncated-form
+    call (its first segment, shifted, ends at start_width up to rounding).
+    Otherwise it receives a private array.
     """
     validate(params)
     _require_finite_point(x)

@@ -18,7 +18,6 @@ import functools
 import math
 import sys
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -111,8 +110,9 @@ def scaled_integral(
 # log of the Jacobian per t_max (unbounded, few entries); the weights built
 # from them per pair of weight exponents (at most _WEIGHT_CACHE_SIZE pairs,
 # about 1.1 MB), so an integral with a weight seen before pays no exp up to
-# level _CACHED_LEVEL; and the a = 0 kernel's nodes x * u^(1/rho) per
-# (x, rho) (at most _NODE_MEMO_SIZE tables, about 560 KB; see _node_table).
+# level _CACHED_LEVEL; and the a = 0 kernel's nodes x * u^(1/rho) at the
+# last x only (at most _NODE_SLOT_ARRAYS arrays, about 140 KB; see
+# _node_tables).
 # Levels 0.._BLOCK_LEVEL are cached as one block per t_max, sampled in one
 # call; each deeper level is cached, and sampled, on its own.
 # ---------------------------------------------------------------------------
@@ -248,54 +248,63 @@ def _deep_level(levels, t_max: float, level: int, a1: float, b1: float):
 # that spans all of [0, x] samples f at t = x * u^(1/rho), which depends on
 # x and rho but not on the weight, so every integral at one (x, rho) maps
 # the same node arrays to the same t: each `genfrac oracle` run, and every
-# suite trial at x = 1.  _node_table gives (x, 1/rho) a table of t by id(u)
-# when the segment before it was at the same x, and the table fills as its
-# integrals sample; each entry holds u itself, so that id cannot pass to
-# another array while the entry lives.  A segment at another x than the
-# one before costs one float compare and samples as an uncached segment
-# does, so a stream of fresh x (each eval-mix op) looks nothing up.  At most
-# _NODE_MEMO_SIZE tables are kept, the oldest evicted first, each with at
-# most _NODE_MEMO_ARRAYS arrays of at most _NODE_MEMO_MAX_NODES nodes (level
-# _CACHED_LEVEL at _T_MAX_CAP): 16 * 16 * 272 * 8 bytes, about 560 KB.
-_NODE_MEMO_SIZE = 16
-_NODE_MEMO_ARRAYS = 16
-_NODE_MEMO_MAX_NODES = 272
-_node_memo = OrderedDict()  # (x, 1/rho) -> {id(u): (u, t)}
-_node_last_x = None  # x of the last segment that spanned [0, x]; a race only costs a hit
-_node_memo_lock = threading.Lock()
+# suite trial at x = 1.  One slot holds the x of the last such segment in
+# the process and, per 1/rho, a table of t by id(u) that fills as the
+# integrals at that x sample; each entry holds u itself, so that id cannot
+# pass to another array while the entry lives.  A segment at another x
+# rebinds the slot to its x, empty, and samples as an uncached segment
+# does, so a stream of fresh x (each eval-mix op) stores nothing; no
+# workload returns to an x after leaving it, so older x are not kept.  The
+# slot holds at most _NODE_SLOT_ARRAYS arrays of at most
+# _NODE_SLOT_MAX_NODES nodes (level _CACHED_LEVEL at _T_MAX_CAP):
+# 64 * 272 * 8 bytes, about 140 KB; an oracle sweep stores 14.
+_NODE_SLOT_ARRAYS = 64
+_NODE_SLOT_MAX_NODES = 272
+_node_slot = (None, {})  # (x, {1/rho: {id(u): (u, t)}}); rebound whole, never mutated to another x
+_node_slot_lock = threading.Lock()
 
 
-def _node_table(x: float, inv_rho: float):
-    """The node table of (x, 1/rho), or None when the segment before this
-    one was at another x.
+def _node_tables(x: float):
+    """The slot's tables by 1/rho when the last segment that spanned
+    [0, x] was at this x; else None, and the slot moves to x.
 
     Segments that alternate between two x values never use a table; that
     costs time, never bits.
     """
-    global _node_last_x
-    if x != _node_last_x:
-        _node_last_x = x
+    global _node_slot
+    slot_x, tables = _node_slot
+    if x != slot_x:
+        _node_slot = (x, {})
         return None
-    key = (x, inv_rho)
-    table = _node_memo.get(key)
-    if table is None:
-        with _node_memo_lock:
-            table = _node_memo.setdefault(key, {})
-            if len(_node_memo) > _NODE_MEMO_SIZE:
-                _node_memo.popitem(last=False)
-    return table
+    return tables
 
 
-def _substituted_nodes(table: dict, u: np.ndarray, hi: float, inv_rho: float) -> np.ndarray:
-    """hi * u ** inv_rho, read-only, kept in ``table`` unless it is full or
-    u is too long."""
+def _substituted_nodes(tables: dict, inv_rho: float, u: np.ndarray, hi: float) -> np.ndarray:
+    """hi * u ** inv_rho, read-only, kept in ``tables[inv_rho]`` unless the
+    slot is full or u is too long."""
     t = hi * u ** inv_rho
     t.setflags(write=False)
-    if u.size <= _NODE_MEMO_MAX_NODES:
-        with _node_memo_lock:
-            if len(table) < _NODE_MEMO_ARRAYS:
-                table[id(u)] = (u, t)
+    if u.size <= _NODE_SLOT_MAX_NODES:
+        with _node_slot_lock:
+            if sum(map(len, tables.values())) < _NODE_SLOT_ARRAYS:
+                tables.setdefault(inv_rho, {})[id(u)] = (u, t)
     return t
+
+
+def _shared_node_integrand(f, tables: dict, inv_rho: float, hi: float):
+    """f at the nodes hi * u ** inv_rho, taken from or stored in ``tables``.
+
+    The weight is the whole kernel here, so only the nodes depend on x.
+    One integral samples each node array once, so a table that this
+    integral's first store makes could give it no hit.
+    """
+    table = tables.get(inv_rho, {})
+
+    def g(u):
+        hit = table.get(id(u))
+        return f(_substituted_nodes(tables, inv_rho, u, hi) if hit is None else hit[1])
+
+    return g
 
 
 def _pick_t_max(one_minus_u_pow: float, u_pow: float) -> float:
@@ -527,7 +536,7 @@ def _kernel_segment(
     ConvergenceError's best estimate is scaled alike.
 
     A segment that spans all of [0, x] may hand ``f`` read-only node
-    arrays, shared through _node_table between integrals at the same
+    arrays, shared through _node_tables between integrals at the same
     (x, rho).
     """
     inv_rho = 1.0 / rho
@@ -564,14 +573,11 @@ def _kernel_segment(
     except OverflowError:
         raise DomainError("kernel scale is beyond the float range") from None
 
-    table = None
-    if lo == 0.0 and x == hi and isinstance(hi, float):  # np.float64 too, not a 0-d array
-        table = _node_table(hi, inv_rho)
-    if table is not None:
-        # the weight is the whole kernel, so only the nodes depend on x
-        def g(u):
-            hit = table.get(id(u))
-            return f(_substituted_nodes(table, u, hi, inv_rho) if hit is None else hit[1])
+    # a segment over all of [0, x] at a float x (np.float64 too, not a 0-d
+    # array) may share its nodes with the integrals before it at that x
+    if (lo == 0.0 and x == hi and isinstance(hi, float)
+            and (tables := _node_tables(hi)) is not None):
+        g = _shared_node_integrand(f, tables, inv_rho, hi)
     else:
         # weight * (f * gap factor), in that order
         def g(u):
@@ -615,10 +621,12 @@ def integrate_kernel(
     converge, the remaining ones are still integrated and the
     ConvergenceError carries the sum over all segments.
 
-    ``f`` may receive a read-only array that later calls share: with
-    a = 0 and no interior breakpoint, the nodes at one (x, rho) are
-    cached once x repeats, and an ``f`` that writes into its argument
-    then raises ValueError.
+    ``f`` must never write into its argument.  It receives a shared
+    read-only array, and writing into it raises ValueError, whenever
+    a = 0, there is no interior breakpoint, x is a float, and the
+    previous segment in the process that spanned [0, x] was at the same
+    x, in any thread.
+    Otherwise it receives a private array.
 
     The operator value is prefactor times this result; ``evaluate`` applies
     the prefactor inside the same computation (see _left_kernel), so the

@@ -855,21 +855,16 @@ def test_a_non_finite_integrand_stops_at_level_3(rows):
 
 
 # ---------------------------------------------------------------------------
-# the a = 0 kernel's substituted nodes, cached per (x, rho)
+# the a = 0 kernel's substituted nodes, cached per rho at the last x
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def cold_node_memo():
-    """No node table and no last x, before the test and after it."""
-
-    def clear():
-        quadrature._node_memo.clear()
-        quadrature._node_last_x = None
-
-    clear()
+    """An empty node slot with no x, before the test and after it."""
+    quadrature._node_slot = (None, {})
     yield
-    clear()
+    quadrature._node_slot = (None, {})
 
 
 def _counted_sweep(x, monkeypatch, cached=True):
@@ -903,7 +898,7 @@ def _counted_sweep(x, monkeypatch, cached=True):
         m.setattr(oracle, "GRID_RHOS", oracle.GRID_RHOS + (1.5,))
         m.setattr(quadrature, "_substituted_nodes", counted_nodes)
         if not cached:
-            m.setattr(quadrature, "_node_table", lambda x, inv_rho: None)
+            m.setattr(quadrature, "_node_tables", lambda x: None)
         oracle.sweep(x)
     assert len(results) == 720
     bits = [(_bits(r.value), _bits(r.error_estimate), r.evaluations) for r in results]
@@ -914,7 +909,8 @@ def _counted_sweep(x, monkeypatch, cached=True):
 def test_cold_warm_and_uncached_nodes_give_the_same_sweep(x, monkeypatch, cold_node_memo):
     cold, cold_counts = _counted_sweep(x, monkeypatch)
     # 1/rho = 2, 1, 0.5 take numpy's fast paths for **; 1/1.5 does not
-    assert sorted(quadrature._node_memo) == [(x, 0.5), (x, 1 / 1.5), (x, 1.0), (x, 2.0)]
+    slot_x, tables = quadrature._node_slot
+    assert slot_x == x and sorted(tables) == [0.5, 1 / 1.5, 1.0, 2.0]
     warm, warm_counts = _counted_sweep(x, monkeypatch)
     reference, reference_counts = _counted_sweep(x, monkeypatch, cached=False)
     assert cold == warm == reference
@@ -924,7 +920,7 @@ def test_cold_warm_and_uncached_nodes_give_the_same_sweep(x, monkeypatch, cold_n
     assert warm_counts["computed"] == 0 < cold_counts["computed"]
 
 
-def test_f_receives_read_only_nodes_once_x_repeats(cold_node_memo):
+def test_f_receives_read_only_nodes_when_the_last_segment_was_at_x(cold_node_memo):
     params = OperatorParams(alpha=0.5, beta=0.5, rho=2.0, eta=0.0, kappa=0.0)
     writeable = []
 
@@ -936,7 +932,7 @@ def test_f_receives_read_only_nodes_once_x_repeats(cold_node_memo):
     results = [evaluate(params, f, 1.3) for _ in range(3)]
     assert results[0] == results[1] == results[2]
     assert writeable == [True, False, False]
-    assert list(quadrature._node_memo) == [(1.3, 0.5)]
+    assert quadrature._node_slot[0] == 1.3 and list(quadrature._node_slot[1]) == [0.5]
 
     def writes(t):
         t[0] = 0.0
@@ -949,6 +945,14 @@ def test_f_receives_read_only_nodes_once_x_repeats(cold_node_memo):
     assert evaluate(params, writes, 1.7) == evaluate(params, f, 1.7)
     with pytest.raises(ValueError):
         evaluate(params, writes, 1.7)
+    # coming back to 1.3 after 1.7 is a fresh x again: the slot kept only 1.7
+    del writeable[:]
+    assert evaluate(params, f, 1.3) == results[0]
+    assert writeable == [True]
+    # a segment that does not span [0, x] leaves the slot at its x
+    evaluate(OperatorParams(0.5, 0.5, 2.0, 0.0, 0.0, lower=0.5), f, 1.9)
+    with pytest.raises(ValueError):
+        evaluate(params, writes, 1.3)
 
 
 def test_x_of_any_numeric_type_gives_the_float_bits(cold_node_memo):
@@ -956,10 +960,12 @@ def test_x_of_any_numeric_type_gives_the_float_bits(cold_node_memo):
     # cannot key a table) take the uncached path
     params = OperatorParams(alpha=0.5, beta=0.5, rho=1.5, eta=0.3, kappa=0.1)
     want = [_bits(evaluate(params, TSQ, 2.0)) for _ in range(3)]
-    assert list(quadrature._node_memo) == [(2.0, 1 / 1.5)]
+    tables = quadrature._node_slot[1]
+    assert list(tables) == [1 / 1.5]
+    stored = dict(tables[1 / 1.5])
     for x in (2, np.float64(2.0), np.array(2.0)):
         assert [_bits(evaluate(params, TSQ, x)) for _ in range(3)] == want
-    assert list(quadrature._node_memo) == [(2.0, 1 / 1.5)]
+    assert quadrature._node_slot == (2.0, tables) and tables[1 / 1.5] == stored
 
 
 def test_only_segments_spanning_zero_to_x_use_the_node_memo(cold_node_memo):
@@ -977,66 +983,79 @@ def test_only_segments_spanning_zero_to_x_use_the_node_memo(cold_node_memo):
     for call in calls:
         for _ in range(3):
             call()
-    assert not quadrature._node_memo and quadrature._node_last_x is None
+    assert quadrature._node_slot == (None, {})
     # the truncated form: only its first segment, [x - 1, x], spans [0, x]
     # once shifted to start at 0
     weyl = OperatorParams(_WEYL_ALPHA, 0.0, 1.0, 0.0, 0.0, lower=-math.inf)
-    first = (_WEYL_X - (_WEYL_X - 1.0), 1.0)
     for _ in range(3):
         evaluate(weyl, _WEYL_F, _WEYL_X)
         evaluate_classical(ClassicalKind.WEYL, _WEYL_ALPHA, _WEYL_F, (-math.inf,), _WEYL_X)
-    assert list(quadrature._node_memo) == [first] and quadrature._node_last_x == first[0]
+    slot_x, tables = quadrature._node_slot
+    assert slot_x == _WEYL_X - (_WEYL_X - 1.0) and list(tables) == [1.0] and tables[1.0]
+
+
+def _slot_arrays():
+    """Every (key, u, t) in the node slot, after checking its keys and flags."""
+    entries = []
+    for table in quadrature._node_slot[1].values():
+        assert table
+        for key, (u, t) in table.items():
+            assert key == id(u) and u.size == t.size <= quadrature._NODE_SLOT_MAX_NODES
+            assert not t.flags.writeable
+            entries.append((key, u, t))
+    return entries
 
 
 def test_node_memo_stays_within_its_bound(cold_node_memo, monkeypatch):
-    cap = quadrature._NODE_MEMO_MAX_NODES
+    cap = quadrature._NODE_SLOT_MAX_NODES
     assert cap == quadrature._level_nodes(quadrature._T_MAX_CAP, quadrature._CACHED_LEVEL)[0].size
     params = OperatorParams(alpha=0.3, beta=0.0, rho=1.5, eta=0.0, kappa=0.0)
     f = _fn(SinPos(60.0, 0.3, 0.5, 1.5))
     sizes = set()
     nodes = quadrature._substituted_nodes
 
-    def recorded(table, u, hi, inv_rho):
+    def recorded(tables, inv_rho, u, hi):
         sizes.add(u.size)
-        return nodes(table, u, hi, inv_rho)
+        return nodes(tables, inv_rho, u, hi)
 
     monkeypatch.setattr(quadrature, "_substituted_nodes", recorded)
     xs = np.linspace(1.0, 2.0, 1000).tolist()
     for x in xs:
-        for _ in range(2):  # a table is made when x repeats
+        for _ in range(2):  # the slot stores nodes when x repeats
             evaluate(params, f, x)
     assert max(sizes) > cap  # level 6 at t_max 5 has 320 nodes
-    memo = quadrature._node_memo
-    assert list(memo) == [(x, 1 / 1.5) for x in xs[-quadrature._NODE_MEMO_SIZE:]]
-    total = 0
-    for table in memo.values():
-        assert 0 < len(table) <= quadrature._NODE_MEMO_ARRAYS
-        for key, (u, t) in table.items():
-            assert key == id(u) and u.size == t.size <= cap
-            assert not t.flags.writeable
-            total += t.nbytes
-    assert total <= quadrature._NODE_MEMO_SIZE * quadrature._NODE_MEMO_ARRAYS * cap * 8
-    # a level past the bound is computed and handed out, never stored
+    # only the last x is kept
+    assert quadrature._node_slot[0] == xs[-1] and list(quadrature._node_slot[1]) == [1 / 1.5]
+    assert 0 < len(_slot_arrays()) <= quadrature._NODE_SLOT_ARRAYS
+    # one x with more node arrays than the slot keeps: many rho, each many levels
+    quadrature._node_slot = (None, {})
+    rhos = [0.5 + k / 8 for k in range(24)]
+    for _ in range(2):
+        for rho in rhos:
+            p = OperatorParams(alpha=0.3, beta=0.0, rho=rho, eta=0.0, kappa=0.0)
+            evaluate(p, f, 1.5)
+    entries = _slot_arrays()
+    assert len(entries) == quadrature._NODE_SLOT_ARRAYS
+    assert sum(t.nbytes for _, _, t in entries) <= quadrature._NODE_SLOT_ARRAYS * cap * 8
+    # a full slot hands out the nodes of further arrays without storing them
+    tables = quadrature._node_slot[1]
+    u = quadrature._level_nodes(0.5, 4)[0]
+    t = nodes(tables, 0.25, u, 1.5)
+    assert 0.25 not in tables and not t.flags.writeable
+    assert _bits(t) == _bits(1.5 * u ** 0.25)
+    # a level past the size bound is computed and handed out, never stored
     u = quadrature._level_nodes(quadrature._T_MAX_CAP, quadrature._CACHED_LEVEL + 1)[0]
-    table = {}
-    t = nodes(table, u, 1.5, 1 / 1.5)
-    assert not table and not t.flags.writeable
+    tables = {}
+    t = nodes(tables, 1 / 1.5, u, 1.5)
+    assert not tables and not t.flags.writeable
     assert _bits(t) == _bits(1.5 * u ** (1 / 1.5))
-    # a full table hands out the nodes of further arrays without storing them
-    arrays = [quadrature._level_nodes(t_max, level)[0]
-              for t_max in (0.5, 1.0, 2.0, 3.0) for level in range(4, 9)
-              if quadrature._level_nodes(t_max, level)[0].size <= cap]
-    assert len(arrays) > quadrature._NODE_MEMO_ARRAYS
-    for u in arrays:
-        assert _bits(nodes(table, u, 1.5, 1 / 1.5)) == _bits(1.5 * u ** (1 / 1.5))
-    assert list(table) == [id(u) for u in arrays[:quadrature._NODE_MEMO_ARRAYS]]
 
 
 def test_threads_share_the_node_memo_bit_for_bit(cold_node_memo):
     # four threads on two cores, switching every microsecond, each going
-    # through more (x, rho) keys than the memo keeps, in its own order
+    # through the x values in its own order, so the slot keeps moving
     points = [(p.params, p.sigma) for p in oracle.grid_points()[::6]]
-    xs = [1.0 + k / 32 for k in range(quadrature._NODE_MEMO_SIZE + 8)]
+    xs = [1.0 + k / 32 for k in range(24)]
     starts = (0, 6, 12, 18)
 
     def run(xs):
@@ -1044,7 +1063,7 @@ def test_threads_share_the_node_memo_bit_for_bit(cold_node_memo):
                 for x in xs]
 
     want = run(xs)
-    quadrature._node_memo.clear()
+    quadrature._node_slot = (None, {})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1054,6 +1073,5 @@ def test_threads_share_the_node_memo_bit_for_bit(cold_node_memo):
     finally:
         sys.setswitchinterval(interval)
     assert got == [want[k:] + want[:k] for k in starts]
-    memo = quadrature._node_memo
-    assert 0 < len(memo) <= quadrature._NODE_MEMO_SIZE
-    assert all(0 < len(table) <= quadrature._NODE_MEMO_ARRAYS for table in memo.values())
+    assert quadrature._node_slot[0] in xs
+    assert len(_slot_arrays()) <= quadrature._NODE_SLOT_ARRAYS
