@@ -631,7 +631,8 @@ class SuiteConfig:
     bound.
 
     Construction raises DomainError for a bad configuration, so before any
-    trial runs; m > M is the pair generators' BoundsError.
+    trial runs; m > M is the pair generators' BoundsError.  Every grid
+    point has lower bound 0, so x must be positive.
     """
 
     theorems: tuple = DEFAULT_THEOREMS
@@ -654,6 +655,7 @@ class SuiteConfig:
         _require(len(self.p_values) > 0, "p_values must not be empty")
         _require(len(self.ratio_bounds) > 0, "ratio_bounds must not be empty")
         _require_finite(x=self.x)
+        _require(self.x > 0.0, "x must be positive, got %r" % (self.x,))
         for p in self.p_values:
             CheckConfig(p=p, slack_factor=self.slack_factor)  # finite p >= 1, slack_factor
         for theorem in self.theorems:

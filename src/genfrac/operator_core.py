@@ -125,8 +125,14 @@ def reduce_to_classical(
     RIEMANN_LIOUVILLE for every finite lower bound; with lower = -inf it is
     the truncated infinite-interval form (WEYL, whose printed definition
     coincides with LIOUVILLE's).
+
+    ``tol`` and ``rho_limit_tol`` must each be a finite number >= 0,
+    otherwise DomainError names the one that is not.
     """
     validate(params)
+    for name, value in (("tol", tol), ("rho_limit_tol", rho_limit_tol)):
+        if not 0.0 <= value < math.inf:  # NaN too
+            raise DomainError("%s must be a finite number >= 0, got %r" % (name, value))
     near = lambda v, target: abs(v - target) <= tol
     if (
         params.rho <= rho_limit_tol
@@ -179,13 +185,8 @@ def evaluate(
     per row.  A ConvergenceError carries the best estimate of the operator
     value, in the same units as a result.
 
-    ``f`` must never write into its argument.  In the left-sided form with
-    a = 0, no interior breakpoint and a float x, it receives a shared
-    read-only array, and writing into it raises ValueError, whenever the
-    previous segment in the process, in any thread, that started at 0
-    ended at the same x: such a call at the same x, or a truncated-form
-    call (its first segment, shifted, ends at start_width up to rounding).
-    Otherwise it receives a private array.
+    ``f`` must never write into its argument: in the left-sided form with
+    a = 0 and no interior breakpoint it receives a read-only array.
     """
     validate(params)
     _require_finite_point(x)

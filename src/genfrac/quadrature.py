@@ -112,7 +112,7 @@ def scaled_integral(
 # about 1.1 MB), so an integral with a weight seen before pays no exp up to
 # level _CACHED_LEVEL; and the a = 0 kernel's nodes x * u^(1/rho) at the
 # last x only (at most _NODE_SLOT_ARRAYS arrays, about 140 KB; see
-# _node_tables).
+# _full_span_integrand).
 # Levels 0.._BLOCK_LEVEL are cached as one block per t_max, sampled in one
 # call; each deeper level is cached, and sampled, on its own.
 # ---------------------------------------------------------------------------
@@ -249,60 +249,47 @@ def _deep_level(levels, t_max: float, level: int, a1: float, b1: float):
 # x and rho but not on the weight, so every integral at one (x, rho) maps
 # the same node arrays to the same t: each `genfrac oracle` run, and every
 # suite trial at x = 1.  One slot holds the x of the last such segment in
-# the process and, per 1/rho, a table of t by id(u) that fills as the
-# integrals at that x sample; each entry holds u itself, so that id cannot
-# pass to another array while the entry lives.  A segment at another x
-# rebinds the slot to its x, empty, and samples as an uncached segment
-# does, so a stream of fresh x (each eval-mix op) stores nothing; no
-# workload returns to an x after leaving it, so older x are not kept.  The
-# slot holds at most _NODE_SLOT_ARRAYS arrays of at most
-# _NODE_SLOT_MAX_NODES nodes (level _CACHED_LEVEL at _T_MAX_CAP):
-# 64 * 272 * 8 bytes, about 140 KB; an oracle sweep stores 14.
+# the process and one table of t by (1/rho, id(u)).  Every u an integrand
+# receives comes from _block_nodes or _level_nodes, whose arrays live as
+# long as the process, so an id never passes to another array.  A segment
+# at another x rebinds the slot to its x, empty, and stores nothing, so a
+# stream of fresh x (each eval-mix op) pays for no stores; no workload
+# returns to an x after leaving it, so older x are not kept.  The table
+# holds at most _NODE_SLOT_ARRAYS arrays of at most _NODE_SLOT_MAX_NODES
+# nodes (level _CACHED_LEVEL at _T_MAX_CAP): 64 * 272 * 8 bytes, about
+# 140 KB; an oracle sweep stores 14.
 _NODE_SLOT_ARRAYS = 64
 _NODE_SLOT_MAX_NODES = 272
-_node_slot = (None, {})  # (x, {1/rho: {id(u): (u, t)}}); rebound whole, never mutated to another x
+_node_slot = (None, {})  # (x, {(1/rho, id(u)): t}); rebound whole, never mutated to another x
 _node_slot_lock = threading.Lock()
 
 
-def _node_tables(x: float):
-    """The slot's tables by 1/rho when the last segment that spanned
-    [0, x] was at this x; else None, and the slot moves to x.
-
-    Segments that alternate between two x values never use a table; that
-    costs time, never bits.
-    """
-    global _node_slot
-    slot_x, tables = _node_slot
-    if x != slot_x:
-        _node_slot = (x, {})
-        return None
-    return tables
-
-
-def _substituted_nodes(tables: dict, inv_rho: float, u: np.ndarray, hi: float) -> np.ndarray:
-    """hi * u ** inv_rho, read-only, kept in ``tables[inv_rho]`` unless the
-    slot is full or u is too long."""
-    t = hi * u ** inv_rho
-    t.setflags(write=False)
-    if u.size <= _NODE_SLOT_MAX_NODES:
-        with _node_slot_lock:
-            if sum(map(len, tables.values())) < _NODE_SLOT_ARRAYS:
-                tables.setdefault(inv_rho, {})[id(u)] = (u, t)
-    return t
-
-
-def _shared_node_integrand(f, tables: dict, inv_rho: float, hi: float):
-    """f at the nodes hi * u ** inv_rho, taken from or stored in ``tables``.
+def _full_span_integrand(f, x: float, inv_rho: float):
+    """f at the read-only nodes x * u ** inv_rho of a segment over [0, x].
 
     The weight is the whole kernel here, so only the nodes depend on x.
-    One integral samples each node array once, so a table that this
-    integral's first store makes could give it no hit.
+    A segment at the slot's x takes each node array from the slot's table
+    or stores it there; one at another x moves the slot there, empty, and
+    stores nothing, so storing starts at an x's second segment.  Segments
+    that alternate between two x values never store, which costs time,
+    never bits.
     """
-    table = tables.get(inv_rho, {})
+    global _node_slot
+    slot_x, table = _node_slot
+    store = x == slot_x
+    if not store:
+        _node_slot = (x, {})
 
     def g(u):
-        hit = table.get(id(u))
-        return f(_substituted_nodes(tables, inv_rho, u, hi) if hit is None else hit[1])
+        t = table.get((inv_rho, id(u))) if store else None
+        if t is None:
+            t = x * u ** inv_rho
+            t.setflags(False)  # write=False; numpy parses the keyword at twice the cost
+            if store and u.size <= _NODE_SLOT_MAX_NODES:
+                with _node_slot_lock:
+                    if len(table) < _NODE_SLOT_ARRAYS:
+                        table[inv_rho, id(u)] = t
+        return f(t)
 
     return g
 
@@ -535,8 +522,8 @@ def _kernel_segment(
     operator prefactor ``pref`` after it, as pref * (scale * value); a
     ConvergenceError's best estimate is scaled alike.
 
-    A segment that spans all of [0, x] may hand ``f`` read-only node
-    arrays, shared through _node_tables between integrals at the same
+    A segment that spans all of [0, x] hands ``f`` read-only node arrays,
+    shared through _full_span_integrand between integrals at the same
     (x, rho).
     """
     inv_rho = 1.0 / rho
@@ -573,15 +560,12 @@ def _kernel_segment(
     except OverflowError:
         raise DomainError("kernel scale is beyond the float range") from None
 
-    # a segment over all of [0, x] at a float x (np.float64 too, not a 0-d
-    # array) may share its nodes with the integrals before it at that x
-    if (lo == 0.0 and x == hi and isinstance(hi, float)
-            and (tables := _node_tables(hi)) is not None):
-        g = _shared_node_integrand(f, tables, inv_rho, hi)
+    if lo == 0.0 and x == hi:
+        g = _full_span_integrand(f, float(hi), inv_rho)
     else:
         # weight * (f * gap factor), in that order
         def g(u):
-            if lo == 0.0:
+            if lo == 0.0:  # an interior segment
                 vals = f(hi * u ** inv_rho)
             else:
                 z = np.log1p(u * ratio)
@@ -621,12 +605,8 @@ def integrate_kernel(
     converge, the remaining ones are still integrated and the
     ConvergenceError carries the sum over all segments.
 
-    ``f`` must never write into its argument.  It receives a shared
-    read-only array, and writing into it raises ValueError, whenever
-    a = 0, there is no interior breakpoint, x is a float, and the
-    previous segment in the process that spanned [0, x] was at the same
-    x, in any thread.
-    Otherwise it receives a private array.
+    ``f`` must never write into its argument: with a = 0 and no interior
+    breakpoint it receives a read-only array, and writing raises ValueError.
 
     The operator value is prefactor times this result; ``evaluate`` applies
     the prefactor inside the same computation (see _left_kernel), so the

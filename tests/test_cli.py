@@ -213,6 +213,23 @@ def test_reduce_nan_lower_exits_2(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "-1", "tol must be a finite number >= 0, got -1.0"),
+    ("--tol", "nan", "tol must be a finite number >= 0, got nan"),
+    ("--rho-limit-tol", "nan", "rho_limit_tol must be a finite number >= 0, got nan"),
+    ("--rho-limit-tol", "-1", "rho_limit_tol must be a finite number >= 0, got -1.0"),
+])
+def test_reduce_bad_tolerance_exits_2(capsys, flag, value, message):
+    # --tol -1 and --tol nan used to print generalized for this
+    # Riemann-Liouville point and exit 0
+    code = run_cli(["reduce", "--alpha", "0.5", "--beta", "0.5", "--rho", "1",
+                    "--eta", "0", "--kappa", "0", "--a", "0", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["eval", "reduce"])
 @pytest.mark.parametrize("name", ["alpha", "rho"])
 def test_infinite_alpha_rho_exit_2(capsys, command, name):
@@ -288,6 +305,21 @@ def test_verify_rejects_bad_inputs(capsys):
         captured = capsys.readouterr()
         assert "OK" not in captured.out
         assert "trials must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("x, message", [("0", "x must be positive, got 0.0"),
+                                         ("-1", "x must be positive, got -1.0")])
+def test_verify_at_x_not_positive_writes_no_report(capsys, tmp_path, x, message):
+    # x = 0 used to fail at the first trial, after an empty --json file was made
+    json_path = tmp_path / "r.json"
+    code = run_cli(["verify", "--theorem", "8", "--trials", "2", "--seed", "1",
+                    "--p", "2", "--m", "0.5", "--M", "2", "--x=" + x,
+                    "--json", str(json_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
+    assert not json_path.exists()
 
 
 def test_verify_records_c_as_given(capsys, tmp_path):

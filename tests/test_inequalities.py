@@ -578,6 +578,9 @@ def test_totals_count_statuses_without_the_summary(monkeypatch):
     (dict(theorems=(TheoremId.T8, TheoremId.T8), trials=3),
      "theorems must be distinct TheoremId members"),
     (dict(theorems=("T8",)), "theorems must be distinct TheoremId members"),
+    # every grid point has lower bound 0, so [0, x] would be empty or reversed
+    (dict(x=0.0), "x must be positive, got 0.0"),
+    (dict(x=-1.0), "x must be positive, got -1.0"),
 ])
 def test_suite_config_rejects_at_construction(kwargs, message):
     with pytest.raises(DomainError, match=message):

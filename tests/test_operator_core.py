@@ -1,6 +1,7 @@
 """Validation, classification table, and operator evaluation paths."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -239,6 +240,26 @@ def test_reduce_tolerance_window():
     assert reduce_to_classical(p) is ClassicalKind.RIEMANN_LIOUVILLE
     p = OperatorParams(0.5, 0.5, 1.0 + 1e-9, 0.0, 0.0, 0.5)
     assert reduce_to_classical(p) is ClassicalKind.KATUGAMPOLA  # no longer rho=1
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(tol=-1.0), "tol must be a finite number >= 0, got -1.0"),
+    (dict(tol=math.nan), "tol must be a finite number >= 0, got nan"),
+    (dict(tol=math.inf), "tol must be a finite number >= 0, got inf"),
+    (dict(rho_limit_tol=math.nan), "rho_limit_tol must be a finite number >= 0, got nan"),
+    (dict(rho_limit_tol=-1.0), "rho_limit_tol must be a finite number >= 0, got -1.0"),
+    (dict(rho_limit_tol=math.inf), "rho_limit_tol must be a finite number >= 0, got inf"),
+])
+def test_reduce_rejects_bad_tolerances(kwargs, message):
+    # a negative or NaN tol made every comparison false: generalized here
+    p = OperatorParams(0.5, 0.5, 1.0, 0.0, 0.0, 0.0)
+    with pytest.raises(DomainError, match="^%s$" % re.escape(message)):
+        reduce_to_classical(p, **kwargs)
+
+
+def test_reduce_accepts_zero_tolerances():
+    p = OperatorParams(0.5, 0.5, 1.0, 0.0, 0.0, 0.0)
+    assert reduce_to_classical(p, tol=0.0, rho_limit_tol=0.0) is ClassicalKind.RIEMANN_LIOUVILLE
 
 
 # ---------------------------------------------------------------------------

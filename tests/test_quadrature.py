@@ -867,41 +867,45 @@ def cold_node_memo():
     quadrature._node_slot = (None, {})
 
 
+def _slot_inv_rhos():
+    return sorted({inv_rho for inv_rho, _ in quadrature._node_slot[1]})
+
+
 def _counted_sweep(x, monkeypatch, cached=True):
     """oracle.sweep(x) over the oracle's rhos and the suite's rho = 1.5.
 
     Returns the bits of each result (value, error estimate, node count),
-    f's calls and points as `--trace 1` counts them, and how many node
-    arrays _substituted_nodes computed.  Uncached, every integrand call
-    computes hi * u ** inv_rho afresh.
+    f's calls and points as `--trace 1` counts them, and how many of the
+    node arrays f received are not in the slot when the sweep ends.
+    Uncached, every integrand call computes x * u ** inv_rho afresh.
     """
     results = []
-    counts = {"calls": 0, "points": 0, "computed": 0}
-    call, evaluate_, nodes = TestFunction.__call__, oracle.evaluate, quadrature._substituted_nodes
+    counts = {"calls": 0, "points": 0}
+    received = []
+    call, evaluate_ = TestFunction.__call__, oracle.evaluate
 
     def counted_call(f, t):
         counts["calls"] += 1
         counts["points"] += int(np.size(t))
+        received.append(t)
         return call(f, t)
 
     def recorded(*args):
         results.append(evaluate_(*args))
         return results[-1]
 
-    def counted_nodes(*args):
-        counts["computed"] += 1
-        return nodes(*args)
-
     with monkeypatch.context() as m:
         m.setattr(TestFunction, "__call__", counted_call)
         m.setattr(oracle, "evaluate", recorded)
         m.setattr(oracle, "GRID_RHOS", oracle.GRID_RHOS + (1.5,))
-        m.setattr(quadrature, "_substituted_nodes", counted_nodes)
         if not cached:
-            m.setattr(quadrature, "_node_tables", lambda x: None)
+            m.setattr(quadrature, "_full_span_integrand",
+                      lambda f, x, inv_rho: lambda u: f(x * u ** inv_rho))
         oracle.sweep(x)
     assert len(results) == 720
     bits = [(_bits(r.value), _bits(r.error_estimate), r.evaluations) for r in results]
+    stored = {id(t) for t in quadrature._node_slot[1].values()}
+    counts["computed"] = sum(id(t) not in stored for t in received)
     return bits, counts
 
 
@@ -909,72 +913,117 @@ def _counted_sweep(x, monkeypatch, cached=True):
 def test_cold_warm_and_uncached_nodes_give_the_same_sweep(x, monkeypatch, cold_node_memo):
     cold, cold_counts = _counted_sweep(x, monkeypatch)
     # 1/rho = 2, 1, 0.5 take numpy's fast paths for **; 1/1.5 does not
-    slot_x, tables = quadrature._node_slot
-    assert slot_x == x and sorted(tables) == [0.5, 1 / 1.5, 1.0, 2.0]
+    assert quadrature._node_slot[0] == x and _slot_inv_rhos() == [0.5, 1 / 1.5, 1.0, 2.0]
+    assert _slot_entries()
     warm, warm_counts = _counted_sweep(x, monkeypatch)
     reference, reference_counts = _counted_sweep(x, monkeypatch, cached=False)
     assert cold == warm == reference
     assert cold_counts["calls"] == warm_counts["calls"] == reference_counts["calls"] > 720
     assert cold_counts["points"] == warm_counts["points"] == reference_counts["points"]
-    # every node array of the warm sweep is a hit
+    # every node array of the warm sweep is a hit; the cold sweep's first
+    # segment at x stored none of its arrays
     assert warm_counts["computed"] == 0 < cold_counts["computed"]
 
 
-def test_f_receives_read_only_nodes_when_the_last_segment_was_at_x(cold_node_memo):
+def test_f_receives_read_only_nodes_whatever_ran_before(cold_node_memo):
     params = OperatorParams(alpha=0.5, beta=0.5, rho=2.0, eta=0.0, kappa=0.0)
-    writeable = []
+    received = []
 
     def f(t):
-        writeable.append(t.flags.writeable)
+        received.append(t)
         return np.ones_like(t)
-
-    # a fresh x, the same x again (which stores the nodes), a hit
-    results = [evaluate(params, f, 1.3) for _ in range(3)]
-    assert results[0] == results[1] == results[2]
-    assert writeable == [True, False, False]
-    assert quadrature._node_slot[0] == 1.3 and list(quadrature._node_slot[1]) == [0.5]
 
     def writes(t):
         t[0] = 0.0
         return np.ones_like(t)
 
-    with pytest.raises(ValueError):
+    # a fresh x stores nothing; the same x again stores; then a hit
+    results = []
+    for stored in (0, 1, 1):
+        results.append(evaluate(params, f, 1.3))
+        assert quadrature._node_slot[0] == 1.3 and len(quadrature._node_slot[1]) == stored
+    assert results[0] == results[1] == results[2]
+    # f = 1 converges at level 3, so each call samples the block once
+    assert [t.flags.writeable for t in received] == [False, False, False]
+    assert received[0] is not received[1] is received[2]
+    assert list(quadrature._node_slot[1].values()) == [received[1]] and _slot_inv_rhos() == [0.5]
+    with pytest.raises(ValueError, match="read-only"):
         evaluate(params, writes, 1.3)
-    # a fresh x samples a private array, as before the cache; the same x
-    # again hands out the shared one
-    assert evaluate(params, writes, 1.7) == evaluate(params, f, 1.7)
-    with pytest.raises(ValueError):
+    # a fresh x hands out read-only nodes too, and stores none of them
+    with pytest.raises(ValueError, match="read-only"):
         evaluate(params, writes, 1.7)
+    assert quadrature._node_slot == (1.7, {})
     # coming back to 1.3 after 1.7 is a fresh x again: the slot kept only 1.7
-    del writeable[:]
     assert evaluate(params, f, 1.3) == results[0]
-    assert writeable == [True]
-    # a segment that does not span [0, x] leaves the slot at its x
+    assert quadrature._node_slot == (1.3, {})
+    evaluate(params, f, 1.3)
+    slot = quadrature._node_slot
+    assert slot[0] == 1.3 and len(slot[1]) == 1
+    # a segment that does not span [0, x] leaves the slot as it was
     evaluate(OperatorParams(0.5, 0.5, 2.0, 0.0, 0.0, lower=0.5), f, 1.9)
-    with pytest.raises(ValueError):
-        evaluate(params, writes, 1.3)
+    assert quadrature._node_slot is slot
 
 
-def test_x_of_any_numeric_type_gives_the_float_bits(cold_node_memo):
-    # numpy's float64 shares the float's table; an int and a 0-d array (which
-    # cannot key a table) take the uncached path
+@pytest.mark.parametrize("x", [2.0, 2, np.float64(2.0), np.array(2.0)],
+                         ids=["float", "int", "float64", "0-d array"])
+def test_writing_f_raises_on_its_first_call_at_a_fresh_x(x, cold_node_memo):
+    params = OperatorParams(alpha=0.5, beta=0.5, rho=1.5, eta=0.3, kappa=0.1)
+    calls = []
+
+    def writes(t):
+        calls.append(t.size)
+        t[0] = 0.0
+        return np.ones_like(t)
+
+    with pytest.raises(ValueError, match="read-only"):
+        evaluate(params, writes, x)
+    assert len(calls) == 1
+    # the slot keeps x as a float, which a caller cannot change in place
+    assert quadrature._node_slot == (2.0, {}) and type(quadrature._node_slot[0]) is float
+
+
+def test_x_of_any_numeric_type_gives_the_float_bits(cold_node_memo, monkeypatch):
+    # an int, numpy's float64 and a 0-d array all share the float's slot
     params = OperatorParams(alpha=0.5, beta=0.5, rho=1.5, eta=0.3, kappa=0.1)
     want = [_bits(evaluate(params, TSQ, 2.0)) for _ in range(3)]
-    tables = quadrature._node_slot[1]
-    assert list(tables) == [1 / 1.5]
-    stored = dict(tables[1 / 1.5])
+    slot = quadrature._node_slot
+    assert slot[0] == 2.0 and _slot_inv_rhos() == [1 / 1.5]
+    stored = dict(slot[1])
+    received = []
+    call = TestFunction.__call__
+
+    def recorded(f, t):
+        received.append(t)
+        return call(f, t)
+
+    monkeypatch.setattr(TestFunction, "__call__", recorded)
     for x in (2, np.float64(2.0), np.array(2.0)):
         assert [_bits(evaluate(params, TSQ, x)) for _ in range(3)] == want
-    assert quadrature._node_slot == (2.0, tables) and tables[1 / 1.5] == stored
+    assert quadrature._node_slot is slot and slot[1].keys() == stored.keys()
+    assert all(slot[1][key] is t for key, t in stored.items())
+    # every node array is a hit on the float's entries
+    assert received and {id(t) for t in received} <= {id(t) for t in stored.values()}
+
+
+def _writing(base, writeable):
+    """base, after an in-place no-op on its argument, which raises on a
+    read-only array; each argument's writeable flag goes to ``writeable``."""
+    def f(t):
+        writeable.append(t.flags.writeable)
+        t *= 1.0
+        return base(t)
+    return f
 
 
 def test_only_segments_spanning_zero_to_x_use_the_node_memo(cold_node_memo):
-    f = _fn(ExpPoly((0.1, -0.3)), hi=3.0)
+    # every other segment hands f a private, writeable array
+    writeable = []
+    f = _writing(_fn(ExpPoly((0.1, -0.3)), hi=3.0), writeable)
     calls = [
         lambda: evaluate(OperatorParams(0.5, 0.5, 2.0, 0.3, 0.1, lower=0.5), f, 1.5),
         lambda: evaluate(OperatorParams(0.7, 0.2, 1.5, 0.3, 0.1, side=Side.RIGHT, upper=2.0),
                          f, 0.8),
-        lambda: evaluate(KINK_PARAMS, KINKED, 1.0, breakpoints=(0.4,)),
+        lambda: evaluate(KINK_PARAMS, _writing(KINKED, writeable), 1.0, breakpoints=(0.4,)),
     ] + [
         lambda kind=kind, a=a: evaluate_classical(kind, 0.5, f, (a,), 1.5, rho=2.0, sigma=2.0)
         for kind, a in ((ClassicalKind.RIEMANN_LIOUVILLE, 0.0), (ClassicalKind.HADAMARD, 0.5),
@@ -985,48 +1034,62 @@ def test_only_segments_spanning_zero_to_x_use_the_node_memo(cold_node_memo):
             call()
     assert quadrature._node_slot == (None, {})
     # the truncated form: only its first segment, [x - 1, x], spans [0, x]
-    # once shifted to start at 0
+    # once shifted to start at 0, and f receives the shifted nodes lo + s
     weyl = OperatorParams(_WEYL_ALPHA, 0.0, 1.0, 0.0, 0.0, lower=-math.inf)
+    weyl_f = _writing(_WEYL_F, writeable)
     for _ in range(3):
-        evaluate(weyl, _WEYL_F, _WEYL_X)
-        evaluate_classical(ClassicalKind.WEYL, _WEYL_ALPHA, _WEYL_F, (-math.inf,), _WEYL_X)
-    slot_x, tables = quadrature._node_slot
-    assert slot_x == _WEYL_X - (_WEYL_X - 1.0) and list(tables) == [1.0] and tables[1.0]
+        evaluate(weyl, weyl_f, _WEYL_X)
+        evaluate_classical(ClassicalKind.WEYL, _WEYL_ALPHA, weyl_f, (-math.inf,), _WEYL_X)
+    assert quadrature._node_slot[0] == _WEYL_X - (_WEYL_X - 1.0)
+    assert _slot_inv_rhos() == [1.0] and _slot_entries()
+    assert len(writeable) > 3 * len(calls) and all(writeable)
 
 
-def _slot_arrays():
-    """Every (key, u, t) in the node slot, after checking its keys and flags."""
-    entries = []
-    for table in quadrature._node_slot[1].values():
-        assert table
-        for key, (u, t) in table.items():
-            assert key == id(u) and u.size == t.size <= quadrature._NODE_SLOT_MAX_NODES
-            assert not t.flags.writeable
-            entries.append((key, u, t))
+def _slot_entries():
+    """Every ((1/rho, id(u)), t) in the node slot, after checking that each
+    key's id is that of a node array _block_nodes or _level_nodes holds,
+    of t's size, and that each t is read-only.
+
+    t_max lies on a half-step grid up to _T_MAX_CAP, and the slot takes no
+    array of more than _NODE_SLOT_MAX_NODES nodes, so these are all the
+    arrays a key can name.
+    """
+    cap = quadrature._NODE_SLOT_MAX_NODES
+    sizes = {}
+    for t_max in np.arange(0.5, quadrature._T_MAX_CAP + 0.25, 0.5).tolist():
+        u = quadrature._block_nodes(t_max)[0]
+        sizes[id(u)] = u.size
+        level = quadrature._BLOCK_LEVEL
+        while u.size <= cap:
+            level += 1
+            u = quadrature._level_nodes(t_max, level)[0]
+            sizes[id(u)] = u.size
+    entries = list(quadrature._node_slot[1].items())
+    for (inv_rho, key), t in entries:
+        assert sizes.get(key) == t.size <= cap
+        assert not t.flags.writeable
     return entries
 
 
-def test_node_memo_stays_within_its_bound(cold_node_memo, monkeypatch):
+def test_node_memo_stays_within_its_bound(cold_node_memo):
     cap = quadrature._NODE_SLOT_MAX_NODES
     assert cap == quadrature._level_nodes(quadrature._T_MAX_CAP, quadrature._CACHED_LEVEL)[0].size
     params = OperatorParams(alpha=0.3, beta=0.0, rho=1.5, eta=0.0, kappa=0.0)
-    f = _fn(SinPos(60.0, 0.3, 0.5, 1.5))
+    base = _fn(SinPos(60.0, 0.3, 0.5, 1.5))
     sizes = set()
-    nodes = quadrature._substituted_nodes
 
-    def recorded(tables, inv_rho, u, hi):
-        sizes.add(u.size)
-        return nodes(tables, inv_rho, u, hi)
+    def f(t):
+        sizes.add(t.size)
+        return base(t)
 
-    monkeypatch.setattr(quadrature, "_substituted_nodes", recorded)
     xs = np.linspace(1.0, 2.0, 1000).tolist()
     for x in xs:
         for _ in range(2):  # the slot stores nodes when x repeats
             evaluate(params, f, x)
     assert max(sizes) > cap  # level 6 at t_max 5 has 320 nodes
     # only the last x is kept
-    assert quadrature._node_slot[0] == xs[-1] and list(quadrature._node_slot[1]) == [1 / 1.5]
-    assert 0 < len(_slot_arrays()) <= quadrature._NODE_SLOT_ARRAYS
+    assert quadrature._node_slot[0] == xs[-1] and _slot_inv_rhos() == [1 / 1.5]
+    assert 0 < len(_slot_entries()) <= quadrature._NODE_SLOT_ARRAYS
     # one x with more node arrays than the slot keeps: many rho, each many levels
     quadrature._node_slot = (None, {})
     rhos = [0.5 + k / 8 for k in range(24)]
@@ -1034,21 +1097,31 @@ def test_node_memo_stays_within_its_bound(cold_node_memo, monkeypatch):
         for rho in rhos:
             p = OperatorParams(alpha=0.3, beta=0.0, rho=rho, eta=0.0, kappa=0.0)
             evaluate(p, f, 1.5)
-    entries = _slot_arrays()
+    entries = _slot_entries()
     assert len(entries) == quadrature._NODE_SLOT_ARRAYS
-    assert sum(t.nbytes for _, _, t in entries) <= quadrature._NODE_SLOT_ARRAYS * cap * 8
+    assert sum(t.nbytes for _, t in entries) <= quadrature._NODE_SLOT_ARRAYS * cap * 8
+    received = []
+
+    def g(t):
+        received.append(t)
+        return t
+
     # a full slot hands out the nodes of further arrays without storing them
-    tables = quadrature._node_slot[1]
     u = quadrature._level_nodes(0.5, 4)[0]
-    t = nodes(tables, 0.25, u, 1.5)
-    assert 0.25 not in tables and not t.flags.writeable
-    assert _bits(t) == _bits(1.5 * u ** 0.25)
-    # a level past the size bound is computed and handed out, never stored
+    quadrature._full_span_integrand(g, 1.5, 0.25)(u)
+    assert len(quadrature._node_slot[1]) == quadrature._NODE_SLOT_ARRAYS
+    assert 0.25 not in _slot_inv_rhos() and not received[-1].flags.writeable
+    assert _bits(received[-1]) == _bits(1.5 * u ** 0.25)
+    # a level past the size bound is computed and handed out, never stored,
+    # while one within it is stored
+    quadrature._node_slot = (1.5, {})
     u = quadrature._level_nodes(quadrature._T_MAX_CAP, quadrature._CACHED_LEVEL + 1)[0]
-    tables = {}
-    t = nodes(tables, 1 / 1.5, u, 1.5)
-    assert not tables and not t.flags.writeable
-    assert _bits(t) == _bits(1.5 * u ** (1 / 1.5))
+    quadrature._full_span_integrand(g, 1.5, 1 / 1.5)(u)
+    assert quadrature._node_slot == (1.5, {}) and not received[-1].flags.writeable
+    assert _bits(received[-1]) == _bits(1.5 * u ** (1 / 1.5))
+    u = quadrature._level_nodes(quadrature._T_MAX_CAP, quadrature._CACHED_LEVEL)[0]
+    quadrature._full_span_integrand(g, 1.5, 1 / 1.5)(u)
+    assert quadrature._node_slot[1] == {(1 / 1.5, id(u)): received[-1]}
 
 
 def test_threads_share_the_node_memo_bit_for_bit(cold_node_memo):
@@ -1074,4 +1147,4 @@ def test_threads_share_the_node_memo_bit_for_bit(cold_node_memo):
         sys.setswitchinterval(interval)
     assert got == [want[k:] + want[:k] for k in starts]
     assert quadrature._node_slot[0] in xs
-    assert len(_slot_arrays()) <= quadrature._NODE_SLOT_ARRAYS
+    assert len(_slot_entries()) <= quadrature._NODE_SLOT_ARRAYS
