@@ -122,23 +122,39 @@ _MAX_LEVEL = 12
 # (a Weyl truncation segment did, at 33 nodes, with a true error 30 times
 # its estimate).
 _MIN_LEVEL = 3
-# The block ends at _MIN_LEVEL, so sampling levels 0-3 together costs no
-# integral extra nodes, while a deeper block would sample nodes that most
-# integrals never sum.  Both refinement loops sum levels 0-3 straight
-# through from the block, with the one budget test before level 3 and no
-# stop test before _MIN_LEVEL; they unpack exactly five block offsets, so
-# a change of _BLOCK_LEVEL fails loudly there.  Stop levels of perfbench
-# seed 801, first 8 verify-suite rounds: 650 at level 3, 408 at 4; first 2
+# The block ends one level past _MIN_LEVEL.  Stop levels of perfbench seed
+# 801, first 8 verify-suite rounds: 650 at level 3, 408 at 4; first 2
 # oracle-sweep rounds: 760 at 3, 320 at 4; first 2 eval-mix rounds: 451 at
-# 3, 177 at 4, 32 at 5.
+# 3, 177 at 4, 32 at 5.  So 30-39% of integrals reach level 4, and with
+# 65-273 nodes an integrand call costs about as much in fixed overhead as
+# in node work: the block doubles the nodes of the first call, and spares
+# that 30-39% their second call.  The others sample level-4 nodes they
+# never sum.
 #
-# None of those integrals goes past level 5, so the weights of the block,
+# Both refinement loops sum levels 0-3 straight through, over views of the
+# block, with the one budget test before level 3 and no stop test before
+# _MIN_LEVEL; level 4 is the first level of their loop, its values taken
+# from the block instead of a call.  Those values are copied, and summed
+# against level-4 weights of their own, so each level-4 sum sees fresh
+# arrays, as every deeper level's does: the block's level 4 starts at an
+# odd offset, and under OpenBLAS's generic kernel
+# (OPENBLAS_CORETYPE=Prescott) sums over slices of the block's values and
+# weights rounded differently, which changed oracle sweep values at
+# x = 1.5 and 2.3.
+# Both loops unpack exactly six block offsets, so a change of _BLOCK_LEVEL
+# fails loudly there.
+#
+# None of those integrals goes past level 5, so the weights of levels 0-3,
 # and of levels 4 and 5 once an integral reaches them, are cached per
 # exponent pair, in at most _WEIGHT_CACHE_SIZE entries; deeper levels
-# compute theirs per call.  At the largest t_max, 8.5, an entry holds
+# compute theirs per call.  Level 4's weights are computed when an
+# integral first reaches level 4, not with the block's: almost every
+# eval-mix integral misses this cache, and eval-mix ran 29,400 ops/s so,
+# against 28,600 with one exp for the whole block (4 alternating 10 s
+# runs on a 2-CPU Xeon VM).  At the largest t_max, 8.5, an entry holds
 # 137 + 136 + 272 = 545 weights, 4360 bytes, so the cache holds at most
 # about 1.1 MB of weights; the nodes are shared per t_max.
-_BLOCK_LEVEL = _MIN_LEVEL
+_BLOCK_LEVEL = _MIN_LEVEL + 1
 _CACHED_LEVEL = 5
 _WEIGHT_CACHE_SIZE = 256
 _ROUNDOFF = 16.0 * sys.float_info.epsilon
@@ -184,7 +200,7 @@ def _compute_level_nodes(t_max: float, level: int):
 # every node array an integrand receives lives as long as the process
 @functools.cache
 def _level_nodes(t_max: float, level: int):
-    """(u, log_u, log_1mu, log_jac) of one level deeper than _BLOCK_LEVEL."""
+    """(u, log_u, log_1mu, log_jac) of one level deeper than _MIN_LEVEL."""
     return _read_only(_compute_level_nodes(t_max, level))
 
 
@@ -209,31 +225,34 @@ def _weights(log_u, log_1mu, log_jac, a1: float, b1: float) -> np.ndarray:
 def _cached_levels(one_minus_u_pow: float, u_pow: float):
     """(t_max, offsets, views, levels) of the weight (1-u)^a u^b.
 
-    levels[0] is the block's (nodes, weights), with level k at
-    offsets[k]:offsets[k + 1], and views[k] is that slice of the block's
-    weights, a view, so each level is summed over the block's own memory;
-    levels[k] is the (nodes, weights) of level _BLOCK_LEVEL + k, filled in
-    by _deep_level when first used.  Every array is read-only.
+    levels[0] is the block's nodes, levels 0.._BLOCK_LEVEL, and the
+    weights of its levels 0.._MIN_LEVEL, with level k at
+    offsets[k]:offsets[k + 1]; views[k] is that slice of the weights, a
+    view, so each of those levels is summed over the block's own memory.
+    levels[k] is the (nodes, weights) of level _MIN_LEVEL + k, filled in by
+    _deep_level when first used.  Every array is read-only.
     """
     t_max = _pick_t_max(one_minus_u_pow, u_pow)
     u, log_u, log_1mu, log_jac, offsets = _block_nodes(t_max)
-    w = _weights(log_u, log_1mu, log_jac, one_minus_u_pow + 1.0, u_pow + 1.0)
+    o0, o1, o2, o3, o4, o5 = offsets
+    w = _weights(log_u[:o4], log_1mu[:o4], log_jac[:o4],
+                 one_minus_u_pow + 1.0, u_pow + 1.0)
     # four plain slices: most eval-mix integrals miss this cache
-    o0, o1, o2, o3, o4 = offsets
     views = (w[o0:o1], w[o1:o2], w[o2:o3], w[o3:o4])
-    levels = [None] * (_CACHED_LEVEL - _BLOCK_LEVEL + 1)
+    levels = [None] * (_CACHED_LEVEL - _MIN_LEVEL + 1)
     levels[0] = (u, w)
     return t_max, offsets, views, levels
 
 
 def _deep_level(levels, t_max: float, level: int, a1: float, b1: float):
-    """(nodes, weights) of one level deeper than _BLOCK_LEVEL.
+    """(nodes, weights) of one level deeper than _MIN_LEVEL.
 
-    Levels up to _CACHED_LEVEL are kept in ``levels``, the exponent pair's
-    entry of _cached_levels.  Storing by index is safe without a lock: two
-    threads can only store equal arrays.
+    Level _BLOCK_LEVEL's nodes only give its size: its values come from
+    the block.  Levels up to _CACHED_LEVEL are kept in ``levels``, the
+    exponent pair's entry of _cached_levels.  Storing by index is safe
+    without a lock: two threads can only store equal arrays.
     """
-    k = level - _BLOCK_LEVEL
+    k = level - _MIN_LEVEL
     cached = levels[k] if k < len(levels) else None
     if cached is not None:
         return cached
@@ -256,10 +275,12 @@ def _deep_level(levels, t_max: float, level: int, a1: float, b1: float):
 # stream of fresh x (each eval-mix op) pays for no stores; no workload
 # returns to an x after leaving it, so older x are not kept.  The table
 # holds at most _NODE_SLOT_ARRAYS arrays of at most _NODE_SLOT_MAX_NODES
-# nodes (level _CACHED_LEVEL at _T_MAX_CAP): 64 * 272 * 8 bytes, about
-# 140 KB; an oracle sweep stores 14.
+# nodes, the largest array an integral that stops by level _CACHED_LEVEL
+# hands it (the block at _T_MAX_CAP, 273 nodes; level _CACHED_LEVEL there
+# has 272): 64 * 273 * 8 bytes, about 140 KB; an oracle sweep stores 14.
 _NODE_SLOT_ARRAYS = 64
-_NODE_SLOT_MAX_NODES = 272
+_NODE_SLOT_MAX_NODES = max(_block_nodes(_T_MAX_CAP)[0].size,
+                           _level_nodes(_T_MAX_CAP, _CACHED_LEVEL)[0].size)
 _node_slot = (None, {})  # (x, {(1/rho, id(u)): t}); rebound whole, never mutated to another x
 _node_slot_lock = threading.Lock()
 
@@ -349,14 +370,16 @@ def weighted_unit_integral(
     refinement with a ConvergenceError at once, since no deeper level can
     make it finite; the test runs only when the stop test fails.
 
-    The first call samples g at the nodes of levels 0.._BLOCK_LEVEL (0-3)
-    at once, and those levels are summed straight through, with no stop
-    test before _MIN_LEVEL.  Levels 0-2 are always summed; the one budget
-    test before level 3 raises with the level-2 value and estimate when
-    levels 0-3 together exceed the node budget.  Each deeper level makes
-    one call of its own, within the budget.  So g may be sampled at
-    level-3 nodes that the budget leaves unused; ``evaluations`` counts
-    only the nodes of the levels summed.
+    The first call samples g at the nodes of levels 0.._BLOCK_LEVEL (0-4)
+    at once.  Levels 0-3 are summed straight through, with no stop test
+    before _MIN_LEVEL.  Levels 0-2 are always summed; the one budget test
+    before level 3 raises with the level-2 value and estimate when levels
+    0-3 together exceed the node budget.  Level 4, when level 3 misses the
+    tolerance and levels 0-4 fit the budget, is summed from the block's
+    values; each deeper level makes one call of its own, within the
+    budget.  So g may be sampled at level-3 and level-4 nodes that the
+    budget or the stop test leaves unused; ``evaluations`` counts only the
+    nodes of the levels summed.
 
     The tanh-sinh nodes and weights depend only on the weight, not on the
     integrand, so k rows share them, and the weights of levels
@@ -379,11 +402,11 @@ def weighted_unit_integral(
 
     # one integrand: plain float arithmetic, which costs less per level
     # than the same steps on numpy scalars.  Levels 0-3 are summed straight
-    # through from the block's values against the cached weight views; the
-    # unpacking fails if _BLOCK_LEVEL moves.  Level k's value is 2^-k times
-    # the running total, which starts at 0.0 as a loop's would, so a -0.0
-    # first sum still comes out 0.0.
-    o0, o1, o2, o3, o4 = offsets
+    # through from the block's values against the cached weight views, and
+    # level 4 in the loop; the unpacking fails if _BLOCK_LEVEL moves.  Level
+    # k's value is 2^-k times the running total, which starts at 0.0 as a
+    # loop's would, so a -0.0 first sum still comes out 0.0.
+    o0, o1, o2, o3, o4, o5 = offsets
     w0, w1, w2, w3 = views
     total = 0.0 + float(vals[o0:o1].dot(w0))
     total += float(vals[o1:o2].dot(w1))
@@ -395,7 +418,7 @@ def weighted_unit_integral(
         raise _out_of_budget(cfg, IntegralResult(value, abs(value - prev), o3))
     total += float(vals[o3:o4].dot(w3))
     evals = o4
-    level = _BLOCK_LEVEL
+    level = _MIN_LEVEL
     prev, value = value, 0.125 * total
     estimate = abs(value - prev)
     while not estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
@@ -407,7 +430,9 @@ def weighted_unit_integral(
         u, w = _deep_level(levels, t_max, level, a1, b1)
         if evals + u.size > cfg.max_subdivisions:
             raise _out_of_budget(cfg, IntegralResult(value, estimate, evals))
-        total += float(np.asarray(g(u)).dot(w))
+        # level _BLOCK_LEVEL came with the block, summed over a copy (see there)
+        level_vals = vals[o4:o5].copy() if level == _BLOCK_LEVEL else np.asarray(g(u))
+        total += float(level_vals.dot(w))
         evals += u.size
         prev, value = value, 2.0 ** (-level) * total
         estimate = abs(value - prev)
@@ -423,7 +448,8 @@ def _rows_integral(g, vals, offsets, views, levels, t_max, a1, b1, cfg) -> Integ
     level takes one matrix-vector product, and one Python pass over the
     rows then turns those sums into each row's running total, value and
     estimate, and the stop test: levels 0-3 in the first pass, each deeper
-    level in a pass of its own that updates the lists in place.  Per row
+    level in a pass of its own that updates the lists in place, level 4's
+    sums taken from a copy of the block's values, not from a call.  Per row
     these are the IEEE operations of the one-integrand path, in its order:
     ((0.0 + s0) + s1) + s2 for the level-2 total, 0.125 * total at level 3.
     Plain floats perform the same operations as numpy would on these few
@@ -434,7 +460,7 @@ def _rows_integral(g, vals, offsets, views, levels, t_max, a1, b1, cfg) -> Integ
     shape = vals.shape[:-1]
     vals = vals.reshape(-1, vals.shape[-1])
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-    o0, o1, o2, o3, o4 = offsets
+    o0, o1, o2, o3, o4, o5 = offsets
     w0, w1, w2, w3 = views
     sums = [vals[:, o0:o1].dot(w0).tolist(), vals[:, o1:o2].dot(w1).tolist(),
             vals[:, o2:o3].dot(w2).tolist()]
@@ -461,7 +487,7 @@ def _rows_integral(g, vals, offsets, views, levels, t_max, a1, b1, cfg) -> Integ
         estimate.append(e)
         converged = converged and e <= max(abs_tol, rel_tol * abs(v))
     evals = o4
-    level = _BLOCK_LEVEL
+    level = _MIN_LEVEL
     while not converged:
         if not all(math.isfinite(v) for v in value):
             raise _not_finite(_rows_result(shape, value, estimate, evals))
@@ -471,7 +497,11 @@ def _rows_integral(g, vals, offsets, views, levels, t_max, a1, b1, cfg) -> Integ
         u, w = _deep_level(levels, t_max, level, a1, b1)
         if evals + u.size > cfg.max_subdivisions:
             raise _out_of_budget(cfg, _rows_result(shape, value, estimate, evals))
-        sums = np.asarray(g(u)).reshape(-1, u.size).dot(w).tolist()
+        if level == _BLOCK_LEVEL:  # came with the block, summed over a copy
+            level_vals = vals[:, o4:o5].copy()
+        else:
+            level_vals = np.asarray(g(u)).reshape(-1, u.size)
+        sums = level_vals.dot(w).tolist()
         evals += u.size
         scale = 2.0 ** (-level)
         converged = True
@@ -674,7 +704,8 @@ def closed_form_monomial(params: "OperatorParams", sigma: float, x: float) -> fl
     This is the primary analytic oracle for the quadrature path.  ``params``
     and ``x`` are checked as in ``evaluate``; the form must also be the
     left-sided one with lower bound 0, x and eta + sigma/rho + 1 positive,
-    and the value within the float range.
+    and the value within the float range: neither past its largest float
+    nor so small that it rounds to 0.
     """
     from .operator_core import Side, _require_finite_point, validate  # imports this module
     validate(params)
@@ -695,4 +726,7 @@ def closed_form_monomial(params: "OperatorParams", sigma: float, x: float) -> fl
     )
     if not log_val <= _LOG_FLOAT_MAX:  # NaN too
         raise DomainError("closed-form value is beyond the float range")
-    return math.exp(log_val)
+    value = math.exp(log_val)
+    if value == 0.0:  # a subnormal value is still returned
+        raise DomainError("closed-form value is below the float range")
+    return value

@@ -415,6 +415,19 @@ def test_oracle_overflowing_integrand_exits_3_without_warning(capsys):
     assert captured.out == ""
 
 
+def test_oracle_where_closed_forms_underflow_exits_2(capsys):
+    # at x = 1e-300, 506 of the 540 closed forms round to 0.0, which the
+    # relative error used to divide by
+    code = run_cli(["oracle", "--x", "1e-300"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: closed-form value is below the float range\n"
+    assert "Traceback" not in captured.err and captured.out == ""
+    # subnormal closed forms are still compared
+    assert run_cli(["oracle", "--x", "1e-31"]) == 0
+    assert "points = 540" in capsys.readouterr().out
+
+
 def test_oracle_smoke(capsys):
     code = run_cli(["oracle", "--x", "1.2"])
     out = capsys.readouterr().out

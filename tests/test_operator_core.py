@@ -624,6 +624,69 @@ def test_right_side_domain_checks():
         evaluate(p, ONE, 0.0)  # x must be positive
 
 
+# The adjoint identity: with I_L the left-sided form on [a, x] and I_R the
+# right-sided form on [t, b], at the same (alpha, beta, rho, eta, kappa),
+#   int_a^b x^(rho-1) g(x) (I_L f)(x) dx = int_a^b t^(rho-1) f(t) (I_R g)(t) dt
+# for any f and g, by swapping the order of integration: both sides carry
+# rho^(1-beta)/Gamma(alpha) x^(kappa+rho-1) t^(rho*eta+rho-1) (x^rho - t^rho)^(alpha-1).
+# It is fractional integration by parts (Samko, Kilbas & Marichev, 1993,
+# section 2, for Riemann-Liouville; Katugampola, 2011, for the rho-form).
+# So the right-sided form, a > 0 and generalized points, which the monomial
+# oracle never reaches, are checked against the left-sided form.
+ADJOINT_B = 1.3
+ADJOINT_POINTS = [
+    ((0.5, 0.5, 1.0, 0.0, 0.0), 0.0),  # Riemann-Liouville
+    ((1.7, 0.5, 1.0, 0.0, 0.0), 0.3),  # Riemann-Liouville, a > 0
+    ((0.5, 0.5, 2.0, 0.0, 0.0), 0.0),  # Katugampola
+    # Erdelyi-Kober; at a = 0 the outer rule samples I_R g at t near 0,
+    # where the right-sided form does not converge within its node budget
+    ((0.5, 0.0, 2.0, 0.5, -2.0), 0.1),
+    ((1.2, 0.3, 1.5, 0.4, 0.7), 0.2),  # generalized
+    ((0.2, 0.3, 0.7, 0.4, -0.3), 0.0),  # generalized
+]
+
+
+def _outer_integral(a, inner, weight):
+    """int_a^b weight(s) * inner(s).value ds, with its error bar.
+
+    The outer integral is the Riemann-Liouville form at alpha = 1, a plain
+    integral, over two rows: the integrand, and |weight| times the inner
+    error estimate.  The bar is the outer estimate of the first row plus
+    the second row's integral.  A node that rounds onto an end of [a, b],
+    where the inner form is not defined, gets 0.
+    """
+    def rows(nodes):
+        vals, bars = np.zeros_like(nodes), np.zeros_like(nodes)
+        for i, s in enumerate(nodes.tolist()):
+            if a < s < ADJOINT_B:
+                res = inner(s)
+                vals[i] = weight(s) * res.value
+                bars[i] = abs(weight(s)) * res.error_estimate
+        return np.stack([vals, bars])
+
+    res = evaluate(OperatorParams(1.0, 0.0, 1.0, 0.0, 0.0, lower=a), rows, ADJOINT_B)
+    return res.value[0], res.error_estimate[0] + res.value[1]
+
+
+@pytest.mark.parametrize("point, a", ADJOINT_POINTS,
+                         ids=["RL", "RL-a>0", "Katugampola", "EK-a>0", "gen-a>0", "gen"])
+@pytest.mark.parametrize("f", [lambda t: np.exp(0.8 * t - 0.3 * t * t),
+                               lambda t: 1.5 + np.sin(7.0 * t + 0.3)], ids=["gauss", "sin"])
+@pytest.mark.parametrize("g", [lambda x: 1.0 + x + 0.5 * x * x, lambda x: np.exp(-x)],
+                         ids=["quadratic", "exp"])
+def test_right_side_is_the_adjoint_of_the_left_side(point, a, f, g):
+    left = OperatorParams(*point, lower=a)
+    right = OperatorParams(*point, lower=a, upper=ADJOINT_B, side=Side.RIGHT)
+    rho = left.rho
+    lhs, lhs_bar = _outer_integral(a, lambda x: evaluate(left, f, x),
+                                   lambda x: x ** (rho - 1.0) * g(x))
+    rhs, rhs_bar = _outer_integral(a, lambda t: evaluate(right, g, t),
+                                   lambda t: t ** (rho - 1.0) * f(t))
+    assert abs(lhs - rhs) <= lhs_bar + rhs_bar
+    # the bars are honest, not wide: the sides agree to about 1e-10
+    assert lhs_bar + rhs_bar <= 1e-9 * abs(lhs)
+
+
 @pytest.mark.parametrize("params, x", [
     (OperatorParams(0.5, 0.5, 1.0, 0.0, 0.0, upper=2.0, side=Side.RIGHT), 0.5),
     (OperatorParams(0.5, 0.5, 1.0, 0.0, 0.0, lower=NEG_INF), 1.0),

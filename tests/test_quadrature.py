@@ -166,6 +166,15 @@ def test_closed_form_domain_errors():
         closed_form_monomial(p, -2.0, 1.0)  # eta + sigma/rho + 1 <= 0
 
 
+def test_closed_form_below_the_float_range_raises_and_subnormals_stay():
+    # the value is x^100: about 1.1e-323 at x = 5.9e-4, a subnormal, and
+    # about 4e-325 at x = 5.7e-4, which rounds to 0.0
+    p = OperatorParams(alpha=1.0, beta=0.0, rho=1.0, eta=0.0, kappa=99.0)
+    assert 0.0 < closed_form_monomial(p, 0.0, 5.9e-4) < sys.float_info.min
+    with pytest.raises(DomainError, match="^closed-form value is below the float range$"):
+        closed_form_monomial(p, 0.0, 5.7e-4)
+
+
 def _decaying(t):
     return np.exp(-t * t)
 
@@ -480,7 +489,7 @@ def test_truncated_form_rows_and_divergence():
 
 
 # ---------------------------------------------------------------------------
-# levels 0-3 sampled in one integrand call
+# levels 0-4 sampled in one integrand call
 # ---------------------------------------------------------------------------
 
 
@@ -493,12 +502,14 @@ def _level_sizes(one_minus_u_pow, u_pow):
 def _per_level_reference(g, one_minus_u_pow, u_pow, cfg):
     """The refinement loop, level by level, with a stop test at every level.
 
-    Levels 0.._BLOCK_LEVEL are laid out as one array of nodes, weights and g
-    values, and each level sums its slice of it, as weighted_unit_integral
-    does: a BLAS dot kernel may round a sum differently at another offset in
+    Levels 0-3 are laid out as one array of nodes, weights and g values,
+    and each level sums its slice of it, as weighted_unit_integral does: a
+    BLAS dot kernel may round a sum differently at another offset in
     memory.  For the same reason g's leading dimensions beyond one are
     flattened into rows before any slice, and restored in the result.
-    Deeper levels call g once each.
+    Deeper levels call g once each, on fresh arrays of nodes, values and
+    weights, whatever _BLOCK_LEVEL is: so a level that weighted_unit_integral
+    takes from its block must sum to the bits of a call of its own.
 
     From _MIN_LEVEL on, a level that misses the tolerance with a value that
     is not finite ends refinement, as no deeper level can make it finite.
@@ -512,8 +523,7 @@ def _per_level_reference(g, one_minus_u_pow, u_pow, cfg):
 
     t_max = quadrature._pick_t_max(one_minus_u_pow, u_pow)
     min_level = quadrature._MIN_LEVEL
-    block = [quadrature._compute_level_nodes(t_max, level)
-             for level in range(quadrature._BLOCK_LEVEL + 1)]
+    block = [quadrature._compute_level_nodes(t_max, level) for level in range(4)]
     offsets = np.cumsum([0] + [nodes[0].size for nodes in block]).tolist()
     u, log_u, log_1mu, log_jac = (np.concatenate(parts) for parts in zip(*block))
     block_g, block_w = np.asarray(g(u)), weights(log_u, log_1mu, log_jac)
@@ -601,14 +611,23 @@ def NEGATIVE_ZERO_SUM(u):
 
 
 def NAN_PAST_LEVEL_3(u):
-    """1 + u, but NaN on a band of u that holds none of the block's nodes.
+    """1 + u, but NaN on a band of u that holds no node of levels 0-3.
 
-    The band lies between the block's nodes at t = 0 and t = 1/8 (u = 0.5
-    and 0.598 whatever the weight), around level 4's node t = 1/16 (u =
-    0.549), so the row's value turns NaN at level 4.
+    The band lies between their nodes at t = 0 and t = 1/8 (u = 0.5 and
+    0.598 whatever the weight), around level 4's node t = 1/16 (u = 0.549),
+    so the row's value turns NaN at level 4, which the block samples.
     """
     return np.where((0.53 < u) & (u < 0.57), np.nan, 1.0 + u)
 
+
+# Under OpenBLAS's generic kernel (OPENBLAS_CORETYPE=Prescott) the level-4
+# sums of these, alone or as one row, round differently when summed over
+# slices of the block's values and weights than over arrays of their own,
+# and the level-4 value shows it: u^5.55 at weight (-0.5, 0), u^2.35 at
+# (0, 0), u^2.1 at (1.5, -0.7), e^(-3.6u) at (-0.95, 0.2).  Kernels that
+# round both sums alike make them integrands like any other.
+LEVEL_4_PROBES = [lambda u: u ** 5.55, lambda u: u ** 2.35, lambda u: u ** 2.1,
+                  lambda u: np.exp(-3.6 * u)]
 
 INTEGRANDS = [SMOOTH, FAST, KINKED, WEYL_SEGMENT,
               _stacked(SMOOTH, FAST), _stacked(ONE, KINKED), _stacked(WEYL_SEGMENT, SMOOTH),
@@ -616,6 +635,7 @@ INTEGRANDS = [SMOOTH, FAST, KINKED, WEYL_SEGMENT,
               lambda u: _stacked(FAST, ONE, KINKED, SMOOTH)(u).reshape(2, 2, -1),
               _stacked(NEGATIVE_ZERO_SUM, SMOOTH), _stacked(NEGATIVE_ZERO_SUM, FAST),
               _stacked(KINKED, NAN_PAST_LEVEL_3), _stacked(NAN_PAST_LEVEL_3, SMOOTH)]
+INTEGRANDS += LEVEL_4_PROBES + [_stacked(probe) for probe in LEVEL_4_PROBES]
 
 
 def _assert_same_outcome(got, want):
@@ -627,18 +647,20 @@ def _assert_same_outcome(got, want):
 
 @pytest.mark.parametrize("one_minus_u_pow, u_pow", WEIGHTS)
 def test_first_call_samples_the_block_then_one_level_per_call(one_minus_u_pow, u_pow):
+    # the block is levels 0-4: an integral that stops at level 3 or 4 makes
+    # one call, and each level past the block one more
     sizes = _level_sizes(one_minus_u_pow, u_pow)
-    calls = []
+    faster = _fn(SinPos(120.0, 0.3, 0.5, 1.5))
+    for base, stop in ((SMOOTH, 3), (WEYL_SEGMENT, 4), (FAST, 5), (faster, 6)):
+        calls = []
 
-    def g(u):
-        calls.append(u.size)
-        return FAST(u)
+        def g(u):
+            calls.append(u.size)
+            return base(u)
 
-    res = weighted_unit_integral(g, one_minus_u_pow, u_pow)
-    deepest = len(calls) + 2
-    assert deepest > 4  # FAST needs levels past the block
-    assert calls == [sum(sizes[:4])] + sizes[4:deepest + 1]
-    assert res.evaluations == sum(sizes[:deepest + 1])
+        res = weighted_unit_integral(g, one_minus_u_pow, u_pow)
+        assert res.evaluations == sum(sizes[:stop + 1])
+        assert calls == [sum(sizes[:5])] + sizes[5:stop + 1]
 
 
 @pytest.mark.parametrize("one_minus_u_pow, u_pow", WEIGHTS)
@@ -692,11 +714,37 @@ def test_budget_below_the_block_reports_the_level_2_estimate(g):
     with pytest.raises(ConvergenceError, match="within %d evaluations" % cfg.max_subdivisions) as exc_info:
         weighted_unit_integral(recorded, -0.5, 0.0, cfg)
     best = exc_info.value.result
-    # the level-3 nodes were sampled with the block but are not counted
-    assert calls == [sum(sizes[:4])]
+    # the level-3 and level-4 nodes were sampled with the block but are not counted
+    assert calls == [sum(sizes[:5])]
     assert best.evaluations == sum(sizes[:3]) == 37
     want = _per_level_reference(g, -0.5, 0.0, cfg)
     assert want[0] == "budget"
+    assert _bits(best.value) == _bits(want[1])
+    assert _bits(best.error_estimate) == _bits(want[2])
+
+
+@pytest.mark.parametrize("g", [FAST, _stacked(SMOOTH, FAST)])
+@pytest.mark.parametrize("past_level_3", [0, 35, 71], ids=["0-3", "inside", "0-4-minus-1"])
+def test_budget_inside_the_block_reports_the_level_3_value(g, past_level_3):
+    # a budget of levels 0-3 and fewer than all 72 nodes of level 4
+    sizes = _level_sizes(-0.5, 0.0)
+    cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15,
+                           max_subdivisions=sum(sizes[:4]) + past_level_3)
+    calls = []
+
+    def recorded(u):
+        calls.append(u.size)
+        return g(u)
+
+    with pytest.raises(ConvergenceError, match=r"within %d evaluations \(73 made\)"
+                       % cfg.max_subdivisions) as exc_info:
+        weighted_unit_integral(recorded, -0.5, 0.0, cfg)
+    best = exc_info.value.result
+    # level 4 was sampled with the block, in the one call, but not summed
+    assert calls == [sum(sizes[:5])]
+    assert best.evaluations == sum(sizes[:4]) == 73
+    want = _per_level_reference(g, -0.5, 0.0, cfg)
+    assert want[0] == "budget" and want[3] == 73
     assert _bits(best.value) == _bits(want[1])
     assert _bits(best.error_estimate) == _bits(want[2])
 
@@ -718,7 +766,8 @@ def test_block_sums_agree_with_the_reference_under_the_generic_openblas_kernel()
     # the bit-for-bit tests above, in a child process on the generic kernel
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
-         "-k", "matches_per_level_loop or reports_the_level_2_estimate"],
+         "-k", "matches_per_level_loop or reports_the_level_2_estimate"
+               " or reports_the_level_3_value"],
         env=dict(os.environ, OPENBLAS_CORETYPE="Prescott"),
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         capture_output=True, text=True,
@@ -753,20 +802,22 @@ def test_cached_weights_equal_the_formula_bit_for_bit(one_minus_u_pow, u_pow):
     quadrature._cached_levels.cache_clear()
     t_max, offsets, views, levels = _entry(one_minus_u_pow, u_pow)
     assert t_max == quadrature._pick_t_max(one_minus_u_pow, u_pow)
-    assert list(offsets) == np.cumsum([0] + _level_sizes(one_minus_u_pow, u_pow)[:4]).tolist()
-    want = [range(quadrature._BLOCK_LEVEL + 1), [4], [5]]
-    assert len(levels) == len(want) == quadrature._CACHED_LEVEL - quadrature._BLOCK_LEVEL + 1
-    for (u, w), level_set in zip(levels, want):
-        want_u, want_w = _formula_weights(one_minus_u_pow, u_pow, level_set)
-        assert _bits(u) == _bits(want_u)
-        assert _bits(w) == _bits(want_w)
+    assert list(offsets) == np.cumsum([0] + _level_sizes(one_minus_u_pow, u_pow)[:5]).tolist()
+    # the block's nodes are levels 0-4, its weights levels 0-3; level 4's
+    # weights are an array of their own, as level 5's
+    want = [(range(5), range(4)), ([4], [4]), ([5], [5])]
+    assert len(levels) == len(want) == quadrature._CACHED_LEVEL - quadrature._MIN_LEVEL + 1
+    for (u, w), (node_levels, weight_levels) in zip(levels, want):
+        assert _bits(u) == _bits(_formula_weights(one_minus_u_pow, u_pow, node_levels)[0])
+        assert _bits(w) == _bits(_formula_weights(one_minus_u_pow, u_pow, weight_levels)[1])
         for array in (u, w):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
-    # one view per block level, slicing the block's weights, not copying them
+    assert levels[1][1].base is None
+    # one view per level 0-3, slicing the block's weights, not copying them
     block = levels[0][1]
-    assert len(views) == len(offsets) - 1 == quadrature._BLOCK_LEVEL + 1
+    assert len(views) == len(offsets) - 2 == 4
     for level, view in enumerate(views):
         assert _bits(view) == _bits(_formula_weights(one_minus_u_pow, u_pow, [level])[1])
         assert _bits(view) == _bits(block[offsets[level]:offsets[level + 1]])
@@ -918,7 +969,8 @@ def test_cold_warm_and_uncached_nodes_give_the_same_sweep(x, monkeypatch, cold_n
     warm, warm_counts = _counted_sweep(x, monkeypatch)
     reference, reference_counts = _counted_sweep(x, monkeypatch, cached=False)
     assert cold == warm == reference
-    assert cold_counts["calls"] == warm_counts["calls"] == reference_counts["calls"] > 720
+    # every sweep integral stops by level 4, so each makes one call
+    assert cold_counts["calls"] == warm_counts["calls"] == reference_counts["calls"] == 720
     assert cold_counts["points"] == warm_counts["points"] == reference_counts["points"]
     # every node array of the warm sweep is a hit; the cold sweep's first
     # segment at x stored none of its arrays
@@ -1073,7 +1125,11 @@ def _slot_entries():
 
 def test_node_memo_stays_within_its_bound(cold_node_memo):
     cap = quadrature._NODE_SLOT_MAX_NODES
-    assert cap == quadrature._level_nodes(quadrature._T_MAX_CAP, quadrature._CACHED_LEVEL)[0].size
+    # the block at the largest t_max, levels 0-4, is the largest array an
+    # integral that stops by level 5 hands the slot; level 5 there is one less
+    block = quadrature._block_nodes(quadrature._T_MAX_CAP)[0]
+    assert cap == block.size == 273
+    assert quadrature._level_nodes(quadrature._T_MAX_CAP, quadrature._CACHED_LEVEL)[0].size == 272
     params = OperatorParams(alpha=0.3, beta=0.0, rho=1.5, eta=0.0, kappa=0.0)
     base = _fn(SinPos(60.0, 0.3, 0.5, 1.5))
     sizes = set()
@@ -1090,9 +1146,10 @@ def test_node_memo_stays_within_its_bound(cold_node_memo):
     # only the last x is kept
     assert quadrature._node_slot[0] == xs[-1] and _slot_inv_rhos() == [1 / 1.5]
     assert 0 < len(_slot_entries()) <= quadrature._NODE_SLOT_ARRAYS
-    # one x with more node arrays than the slot keeps: many rho, each many levels
+    # one x with more node arrays than the slot keeps: many rho, each two
+    # arrays within the bound (the block and level 5)
     quadrature._node_slot = (None, {})
-    rhos = [0.5 + k / 8 for k in range(24)]
+    rhos = [0.5 + k / 8 for k in range(40)]
     for _ in range(2):
         for rho in rhos:
             p = OperatorParams(alpha=0.3, beta=0.0, rho=rho, eta=0.0, kappa=0.0)
@@ -1108,10 +1165,10 @@ def test_node_memo_stays_within_its_bound(cold_node_memo):
 
     # a full slot hands out the nodes of further arrays without storing them
     u = quadrature._level_nodes(0.5, 4)[0]
-    quadrature._full_span_integrand(g, 1.5, 0.25)(u)
+    quadrature._full_span_integrand(g, 1.5, 0.3)(u)
     assert len(quadrature._node_slot[1]) == quadrature._NODE_SLOT_ARRAYS
-    assert 0.25 not in _slot_inv_rhos() and not received[-1].flags.writeable
-    assert _bits(received[-1]) == _bits(1.5 * u ** 0.25)
+    assert 0.3 not in _slot_inv_rhos() and not received[-1].flags.writeable
+    assert _bits(received[-1]) == _bits(1.5 * u ** 0.3)
     # a level past the size bound is computed and handed out, never stored,
     # while one within it is stored
     quadrature._node_slot = (1.5, {})
@@ -1121,7 +1178,9 @@ def test_node_memo_stays_within_its_bound(cold_node_memo):
     assert _bits(received[-1]) == _bits(1.5 * u ** (1 / 1.5))
     u = quadrature._level_nodes(quadrature._T_MAX_CAP, quadrature._CACHED_LEVEL)[0]
     quadrature._full_span_integrand(g, 1.5, 1 / 1.5)(u)
-    assert quadrature._node_slot[1] == {(1 / 1.5, id(u)): received[-1]}
+    quadrature._full_span_integrand(g, 1.5, 1 / 1.5)(block)
+    assert quadrature._node_slot[1] == {(1 / 1.5, id(u)): received[-2],
+                                        (1 / 1.5, id(block)): received[-1]}
 
 
 def test_threads_share_the_node_memo_bit_for_bit(cold_node_memo):
