@@ -15,6 +15,7 @@ other.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -185,8 +186,7 @@ def evaluate(
     per row.  A ConvergenceError carries the best estimate of the operator
     value, in the same units as a result.
 
-    ``f`` must never write into its argument: in the left-sided form with
-    a = 0 and no interior breakpoint it receives a read-only array.
+    ``f`` must not write into its argument.
     """
     validate(params)
     _require_finite_point(x)
@@ -238,9 +238,12 @@ def _prefactor(params: OperatorParams, x_power: float, x: float) -> float:
         - log_gamma(params.alpha)
     )
     try:
-        return math.exp(log_pref)
+        pref = math.exp(log_pref)
     except OverflowError:
         raise DomainError("operator prefactor is beyond the float range") from None
+    if pref < sys.float_info.min:  # 0, or a subnormal that has lost digits
+        raise DomainError("operator prefactor is below the float range")
+    return pref
 
 
 def _truncated_power_kernel(

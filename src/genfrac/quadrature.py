@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -106,13 +105,11 @@ def scaled_integral(
 # tanh-sinh nodes
 #
 # u(t) = 1/(1 + exp(-pi*sinh(t))) maps R onto (0,1); endpoints are approached
-# double-exponentially but never hit.  Three caches: log(u), log(1-u) and
-# log of the Jacobian per t_max (unbounded, few entries); the weights built
-# from them per pair of weight exponents (at most _WEIGHT_CACHE_SIZE pairs,
-# about 1.1 MB), so an integral with a weight seen before pays no exp up to
-# level _CACHED_LEVEL; and the a = 0 kernel's nodes x * u^(1/rho) at the
-# last x only (at most _NODE_SLOT_ARRAYS arrays, about 140 KB; see
-# _full_span_integrand).
+# double-exponentially but never hit.  Two caches: log(u), log(1-u) and
+# log of the Jacobian per t_max (unbounded, few entries); and the weights
+# built from them per pair of weight exponents (at most _WEIGHT_CACHE_SIZE
+# pairs, about 1.1 MB), so an integral with a weight seen before pays no exp
+# up to level _CACHED_LEVEL.
 # Levels 0.._BLOCK_LEVEL are cached as one block per t_max, sampled in one
 # call; each deeper level is cached, and sampled, on its own.
 # ---------------------------------------------------------------------------
@@ -196,8 +193,7 @@ def _compute_level_nodes(t_max: float, level: int):
 
 
 # t_max lies on _pick_t_max's half-step grid up to _T_MAX_CAP and the level
-# goes up to _MAX_LEVEL, so these unbounded caches hold few entries, and
-# every node array an integrand receives lives as long as the process
+# goes up to _MAX_LEVEL, so these unbounded caches hold few entries
 @functools.cache
 def _level_nodes(t_max: float, level: int):
     """(u, log_u, log_1mu, log_jac) of one level deeper than _MIN_LEVEL."""
@@ -261,58 +257,6 @@ def _deep_level(levels, t_max: float, level: int, a1: float, b1: float):
     if k < len(levels):
         levels[k] = (u, w)
     return u, w
-
-
-# The third cache holds the a = 0 kernel's substituted nodes.  A segment
-# that spans all of [0, x] samples f at t = x * u^(1/rho), which depends on
-# x and rho but not on the weight, so every integral at one (x, rho) maps
-# the same node arrays to the same t: each `genfrac oracle` run, and every
-# suite trial at x = 1.  One slot holds the x of the last such segment in
-# the process and one table of t by (1/rho, id(u)).  Every u an integrand
-# receives comes from _block_nodes or _level_nodes, whose arrays live as
-# long as the process, so an id never passes to another array.  A segment
-# at another x rebinds the slot to its x, empty, and stores nothing, so a
-# stream of fresh x (each eval-mix op) pays for no stores; no workload
-# returns to an x after leaving it, so older x are not kept.  The table
-# holds at most _NODE_SLOT_ARRAYS arrays of at most _NODE_SLOT_MAX_NODES
-# nodes, the largest array an integral that stops by level _CACHED_LEVEL
-# hands it (the block at _T_MAX_CAP, 273 nodes; level _CACHED_LEVEL there
-# has 272): 64 * 273 * 8 bytes, about 140 KB; an oracle sweep stores 14.
-_NODE_SLOT_ARRAYS = 64
-_NODE_SLOT_MAX_NODES = max(_block_nodes(_T_MAX_CAP)[0].size,
-                           _level_nodes(_T_MAX_CAP, _CACHED_LEVEL)[0].size)
-_node_slot = (None, {})  # (x, {(1/rho, id(u)): t}); rebound whole, never mutated to another x
-_node_slot_lock = threading.Lock()
-
-
-def _full_span_integrand(f, x: float, inv_rho: float):
-    """f at the read-only nodes x * u ** inv_rho of a segment over [0, x].
-
-    The weight is the whole kernel here, so only the nodes depend on x.
-    A segment at the slot's x takes each node array from the slot's table
-    or stores it there; one at another x moves the slot there, empty, and
-    stores nothing, so storing starts at an x's second segment.  Segments
-    that alternate between two x values never store, which costs time,
-    never bits.
-    """
-    global _node_slot
-    slot_x, table = _node_slot
-    store = x == slot_x
-    if not store:
-        _node_slot = (x, {})
-
-    def g(u):
-        t = table.get((inv_rho, id(u))) if store else None
-        if t is None:
-            t = x * u ** inv_rho
-            t.setflags(False)  # write=False; numpy parses the keyword at twice the cost
-            if store and u.size <= _NODE_SLOT_MAX_NODES:
-                with _node_slot_lock:
-                    if len(table) < _NODE_SLOT_ARRAYS:
-                        table[inv_rho, id(u)] = t
-        return f(t)
-
-    return g
 
 
 def _pick_t_max(one_minus_u_pow: float, u_pow: float) -> float:
@@ -550,11 +494,9 @@ def _kernel_segment(
 
     The substitution's scale is applied to the unit integral first and the
     operator prefactor ``pref`` after it, as pref * (scale * value); a
-    ConvergenceError's best estimate is scaled alike.
-
-    A segment that spans all of [0, x] hands ``f`` read-only node arrays,
-    shared through _full_span_integrand between integrals at the same
-    (x, rho).
+    ConvergenceError's best estimate is scaled alike.  A scale below the
+    float range raises DomainError rather than round the value to 0 or to
+    a subnormal that has lost digits.
     """
     inv_rho = 1.0 / rho
     # ** and math.exp/expm1 raise OverflowError past the float range
@@ -589,22 +531,21 @@ def _kernel_segment(
         inner = math.exp(log_scale)
     except OverflowError:
         raise DomainError("kernel scale is beyond the float range") from None
+    if inner < sys.float_info.min:
+        raise DomainError("kernel scale is below the float range")
 
-    if lo == 0.0 and x == hi:
-        g = _full_span_integrand(f, float(hi), inv_rho)
-    else:
-        # weight * (f * gap factor), in that order
-        def g(u):
-            if lo == 0.0:  # an interior segment
-                vals = f(hi * u ** inv_rho)
-            else:
-                z = np.log1p(u * ratio)
-                vals = f(lo * np.exp(inv_rho * z))
-            if interior:
-                vals = vals * (e_gap + d * (1.0 - u)) ** (alpha - 1.0)
-            if lo != 0.0 and power != 0.0:
-                vals = np.exp(power * (log_lo_rho + z)) * vals
-            return vals
+    # weight * (f * gap factor), in that order
+    def g(u):
+        if lo == 0.0:
+            vals = f(hi * u ** inv_rho)
+        else:
+            z = np.log1p(u * ratio)
+            vals = f(lo * np.exp(inv_rho * z))
+        if interior:
+            vals = vals * (e_gap + d * (1.0 - u)) ** (alpha - 1.0)
+        if lo != 0.0 and power != 0.0:
+            vals = np.exp(power * (log_lo_rho + z)) * vals
+        return vals
 
     return scaled_integral(
         pref, weighted_unit_integral, g, a_pow, u_pow, cfg, inner=inner
@@ -635,8 +576,7 @@ def integrate_kernel(
     converge, the remaining ones are still integrated and the
     ConvergenceError carries the sum over all segments.
 
-    ``f`` must never write into its argument: with a = 0 and no interior
-    breakpoint it receives a read-only array, and writing raises ValueError.
+    ``f`` must not write into its argument.
 
     The operator value is prefactor times this result; ``evaluate`` applies
     the prefactor inside the same computation (see _left_kernel), so the

@@ -125,6 +125,19 @@ def test_eval_kernel_scale_overflow_exits_2(capsys, flags):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("eta, kappa, factor", [
+    ("5", "0", "kernel scale"), ("0", "5", "operator prefactor"),
+])
+def test_eval_factor_underflow_exits_2(capsys, eta, kappa, factor):
+    # x^(eta + alpha) or x^kappa rounds to 0.0; it used to print 0 +- 0
+    code = run_cli(["eval", "--alpha", "0.5", "--beta", "0.5", "--rho", "1", "--eta", eta,
+                    "--kappa", kappa, "--a", "0", "--x", "1e-300", "--fn", "const:1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: %s is below the float range\n" % factor
+    assert captured.out == ""
+
+
 def test_eval_bad_fn_spec_exits_2(capsys):
     code = run_cli(["eval", *RL_FLAGS, "--a", "0", "--x", "2", "--fn", "wat:1"])
     assert code == 2

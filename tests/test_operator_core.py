@@ -308,6 +308,26 @@ def test_kernel_scale_past_the_float_range_is_a_domain_error(alpha, beta, rho, l
         evaluate(p, ONE, 1e200)
 
 
+# (eta, kappa, the factor, x just inside its range, x just outside): with
+# rho = 1 and alpha = 0.5 the kernel scale is x^(eta + 0.5) and the
+# prefactor x^kappa/Gamma(0.5); outside, each is a subnormal, not 0
+@pytest.mark.parametrize("eta, kappa, factor, inside, outside", [
+    (5.0, -5.0, "kernel scale", 2e-56, 1e-56),
+    (-0.9, 5.0, "operator prefactor", 4e-62, 3e-62),
+])
+def test_a_factor_below_the_float_range_is_a_domain_error(eta, kappa, factor, inside, outside):
+    # both values are normal floats; outside, the factor used to round to
+    # a subnormal that lost digits, and at x = 1e-300 to 0.0 (see test_cli)
+    p = OperatorParams(alpha=0.5, beta=0.5, rho=1.0, eta=eta, kappa=kappa)
+    exact = closed_form_monomial(p, 0.0, inside)
+    assert exact > sys.float_info.min
+    # not within the bar: exp(log factor) rounds to about |log factor| * eps,
+    # 1e-13 here, which the bar does not count
+    assert evaluate(p, ONE, inside).value == pytest.approx(exact, rel=1e-12)
+    with pytest.raises(DomainError, match="^%s is below the float range$" % factor):
+        evaluate(p, ONE, outside)
+
+
 @pytest.mark.parametrize("x", [math.inf, math.nan])
 def test_non_finite_evaluation_point_is_rejected(x):
     # every side and every classical kind; inf used to give value = nan

@@ -906,39 +906,23 @@ def test_a_non_finite_integrand_stops_at_level_3(rows):
 
 
 # ---------------------------------------------------------------------------
-# the a = 0 kernel's substituted nodes, cached per rho at the last x
+# the nodes f receives
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def cold_node_memo():
-    """An empty node slot with no x, before the test and after it."""
-    quadrature._node_slot = (None, {})
-    yield
-    quadrature._node_slot = (None, {})
-
-
-def _slot_inv_rhos():
-    return sorted({inv_rho for inv_rho, _ in quadrature._node_slot[1]})
-
-
-def _counted_sweep(x, monkeypatch, cached=True):
+def _counted_sweep(x, monkeypatch):
     """oracle.sweep(x) over the oracle's rhos and the suite's rho = 1.5.
 
     Returns the bits of each result (value, error estimate, node count),
-    f's calls and points as `--trace 1` counts them, and how many of the
-    node arrays f received are not in the slot when the sweep ends.
-    Uncached, every integrand call computes x * u ** inv_rho afresh.
+    and f's calls and points as `--trace 1` counts them.
     """
     results = []
     counts = {"calls": 0, "points": 0}
-    received = []
     call, evaluate_ = TestFunction.__call__, oracle.evaluate
 
     def counted_call(f, t):
         counts["calls"] += 1
         counts["points"] += int(np.size(t))
-        received.append(t)
         return call(f, t)
 
     def recorded(*args):
@@ -949,243 +933,108 @@ def _counted_sweep(x, monkeypatch, cached=True):
         m.setattr(TestFunction, "__call__", counted_call)
         m.setattr(oracle, "evaluate", recorded)
         m.setattr(oracle, "GRID_RHOS", oracle.GRID_RHOS + (1.5,))
-        if not cached:
-            m.setattr(quadrature, "_full_span_integrand",
-                      lambda f, x, inv_rho: lambda u: f(x * u ** inv_rho))
         oracle.sweep(x)
     assert len(results) == 720
     bits = [(_bits(r.value), _bits(r.error_estimate), r.evaluations) for r in results]
-    stored = {id(t) for t in quadrature._node_slot[1].values()}
-    counts["computed"] = sum(id(t) not in stored for t in received)
     return bits, counts
 
 
 @pytest.mark.parametrize("x", [0.7, 1.5, 2.3])
-def test_cold_warm_and_uncached_nodes_give_the_same_sweep(x, monkeypatch, cold_node_memo):
-    cold, cold_counts = _counted_sweep(x, monkeypatch)
-    # 1/rho = 2, 1, 0.5 take numpy's fast paths for **; 1/1.5 does not
-    assert quadrature._node_slot[0] == x and _slot_inv_rhos() == [0.5, 1 / 1.5, 1.0, 2.0]
-    assert _slot_entries()
-    warm, warm_counts = _counted_sweep(x, monkeypatch)
-    reference, reference_counts = _counted_sweep(x, monkeypatch, cached=False)
-    assert cold == warm == reference
+def test_a_repeated_sweep_gives_the_same_bits_in_one_call_per_integral(x, monkeypatch):
+    first, first_counts = _counted_sweep(x, monkeypatch)
+    again, again_counts = _counted_sweep(x, monkeypatch)
+    assert first == again
     # every sweep integral stops by level 4, so each makes one call
-    assert cold_counts["calls"] == warm_counts["calls"] == reference_counts["calls"] == 720
-    assert cold_counts["points"] == warm_counts["points"] == reference_counts["points"]
-    # every node array of the warm sweep is a hit; the cold sweep's first
-    # segment at x stored none of its arrays
-    assert warm_counts["computed"] == 0 < cold_counts["computed"]
+    assert first_counts["calls"] == again_counts["calls"] == 720
+    assert first_counts["points"] == again_counts["points"]
 
 
-def test_f_receives_read_only_nodes_whatever_ran_before(cold_node_memo):
-    params = OperatorParams(alpha=0.5, beta=0.5, rho=2.0, eta=0.0, kappa=0.0)
+@pytest.mark.parametrize("rho", [0.5, 1.0, 1.5, 2.0])
+def test_a_zero_samples_f_at_x_times_u_to_the_one_over_rho(rho):
+    # 1/rho = 2, 1 and 0.5 take numpy's fast paths for **; 1/1.5 does not.
+    # The fast oscillation takes the integral past the block, to level 5
+    # and deeper, each level's nodes in a call of its own.
+    params = OperatorParams(alpha=0.5, beta=0.5, rho=rho, eta=0.3, kappa=0.1)
+    x = 1.3
+    base = _fn(SinPos(40.0, 0.3, 0.5, 1.5))
     received = []
 
     def f(t):
-        received.append(t)
-        return np.ones_like(t)
+        received.append(t.copy())
+        return base(t)
 
-    def writes(t):
-        t[0] = 0.0
-        return np.ones_like(t)
-
-    # a fresh x stores nothing; the same x again stores; then a hit
-    results = []
-    for stored in (0, 1, 1):
-        results.append(evaluate(params, f, 1.3))
-        assert quadrature._node_slot[0] == 1.3 and len(quadrature._node_slot[1]) == stored
-    assert results[0] == results[1] == results[2]
-    # f = 1 converges at level 3, so each call samples the block once
-    assert [t.flags.writeable for t in received] == [False, False, False]
-    assert received[0] is not received[1] is received[2]
-    assert list(quadrature._node_slot[1].values()) == [received[1]] and _slot_inv_rhos() == [0.5]
-    with pytest.raises(ValueError, match="read-only"):
-        evaluate(params, writes, 1.3)
-    # a fresh x hands out read-only nodes too, and stores none of them
-    with pytest.raises(ValueError, match="read-only"):
-        evaluate(params, writes, 1.7)
-    assert quadrature._node_slot == (1.7, {})
-    # coming back to 1.3 after 1.7 is a fresh x again: the slot kept only 1.7
-    assert evaluate(params, f, 1.3) == results[0]
-    assert quadrature._node_slot == (1.3, {})
-    evaluate(params, f, 1.3)
-    slot = quadrature._node_slot
-    assert slot[0] == 1.3 and len(slot[1]) == 1
-    # a segment that does not span [0, x] leaves the slot as it was
-    evaluate(OperatorParams(0.5, 0.5, 2.0, 0.0, 0.0, lower=0.5), f, 1.9)
-    assert quadrature._node_slot is slot
+    evaluate(params, f, x)
+    t_max = quadrature._cached_levels(params.alpha - 1.0, params.eta)[0]
+    nodes = [quadrature._block_nodes(t_max)[0]]
+    nodes += [quadrature._level_nodes(t_max, level)[0]
+              for level in range(quadrature._BLOCK_LEVEL + 1,
+                                 quadrature._BLOCK_LEVEL + len(received))]
+    assert len(received) > 1
+    assert [_bits(t) for t in received] == [_bits(x * u ** (1.0 / rho)) for u in nodes]
 
 
-@pytest.mark.parametrize("x", [2.0, 2, np.float64(2.0), np.array(2.0)],
-                         ids=["float", "int", "float64", "0-d array"])
-def test_writing_f_raises_on_its_first_call_at_a_fresh_x(x, cold_node_memo):
+def test_x_of_any_numeric_type_gives_the_float_bits():
     params = OperatorParams(alpha=0.5, beta=0.5, rho=1.5, eta=0.3, kappa=0.1)
-    calls = []
-
-    def writes(t):
-        calls.append(t.size)
-        t[0] = 0.0
-        return np.ones_like(t)
-
-    with pytest.raises(ValueError, match="read-only"):
-        evaluate(params, writes, x)
-    assert len(calls) == 1
-    # the slot keeps x as a float, which a caller cannot change in place
-    assert quadrature._node_slot == (2.0, {}) and type(quadrature._node_slot[0]) is float
-
-
-def test_x_of_any_numeric_type_gives_the_float_bits(cold_node_memo, monkeypatch):
-    # an int, numpy's float64 and a 0-d array all share the float's slot
-    params = OperatorParams(alpha=0.5, beta=0.5, rho=1.5, eta=0.3, kappa=0.1)
-    want = [_bits(evaluate(params, TSQ, 2.0)) for _ in range(3)]
-    slot = quadrature._node_slot
-    assert slot[0] == 2.0 and _slot_inv_rhos() == [1 / 1.5]
-    stored = dict(slot[1])
-    received = []
-    call = TestFunction.__call__
-
-    def recorded(f, t):
-        received.append(t)
-        return call(f, t)
-
-    monkeypatch.setattr(TestFunction, "__call__", recorded)
+    want = _bits(evaluate(params, TSQ, 2.0))
     for x in (2, np.float64(2.0), np.array(2.0)):
-        assert [_bits(evaluate(params, TSQ, x)) for _ in range(3)] == want
-    assert quadrature._node_slot is slot and slot[1].keys() == stored.keys()
-    assert all(slot[1][key] is t for key, t in stored.items())
-    # every node array is a hit on the float's entries
-    assert received and {id(t) for t in received} <= {id(t) for t in stored.values()}
+        assert _bits(evaluate(params, TSQ, x)) == want
 
 
-def _writing(base, writeable):
-    """base, after an in-place no-op on its argument, which raises on a
-    read-only array; each argument's writeable flag goes to ``writeable``."""
+def _scribbling(base, writeable):
+    """base, after which f fills its argument with NaN; each argument's
+    writeable flag goes to ``writeable``.  Writing raises on a read-only
+    array, and would corrupt later integrals if the array were shared."""
     def f(t):
         writeable.append(t.flags.writeable)
-        t *= 1.0
-        return base(t)
+        vals = np.array(base(t))
+        t[...] = np.nan
+        return vals
     return f
 
 
-def test_only_segments_spanning_zero_to_x_use_the_node_memo(cold_node_memo):
-    # every other segment hands f a private, writeable array
+_SMOOTH_3 = _fn(ExpPoly((0.1, -0.3)), hi=3.0)
+_WEYL = OperatorParams(_WEYL_ALPHA, 0.0, 1.0, 0.0, 0.0, lower=-math.inf)
+_FULL_SPAN = OperatorParams(alpha=0.5, beta=0.5, rho=1.5, eta=0.3, kappa=0.1)
+# (base f, how the path evaluates an f)
+_PATHS = {
+    "a > 0": (_SMOOTH_3, lambda f: evaluate(OperatorParams(0.5, 0.5, 2.0, 0.3, 0.1, lower=0.5),
+                                            f, 1.5)),
+    "right": (_SMOOTH_3, lambda f: evaluate(
+        OperatorParams(0.7, 0.2, 1.5, 0.3, 0.1, side=Side.RIGHT, upper=2.0), f, 0.8)),
+    "breakpoints": (KINKED, lambda f: evaluate(KINK_PARAMS, f, 1.0, breakpoints=(0.4,))),
+    # the truncated form's first segment, [x - 1, x], spans [0, 1] once
+    # shifted to start at 0, and f receives the shifted nodes lo + s
+    "weyl": (_WEYL_F, lambda f: evaluate(_WEYL, f, _WEYL_X)),
+    "weyl classical": (_WEYL_F, lambda f: evaluate_classical(
+        ClassicalKind.WEYL, _WEYL_ALPHA, f, (-math.inf,), _WEYL_X)),
+    **{kind.value: (_SMOOTH_3, lambda f, kind=kind, a=a: evaluate_classical(
+        kind, 0.5, f, (a,), 1.5, rho=2.0, sigma=2.0))
+       for kind, a in ((ClassicalKind.RIEMANN_LIOUVILLE, 0.0), (ClassicalKind.HADAMARD, 0.5),
+                       (ClassicalKind.KATUGAMPOLA, 0.0), (ClassicalKind.ERDELYI_KOBER, 0.0))},
+    # the segment spanning [0, x], at each numeric type x may come in
+    **{"a = 0, %s x" % name: (TSQ, lambda f, x=x: evaluate(_FULL_SPAN, f, x))
+       for name, x in (("float", 2.0), ("int", 2), ("float64", np.float64(2.0)),
+                       ("0-d array", np.array(2.0)))},
+}
+
+
+@pytest.mark.parametrize("path", list(_PATHS))
+def test_every_path_hands_f_a_private_writeable_array(path):
+    base, run = _PATHS[path]
+    want = run(base)
     writeable = []
-    f = _writing(_fn(ExpPoly((0.1, -0.3)), hi=3.0), writeable)
-    calls = [
-        lambda: evaluate(OperatorParams(0.5, 0.5, 2.0, 0.3, 0.1, lower=0.5), f, 1.5),
-        lambda: evaluate(OperatorParams(0.7, 0.2, 1.5, 0.3, 0.1, side=Side.RIGHT, upper=2.0),
-                         f, 0.8),
-        lambda: evaluate(KINK_PARAMS, _writing(KINKED, writeable), 1.0, breakpoints=(0.4,)),
-    ] + [
-        lambda kind=kind, a=a: evaluate_classical(kind, 0.5, f, (a,), 1.5, rho=2.0, sigma=2.0)
-        for kind, a in ((ClassicalKind.RIEMANN_LIOUVILLE, 0.0), (ClassicalKind.HADAMARD, 0.5),
-                        (ClassicalKind.KATUGAMPOLA, 0.0), (ClassicalKind.ERDELYI_KOBER, 0.0))
-    ]
-    for call in calls:
-        for _ in range(3):
-            call()
-    assert quadrature._node_slot == (None, {})
-    # the truncated form: only its first segment, [x - 1, x], spans [0, x]
-    # once shifted to start at 0, and f receives the shifted nodes lo + s
-    weyl = OperatorParams(_WEYL_ALPHA, 0.0, 1.0, 0.0, 0.0, lower=-math.inf)
-    weyl_f = _writing(_WEYL_F, writeable)
-    for _ in range(3):
-        evaluate(weyl, weyl_f, _WEYL_X)
-        evaluate_classical(ClassicalKind.WEYL, _WEYL_ALPHA, weyl_f, (-math.inf,), _WEYL_X)
-    assert quadrature._node_slot[0] == _WEYL_X - (_WEYL_X - 1.0)
-    assert _slot_inv_rhos() == [1.0] and _slot_entries()
-    assert len(writeable) > 3 * len(calls) and all(writeable)
-
-
-def _slot_entries():
-    """Every ((1/rho, id(u)), t) in the node slot, after checking that each
-    key's id is that of a node array _block_nodes or _level_nodes holds,
-    of t's size, and that each t is read-only.
-
-    t_max lies on a half-step grid up to _T_MAX_CAP, and the slot takes no
-    array of more than _NODE_SLOT_MAX_NODES nodes, so these are all the
-    arrays a key can name.
-    """
-    cap = quadrature._NODE_SLOT_MAX_NODES
-    sizes = {}
-    for t_max in np.arange(0.5, quadrature._T_MAX_CAP + 0.25, 0.5).tolist():
-        u = quadrature._block_nodes(t_max)[0]
-        sizes[id(u)] = u.size
-        level = quadrature._BLOCK_LEVEL
-        while u.size <= cap:
-            level += 1
-            u = quadrature._level_nodes(t_max, level)[0]
-            sizes[id(u)] = u.size
-    entries = list(quadrature._node_slot[1].items())
-    for (inv_rho, key), t in entries:
-        assert sizes.get(key) == t.size <= cap
-        assert not t.flags.writeable
-    return entries
-
-
-def test_node_memo_stays_within_its_bound(cold_node_memo):
-    cap = quadrature._NODE_SLOT_MAX_NODES
-    # the block at the largest t_max, levels 0-4, is the largest array an
-    # integral that stops by level 5 hands the slot; level 5 there is one less
-    block = quadrature._block_nodes(quadrature._T_MAX_CAP)[0]
-    assert cap == block.size == 273
-    assert quadrature._level_nodes(quadrature._T_MAX_CAP, quadrature._CACHED_LEVEL)[0].size == 272
-    params = OperatorParams(alpha=0.3, beta=0.0, rho=1.5, eta=0.0, kappa=0.0)
-    base = _fn(SinPos(60.0, 0.3, 0.5, 1.5))
-    sizes = set()
-
-    def f(t):
-        sizes.add(t.size)
-        return base(t)
-
-    xs = np.linspace(1.0, 2.0, 1000).tolist()
-    for x in xs:
-        for _ in range(2):  # the slot stores nodes when x repeats
-            evaluate(params, f, x)
-    assert max(sizes) > cap  # level 6 at t_max 5 has 320 nodes
-    # only the last x is kept
-    assert quadrature._node_slot[0] == xs[-1] and _slot_inv_rhos() == [1 / 1.5]
-    assert 0 < len(_slot_entries()) <= quadrature._NODE_SLOT_ARRAYS
-    # one x with more node arrays than the slot keeps: many rho, each two
-    # arrays within the bound (the block and level 5)
-    quadrature._node_slot = (None, {})
-    rhos = [0.5 + k / 8 for k in range(40)]
+    # twice, so a second integral would see what the first one wrote
     for _ in range(2):
-        for rho in rhos:
-            p = OperatorParams(alpha=0.3, beta=0.0, rho=rho, eta=0.0, kappa=0.0)
-            evaluate(p, f, 1.5)
-    entries = _slot_entries()
-    assert len(entries) == quadrature._NODE_SLOT_ARRAYS
-    assert sum(t.nbytes for _, t in entries) <= quadrature._NODE_SLOT_ARRAYS * cap * 8
-    received = []
-
-    def g(t):
-        received.append(t)
-        return t
-
-    # a full slot hands out the nodes of further arrays without storing them
-    u = quadrature._level_nodes(0.5, 4)[0]
-    quadrature._full_span_integrand(g, 1.5, 0.3)(u)
-    assert len(quadrature._node_slot[1]) == quadrature._NODE_SLOT_ARRAYS
-    assert 0.3 not in _slot_inv_rhos() and not received[-1].flags.writeable
-    assert _bits(received[-1]) == _bits(1.5 * u ** 0.3)
-    # a level past the size bound is computed and handed out, never stored,
-    # while one within it is stored
-    quadrature._node_slot = (1.5, {})
-    u = quadrature._level_nodes(quadrature._T_MAX_CAP, quadrature._CACHED_LEVEL + 1)[0]
-    quadrature._full_span_integrand(g, 1.5, 1 / 1.5)(u)
-    assert quadrature._node_slot == (1.5, {}) and not received[-1].flags.writeable
-    assert _bits(received[-1]) == _bits(1.5 * u ** (1 / 1.5))
-    u = quadrature._level_nodes(quadrature._T_MAX_CAP, quadrature._CACHED_LEVEL)[0]
-    quadrature._full_span_integrand(g, 1.5, 1 / 1.5)(u)
-    quadrature._full_span_integrand(g, 1.5, 1 / 1.5)(block)
-    assert quadrature._node_slot[1] == {(1 / 1.5, id(u)): received[-2],
-                                        (1 / 1.5, id(block)): received[-1]}
+        got = run(_scribbling(base, writeable))
+        assert all(_bits(g) == _bits(w) for g, w in zip(got, want))
+    assert writeable and all(writeable)
+    assert all(_bits(g) == _bits(w) for g, w in zip(run(base), want))
 
 
-def test_threads_share_the_node_memo_bit_for_bit(cold_node_memo):
+def test_threads_give_serial_bits():
     # four threads on two cores, switching every microsecond, each going
-    # through the x values in its own order, so the slot keeps moving
+    # through the x values in its own order; the weight cache stores a
+    # level's nodes and weights without a lock (see _deep_level)
     points = [(p.params, p.sigma) for p in oracle.grid_points()[::6]]
     xs = [1.0 + k / 32 for k in range(24)]
     starts = (0, 6, 12, 18)
@@ -1195,7 +1044,6 @@ def test_threads_share_the_node_memo_bit_for_bit(cold_node_memo):
                 for x in xs]
 
     want = run(xs)
-    quadrature._node_slot = (None, {})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1205,5 +1053,3 @@ def test_threads_share_the_node_memo_bit_for_bit(cold_node_memo):
     finally:
         sys.setswitchinterval(interval)
     assert got == [want[k:] + want[:k] for k in starts]
-    assert quadrature._node_slot[0] in xs
-    assert len(_slot_entries()) <= quadrature._NODE_SLOT_ARRAYS
